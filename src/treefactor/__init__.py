@@ -8,6 +8,7 @@ the factorization and nullvector claims tying them together.
 
 from .polyring import (
     DivisionByZero,
+    ExponentOverflow,
     Family,
     Monomial,
     NonInvertibleSubstitution,

@@ -6,7 +6,8 @@ invocations; verification timings are therefore zeroed in CLI JSON output
 (the library report keeps real timings).
 
 Exit codes: 0 success or all claims Verified, 1 any claim Refuted,
-2 usage or graph-spec error, 3 tree cap exceeded.
+2 usage or graph-spec error or an exponent too large to pack, 3 tree cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .laplacian import (
     WeightScheme,
     tree_enumerator_det,
 )
-from .polyring import Polynomial, q
+from .polyring import ExponentOverflow, Polynomial, q
 from .treebrute import (
     DEFAULT_CAP,
     CapExceeded,
@@ -338,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ParseError, NotThresholdSequence, SchemeMismatch, IndexOutOfRange,
             InvalidSize, GraphInvalidSize, EmptyFactor, Disconnected,
-            argparse.ArgumentTypeError, ValueError) as exc:
+            argparse.ArgumentTypeError, ValueError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FormMismatch, NotDivisibleCount) as exc:

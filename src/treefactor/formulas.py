@@ -217,12 +217,10 @@ def cube_rhs(n: int) -> Polynomial:
     """q1...qn times the product of subset factors over |A| >= 2."""
     if n < 1:
         raise InvalidSize("cube dimension must be at least 1")
-    out = Polynomial.monomial(Monomial.of({q(i): 1 for i in range(1, n + 1)}))
+    head = Polynomial.monomial(Monomial.of({q(i): 1 for i in range(1, n + 1)}))
     members = list(range(1, n + 1))
-    for r in range(2, n + 1):
-        for subset in combinations(members, r):
-            out = out * cube_subset_factor(subset)
-    return out
+    return poly_product([head] + [cube_subset_factor(subset)
+                                  for r in range(2, n + 1) for subset in combinations(members, r)])
 
 
 def _validated_connected(lam: PartitionLike) -> Partition:
@@ -248,26 +246,29 @@ def merris_count(lam: PartitionLike) -> int:
 def threshold_rhs(lam: PartitionLike) -> Polynomial:
     """In/out-degree weighted tree sum of a connected threshold graph.
 
-    x1 * yn * prod_{r=2}^{n-1} sum_{i=1}^{conj_r} x_min(i,r) * y_max(i,r).
+    x1 * yn * prod_{r=2}^{n-1} sum_{i=1}^{conj_r} x_min(i,r) * y_max(i,r);
+    the one-vertex graph has the empty tree alone, so its sum is 1.
     """
     lam = _validated_connected(lam)
     n = len(lam)
+    if n == 1:
+        return Polynomial.one()
     conj = conjugate(lam)
-    out = Polynomial.variable(x(1))
-    if n >= 2:
-        out = out * Polynomial.variable(y(n))
+    factors = [Polynomial.variable(x(1)), Polynomial.variable(y(n))]
     for r in range(2, n):
-        s = Polynomial.zero()
-        for i in range(1, conj[r - 1] + 1):
-            s = s + Polynomial.monomial(Monomial.of({x(min(i, r)): 1, y(max(i, r)): 1}))
-        out = out * s
-    return out
+        factors.append(poly_sum(
+            Polynomial.monomial(Monomial.of({x(min(i, r)): 1, y(max(i, r)): 1}))
+            for i in range(1, conj[r - 1] + 1)
+        ))
+    return poly_product(factors)
 
 
 def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     """The y=x specialization: x1...xn * prod_{r=2}^{n-1} (x1+...+x_conj_r)."""
     lam = _validated_connected(lam)
     n = len(lam)
+    if n == 1:
+        return Polynomial.one()
     conj = conjugate(lam)
     out = Polynomial.monomial(Monomial.of({x(i): 1 for i in range(1, n + 1)}))
     for r in range(2, n):
@@ -297,6 +298,8 @@ def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
     """
     lam = _validated_connected(lam)
     n = len(lam)
+    if n == 1:
+        return Polynomial.one()
     s = durfee(lam)
     out = Polynomial.variable(x(1))
     for r in range(2, s + 1):

@@ -21,14 +21,12 @@ from typing import Optional, Sequence
 from .graphs import Edge, Graph, is_connected
 from .polyring import (
     Monomial,
+    NotDivisible,
     Polynomial,
-    _PackCtx,
-    _PackedStuck,
-    _pdiv_exact,
-    _pmul,
-    _psub,
+    div_exact,
     evar,
     q,
+    share_layout,
     x,
     xd,
     y,
@@ -223,36 +221,33 @@ def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         else:
             cleared.append(list(row))
 
-    variables = sorted(
-        {v for row in cleared for p in row for v in p.variables()},
-        key=lambda v: v._key,
-    )
-    ctx = _PackCtx(variables)
-    a = [[ctx.pack_terms(p) for p in row] for row in cleared]
+    # one layout for every entry: the elimination below does no layout work
+    flat = share_layout(p for row in cleared for p in row)
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
 
     sign = 1
     prev = None
     for k in range(n - 1):
-        if not a[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if a[k][k].is_zero:
+            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
             if pivot_row is None:
                 return Polynomial.zero()
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                elt = _psub(_pmul(a[k][k], a[i][j]), _pmul(a[i][k], a[k][j]))
+                elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                 if prev is not None:
                     try:
-                        elt = _pdiv_exact(elt, prev, ctx)
-                    except _PackedStuck as stuck:  # impossible over a domain
+                        elt = div_exact(elt, prev)
+                    except NotDivisible as stuck:  # impossible over a domain
                         raise AssertionError(
                             "Bareiss interior division failed; matrix arithmetic is broken"
                         ) from stuck
                 a[i][j] = elt
-            a[i][k] = {}
+            a[i][k] = Polynomial.zero()  # never read again
         prev = a[k][k]
-    det = ctx.unpack_terms(a[n - 1][n - 1])
+    det = a[n - 1][n - 1]
     if sign < 0:
         det = -det
     if shift.exps:

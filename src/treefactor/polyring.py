@@ -2,9 +2,7 @@
 
 A polynomial is a finite map from monomials to nonzero arbitrary-precision
 integer coefficients; a monomial is a finite map from variables to nonzero
-(possibly negative) integer exponents.  Both are kept canonical at all
-times: no zero coefficients, no zero exponents, exponent lists sorted by
-the fixed variable order.
+(possibly negative) integer exponents.
 
 Variables come in five indexed families, totally ordered by family tag and
 then by indices:
@@ -14,16 +12,26 @@ then by indices:
 
 Monomials are compared in graded lexicographic order: total degree first,
 then exponent vectors lexicographically with earlier variables more
-significant.  Division is plain single-divisor division under that order;
-Laurent inputs are normalized first by the minimal monomial shift that
-clears negative exponents, so a zero remainder is exactly divisibility in
-the Laurent ring.
+significant.
 
-Heavy products and quotients run on a packed representation: an exponent
-vector is encoded into a single integer with the total degree in the top
-limb, so monomial multiplication is integer addition and graded-lex
-comparison is integer comparison.  The packing is private; the public
-types below never expose it.
+A Polynomial is stored one way only: a dict {key: coefficient} over a
+layout, a sorted tuple of variables (v_0, ..., v_{n-1}).  The exponent
+vector e has the key
+
+    K(e) = deg(e) * 2**(32*n) + sum_i e_i * 2**(32*(n-1-i)),
+
+whose base-2**32 digits are the exponents, signed (a negative digit
+borrows from the one above).  K is linear, so multiplying monomials is
+adding keys, and exponent zero has key 0 in every layout.  With every
+exponent in [-2**28, 2**28) K is one-to-one and integer order is
+graded-lex order; an exponent outside raises ExponentOverflow.  Operands
+on different layouts are re-keyed onto the union first; share_layout puts
+many polynomials on one layout up front.  Variable and Monomial objects
+are built only at the edge: Polynomial(dict), terms(), coefficient(),
+parse and JSON.  Division is decided in the Laurent ring, testing whether
+a leading term divides with one guard bit per digit of the keys (Monagan
+and Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
+46(7), 2011).
 """
 
 from __future__ import annotations
@@ -31,9 +39,13 @@ from __future__ import annotations
 import heapq
 import json
 import re
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import mul, or_
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -46,6 +58,10 @@ class NotDivisible(ArithmeticError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ExponentOverflow(ArithmeticError):
+    """An exponent left the range a packed key can hold."""
 
 
 class NonInvertibleSubstitution(ValueError):
@@ -192,46 +208,164 @@ class Monomial:
         return "*".join(parts)
 
 
-_ONE_MONO = Monomial()
+def _mono(exps: tuple) -> Monomial:
+    """A Monomial from exponent pairs already canonical (sorted, nonzero)."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exps", exps)
+    return m
 
 
-def _term_sort_key(mono: Monomial, pos: Mapping[Variable, int], nv: int):
-    dense = [0] * nv
-    for v, e in mono.exps:
-        dense[pos[v]] = e
-    return (mono.degree(), tuple(dense))
+_BITS = 32
+_HALF = 1 << (_BITS - 1)
+_EXP_LIMIT = 1 << 28  # exponents lie in [-_EXP_LIMIT, _EXP_LIMIT)
+_RANGE = "[-2**28, 2**28), the range of a packed key"
+
+
+class _Layout:
+    """Sorted variables of a key space, with the constants its keys need.
+
+    `guard` holds 2**31 in every variable digit.  Adding it clears the
+    borrows between digits, so masking and flipping it back leaves 32-bit
+    two's complement exponents for one struct call to unpack; read on a
+    difference of keys, its bits are clear exactly when no digit is negative.
+    """
+
+    __slots__ = ("vars", "pos", "unit", "names", "guard", "vmask", "nbytes",
+                 "range_bias", "range_mask", "_unpack")
+
+    def __init__(self, variables: tuple[Variable, ...]):
+        n = len(variables)
+        self.vars = variables
+        self.pos = {v: i for i, v in enumerate(variables)}
+        top = 1 << (_BITS * n)
+        ones = sum(1 << (_BITS * i) for i in range(n))  # 1 in every variable digit
+        self.unit = [(1 << (_BITS * (n - 1 - i))) + top for i in range(n)]
+        self.names = [v.render() for v in variables]
+        self.guard = ones * _HALF
+        self.vmask = top - 1
+        self.nbytes = 4 * n
+        # e + 2**28 lies in [0, 2**29) exactly when e is in range
+        self.range_bias = ones * _EXP_LIMIT
+        self.range_mask = ones * ((1 << _BITS) - 2 * _EXP_LIMIT)
+        self._unpack = struct.Struct(f">{n}i").unpack
+
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """One exponent per variable of the layout."""
+        g = self.guard
+        return self._unpack((((key + g) & self.vmask) ^ g).to_bytes(self.nbytes, "big"))
+
+    def monomial(self, key: int) -> Monomial:
+        exps = self.exponents(key)
+        return _mono(tuple(compress(zip(self.vars, exps), exps)))
+
+    def text(self, key: int) -> str:
+        exps = self.exponents(key)
+        return "*".join([name if e == 1 else f"{name}^{e}" for name, e in compress(zip(self.names, exps), exps)])
+
+    def key(self, exps: Iterable[tuple[Variable, int]]) -> int:
+        """Key of an exponent list; KeyError for a variable outside the layout."""
+        k = 0
+        for v, e in exps:
+            if not -_EXP_LIMIT <= e < _EXP_LIMIT:
+                raise ExponentOverflow(f"exponent {e} of {v.render()} is outside {_RANGE}")
+            k += e * self.unit[self.pos[v]]
+        return k
+
+    def content(self, keys: Iterable[int]) -> int:
+        """Key of the per-variable minimum exponent over `keys` (absent = 0)."""
+        return sum(map(mul, map(min, zip(*map(self.exponents, keys))), self.unit))
+
+    def check_range(self, keys: Iterable[int]) -> None:
+        if reduce(or_, map(self.range_bias.__add__, keys), 0) & self.range_mask:
+            raise ExponentOverflow(f"a computed exponent is outside {_RANGE}")
+
+
+# The caches are bounded; an evicted layout stays valid for the polynomials
+# that hold it, and a fresh one with equal variables is recognized below.
+@lru_cache(maxsize=1024)
+def _layout(variables: tuple[Variable, ...]) -> _Layout:
+    return _Layout(variables)
+
+
+_EMPTY = _layout(())
+
+
+@lru_cache(maxsize=1024)
+def _union(a: _Layout, b: _Layout) -> _Layout:
+    return _layout(tuple(sorted(a.pos.keys() | b.pos.keys(), key=lambda v: v._key)))
+
+
+def _rekey(terms: dict[int, int], src: _Layout, dst: _Layout) -> dict[int, int]:
+    """The same terms keyed over `dst`, whose variables include `src`'s."""
+    if src is dst or not src.vars or not terms or src.vars == dst.vars:
+        return terms
+    units = [dst.unit[dst.pos[v]] for v in src.vars]
+    exponents = src.exponents
+    return {sum(map(mul, exponents(k), units)): c for k, c in terms.items()}
+
+
+def _new(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
+    p = object.__new__(Polynomial)
+    p._lay = lay
+    p._terms = terms
+    return p
+
+
+def _aligned(a: "Polynomial", b: "Polynomial") -> tuple[_Layout, dict[int, int], dict[int, int]]:
+    """A common layout and both operands' terms keyed over it."""
+    la, lb = a._lay, b._lay
+    if la is lb:
+        return la, a._terms, b._terms
+    lay = _union(la, lb)
+    return lay, _rekey(a._terms, la, lay), _rekey(b._terms, lb, lay)
+
+
+def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
+    """The polynomials, unchanged in value, all keyed over one layout.
+
+    Arithmetic among them then does no layout work at all.
+    """
+    polys = [_coerce_poly(p) for p in polys]
+    lay = reduce(_union, [p._lay for p in polys], _EMPTY)
+    return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
 class Polynomial:
     """Canonical integer-coefficient Laurent polynomial."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lay", "_terms")
 
     def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = c
-        self._terms = clean
+        terms = terms or {}
+        lay = _layout(tuple(sorted({v for m in terms for v, _ in m.exps}, key=lambda v: v._key)))
+        acc: dict[int, int] = {}
+        for m, c in terms.items():
+            if c:
+                k = lay.key(m.exps)
+                acc[k] = acc.get(k, 0) + c
+        self._lay = lay
+        self._terms = {k: c for k, c in acc.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return _new(_EMPTY, {})
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({_ONE_MONO: 1})
+        return _new(_EMPTY, {0: 1})
 
     @classmethod
     def integer(cls, c: int) -> "Polynomial":
-        return cls({_ONE_MONO: c})
+        return _new(_EMPTY, {0: c} if c else {})
 
     @classmethod
     def variable(cls, v: Variable, exp: int = 1) -> "Polynomial":
-        return cls({Monomial.of({v: exp}): 1})
+        if not exp:
+            return cls.one()
+        lay = _layout((v,))
+        return _new(lay, {lay.key(((v, exp),)): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
@@ -251,98 +385,78 @@ class Polynomial:
         return len(self._terms)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        mono = self._lay.monomial
+        return iter([(mono(k), c) for k, c in self._terms.items()])
 
     def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
+        try:
+            return self._terms.get(self._lay.key(m.exps), 0)
+        except KeyError:  # a variable this polynomial's layout does not hold
+            return 0
 
     def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return out
+        return set(self.min_exponents())
 
     def min_exponents(self) -> dict[Variable, int]:
         """Per-variable minimum exponent over all terms (variables present only)."""
+        lay = self._lay
         mins: dict[Variable, int] = {}
-        for m in self._terms:
-            for v, e in m.exps:
-                if v not in mins or e < mins[v]:
-                    mins[v] = e
+        for v, col in zip(lay.vars, zip(*map(lay.exponents, self._terms))):
+            present = [e for e in col if e]
+            if present:
+                mins[v] = min(present)
         return mins
 
     def canonical_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order."""
-        if not self._terms:
-            return []
-        vars_sorted = sorted(self.variables(), key=lambda v: v._key)
-        pos = {v: i for i, v in enumerate(vars_sorted)}
-        nv = len(vars_sorted)
-        return sorted(
-            self._terms.items(),
-            key=lambda t: _term_sort_key(t[0], pos, nv),
-            reverse=True,
-        )
+        terms, mono = self._terms, self._lay.monomial
+        return [(mono(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.canonical_terms()[0]
+        k = max(self._terms)
+        return self._lay.monomial(k), self._terms[k]
 
     def as_int(self) -> int:
         if not self._terms:
             return 0
-        if len(self._terms) == 1 and _ONE_MONO in self._terms:
-            return self._terms[_ONE_MONO]
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0]
         raise ValueError("polynomial is not constant")
 
     def is_nonneg(self) -> tuple[bool, Optional[tuple[Monomial, int]]]:
         """All coefficients >= 0?  Witness is the largest offending term."""
-        for m, c in self.canonical_terms():
-            if c < 0:
-                return (False, (m, c))
-        return (True, None)
+        negative = [k for k, c in self._terms.items() if c < 0]
+        if not negative:
+            return (True, None)
+        k = max(negative)
+        return (False, (self._lay.monomial(k), self._terms[k]))
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Polynomial.integer(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        if len(self._terms) != len(other._terms):
+            return False
+        _, a, b = _aligned(self, other)
+        return a == b
 
     __hash__ = None  # mutable-dict backed; equality is structural
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.integer(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = acc
-        return out
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _new(self._lay, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.integer(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -350,32 +464,33 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             if other == 0:
-                return Polynomial.zero()
-            out = Polynomial.__new__(Polynomial)
-            out._terms = {m: c * other for m, c in self._terms.items()}
-            return out
+                return _new(self._lay, {})
+            return _new(self._lay, {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _mul(self, other)
+        lay, a, b = _aligned(self, other)
+        out = _pmul(a, b)
+        lay.check_range(out)
+        return _new(lay, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        terms, lay = self._terms, self._lay
+        if len(terms) == 1:
+            (key, c), = terms.items()
+            if k < 0 and c not in (1, -1):
+                raise ValueError("negative power of a non-unit polynomial")
+            out = {key * k: c ** k if k >= 0 else (c if k % 2 else 1)}
+            lay.check_range(out)
+            return _new(lay, out)
         if k < 0:
-            if len(self._terms) == 1:
-                (m, c), = self._terms.items()
-                if c in (1, -1):
-                    return Polynomial.monomial(m ** k, c if k % 2 else 1)
             raise ValueError("negative power of a non-unit polynomial")
+        # repeated multiplication by the (sparse) base does fewer term
+        # products than squaring for the multinomial powers used here
         result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     # -- substitution ------------------------------------------------------
@@ -386,67 +501,45 @@ class Polynomial:
         A variable occurring with a negative exponent may only be bound to
         an invertible monomial (single term, coefficient +-1).
         """
-        coerced: dict[Variable, Polynomial] = {}
-        for v, val in bindings.items():
-            coerced[v] = _coerce_poly(val)
-        power_cache: dict[tuple[Variable, int], Polynomial] = {}
-
-        def bound_power(v: Variable, e: int) -> Polynomial:
-            key = (v, e)
-            hit = power_cache.get(key)
-            if hit is not None:
-                return hit
-            b = coerced[v]
-            if e >= 0:
-                val = b ** e
-            else:
-                if len(b._terms) != 1:
-                    raise NonInvertibleSubstitution(
-                        f"{v.render()} has negative exponent; binding must be a monomial"
-                    )
-                (m, c), = b._terms.items()
-                if c not in (1, -1):
-                    raise NonInvertibleSubstitution(
-                        f"{v.render()} has negative exponent; binding coefficient must be a unit"
-                    )
-                val = Polynomial.monomial(m ** e, c if e % 2 else 1)
-            power_cache[key] = val
-            return val
-
+        coerced = {v: _coerce_poly(val) for v, val in bindings.items()}
+        powers: dict[tuple[Variable, int], Polynomial] = {}
         total = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            unbound: list[tuple[Variable, int]] = []
-            factors: list[Polynomial] = []
+        for mono, coeff in self.terms():
+            term = Polynomial.monomial(Monomial(tuple((v, e) for v, e in mono.exps if v not in coerced)), coeff)
             for v, e in mono.exps:
-                if v in coerced:
-                    factors.append(bound_power(v, e))
-                else:
-                    unbound.append((v, e))
-            term = Polynomial.monomial(Monomial(tuple(unbound)), coeff)
-            for f in factors:
-                term = term * f
+                if v not in coerced:
+                    continue
+                if (v, e) not in powers:
+                    try:
+                        powers[v, e] = coerced[v] ** e
+                    except ValueError:  # a negative power of a non-unit
+                        raise NonInvertibleSubstitution(
+                            f"{v.render()} has negative exponent; binding must be a unit monomial"
+                        ) from None
+                term = term * powers[v, e]
             total = total + term
         return total
 
     # -- serialization -----------------------------------------------------
 
     def render(self) -> str:
-        terms = self.canonical_terms()
+        terms, text = self._terms, self._lay.text
         if not terms:
             return "0"
         chunks: list[str] = []
-        for i, (m, c) in enumerate(terms):
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
             mag = abs(c)
-            if m.is_one:
+            if not k:
                 body = str(mag)
             elif mag == 1:
-                body = m.render()
+                body = text(k)
             else:
-                body = f"{mag}*{m.render()}"
-            if i == 0:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
+                body = f"{mag}*{text(k)}"
+            if chunks:
                 chunks.append(f" + {body}" if c > 0 else f" - {body}")
+            else:
+                chunks.append(body if c > 0 else f"-{body}")
         return "".join(chunks)
 
     @classmethod
@@ -471,9 +564,12 @@ class Polynomial:
         return cls(terms)
 
     def to_json_obj(self) -> list:
+        lay, terms = self._lay, self._terms
+        names, exponents = lay.names, lay.exponents
         out = []
-        for m, c in self.canonical_terms():
-            out.append({"coeff": str(c), "exps": [[v.render(), e] for v, e in m.exps]})
+        for k in sorted(terms, reverse=True):
+            exps = exponents(k)
+            out.append({"coeff": str(terms[k]), "exps": [[n, e] for n, e in compress(zip(names, exps), exps)]})
         return out
 
     @classmethod
@@ -493,6 +589,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _combine(p: Polynomial, other, sign: int) -> Polynomial:
+    """p + sign * other."""
+    if isinstance(other, int):
+        other = Polynomial.integer(other)
+    if not isinstance(other, Polynomial):
+        return NotImplemented
+    lay, a, b = _aligned(p, other)
+    acc = dict(a)
+    for k, c in b.items():
+        nc = acc.get(k, 0) + sign * c
+        if nc:
+            acc[k] = nc
+        else:
+            del acc[k]
+    return _new(lay, acc)
 
 
 def _coerce_poly(val) -> Polynomial:
@@ -535,75 +648,16 @@ def _parse_term(chunk: str) -> tuple[Monomial, int]:
 
 
 # ---------------------------------------------------------------------------
-# Packed exponent-vector kernels.
-#
-# A monomial over an ordered variable list (v0, ..., v_{nv-1}) with
-# nonnegative exponents e_i packs into the integer
-#
-#     ((deg << B*nv) | e_0 << B*(nv-1) | ... | e_{nv-1})
-#
-# with B bits per limb, so integer order on keys is graded-lex order and
-# key addition is monomial multiplication.  Exponents must stay below
-# 2**(B-1); the sizes this package produces stay orders of magnitude under
-# that.
+# Kernels on {key: coeff} dicts sharing one layout.
 # ---------------------------------------------------------------------------
-
-_PACK_BITS = 24
-_PACK_MASK = (1 << _PACK_BITS) - 1
-_PACK_LIMIT = 1 << (_PACK_BITS - 1)
-
-
-class _PackCtx:
-    __slots__ = ("vars", "pos", "nv")
-
-    def __init__(self, variables: Sequence[Variable]):
-        self.vars = tuple(variables)
-        self.pos = {v: i for i, v in enumerate(self.vars)}
-        self.nv = len(self.vars)
-
-    def pack_terms(self, poly: Polynomial, offsets: Optional[Sequence[int]] = None) -> dict[int, int]:
-        nv = self.nv
-        pos = self.pos
-        out: dict[int, int] = {}
-        for mono, coeff in poly._terms.items():
-            dense = list(offsets) if offsets is not None else [0] * nv
-            for v, e in mono.exps:
-                dense[pos[v]] += e
-            key = 0
-            deg = 0
-            for e in dense:
-                if e < 0 or e >= _PACK_LIMIT:
-                    raise AssertionError("exponent out of packing range")
-                key = (key << _PACK_BITS) | e
-                deg += e
-            key |= deg << (_PACK_BITS * nv)
-            out[key] = coeff
-        return out
-
-    def unpack_key(self, key: int) -> list[int]:
-        nv = self.nv
-        exps = [0] * nv
-        for i in range(nv - 1, -1, -1):
-            exps[i] = key & _PACK_MASK
-            key >>= _PACK_BITS
-        return exps
-
-    def unpack_terms(self, packed: Mapping[int, int], offsets: Optional[Sequence[int]] = None) -> Polynomial:
-        terms: dict[Monomial, int] = {}
-        for key, coeff in packed.items():
-            exps = self.unpack_key(key)
-            if offsets is not None:
-                exps = [e - o for e, o in zip(exps, offsets)]
-            mono = Monomial.of([(v, e) for v, e in zip(self.vars, exps) if e])
-            terms[mono] = coeff
-        return Polynomial(terms)
 
 
 def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if not a or not b:
-        return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        (ka, ca), = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
     out: dict[int, int] = {}
     get = out.get
     bi = list(b.items())
@@ -614,167 +668,106 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-def _psub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, 0) - c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
-
-
-class _PackedStuck(Exception):
+class _Stuck(Exception):
     def __init__(self, key: int, coeff: int):
         self.key = key
         self.coeff = coeff
 
 
-def _pdiv_exact(f: dict[int, int], g: dict[int, int], ctx: _PackCtx) -> dict[int, int]:
-    """Quotient f/g when exact; raises _PackedStuck at the first stuck term.
+def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dict[int, int]:
+    """Quotient f/g with no quotient exponent below floor's; _Stuck otherwise.
 
     Keys are popped in strictly decreasing graded-lex order; every key a
     reduction introduces is strictly smaller than the key being reduced,
     so a stuck leading term can never cancel later and is a definitive
-    non-divisibility witness.
+    non-divisibility witness.  Quotient terms are bounded below by the
+    floor and above in degree, so the loop ends.
     """
-    if not g:
-        raise DivisionByZero("division by zero polynomial")
-    if not f:
-        return {}
+    guard, bias, rmask = lay.guard, lay.range_bias, lay.range_mask
     kg = max(g)
     cg = g[kg]
-    gexp = ctx.unpack_key(kg)
-    gitems = [(k, c) for k, c in g.items() if k != kg]
+    rest = [(k - kg, c) for k, c in g.items() if k != kg]
     work = dict(f)
     heap = [-k for k in work]
     heapq.heapify(heap)
     quotient: dict[int, int] = {}
     while heap:
-        k = -heapq.heappop(heap)
-        c = work.get(k)
+        w = -heapq.heappop(heap)
+        c = work.pop(w, 0)
         if not c:
             continue
-        fexp = ctx.unpack_key(k)
-        if any(fe < ge for fe, ge in zip(fexp, gexp)) or c % cg != 0:
-            raise _PackedStuck(k, c)
-        kq = k - kg
+        t = w - kg
+        if (t - floor) & guard or c % cg:
+            raise _Stuck(w, c)
+        if (t + bias) & rmask:
+            lay.check_range((t,))
         cq = c // cg
-        quotient[kq] = quotient.get(kq, 0) + cq
-        del work[k]
-        for kgi, cgi in gitems:
-            kk = kq + kgi
-            nc = work.get(kk, 0) - cq * cgi
-            if nc:
-                if kk not in work:
-                    heapq.heappush(heap, -kk)
-                work[kk] = nc
+        quotient[t] = cq
+        for d, cd in rest:
+            kk = w + d
+            nc = work.get(kk)
+            if nc is None:
+                work[kk] = -cq * cd
+                heapq.heappush(heap, -kk)
+            elif nc != cq * cd:
+                work[kk] = nc - cq * cd
             else:
-                work.pop(kk, None)
-    if work:
-        k = max(work)
-        raise _PackedStuck(k, work[k])
-    return {k: c for k, c in quotient.items() if c}
-
-
-def _nonneg_offsets(p: Polynomial, variables: Sequence[Variable]) -> list[int]:
-    mins = p.min_exponents()
-    return [max(0, -mins.get(v, 0)) for v in variables]
-
-
-def _full_offsets(p: Polynomial, variables: Sequence[Variable]) -> list[int]:
-    """Shift every variable so its minimum exponent lands exactly on zero.
-
-    Division needs the full shift, not just clearing negatives: the minimum
-    exponent of an exact product is the sum of the factors' minima, so with
-    both operands normalized to minimum zero the true quotient is an
-    ordinary polynomial.  Clearing only negatives can leave the divisor
-    with a positive floor the quotient would have to borrow against.
-    """
-    counts: dict[Variable, int] = {}
-    mins: dict[Variable, int] = {}
-    for m in p._terms:
-        for v, e in m.exps:
-            counts[v] = counts.get(v, 0) + 1
-            if v not in mins or e < mins[v]:
-                mins[v] = e
-    n_terms = len(p._terms)
-    out = []
-    for v in variables:
-        if counts.get(v, 0) == n_terms:
-            out.append(-mins[v])
-        else:
-            # absent in some term means an implicit zero exponent there
-            out.append(-min(0, mins.get(v, 0)))
-    return out
-
-
-def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return Polynomial.zero()
-    # single-monomial fast path; matrix-vector products live here
-    if a.n_terms == 1 or b.n_terms == 1:
-        if b.n_terms == 1:
-            small, big = b, a
-        else:
-            small, big = a, b
-        (sm, sc), = small._terms.items()
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m * sm: c * sc for m, c in big._terms.items()}
-        return out
-    variables = sorted(a.variables() | b.variables(), key=lambda v: v._key)
-    ctx = _PackCtx(variables)
-    off_a = _nonneg_offsets(a, variables)
-    off_b = _nonneg_offsets(b, variables)
-    packed = _pmul(ctx.pack_terms(a, off_a), ctx.pack_terms(b, off_b))
-    total_off = [oa + ob for oa, ob in zip(off_a, off_b)]
-    return ctx.unpack_terms(packed, total_off)
+                del work[kk]
+    return quotient
 
 
 def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomial:
     """Exact quotient n/d in the Laurent ring; NotDivisible if inexact.
 
-    Each operand is divided through by its monomial content (the
-    per-variable minimum exponent, whatever its sign) before ordinary
-    division, and the quotient is shifted back.  Divisibility is decided
-    in the Laurent ring itself, where every monomial is a unit: the
-    content of an exact quotient is the difference of the operand
-    contents, so the shifted division never needs negative exponents.
+    Every monomial is a unit there: the content of an exact quotient (its
+    per-variable minimum exponent, whatever the sign) is the difference of
+    the operand contents, so no quotient term may fall below it.  A first
+    pass tries the floor 0, which needs no content scan and succeeds only
+    on an exact quotient; on a stuck term the division is redone with the
+    exact floor, which also names the witness.
     """
     n = _coerce_poly(n)
     d = _coerce_poly(d)
     if d.is_zero:
         raise DivisionByZero("division by zero polynomial")
-    if n.is_zero:
-        return Polynomial.zero()
-    variables = sorted(n.variables() | d.variables(), key=lambda v: v._key)
-    ctx = _PackCtx(variables)
-    off_n = _full_offsets(n, variables)
-    off_d = _full_offsets(d, variables)
+    lay, f, g = _aligned(n, d)
+    if not f:
+        return _new(lay, {})
+    if len(g) == 1:
+        # a monomial divisor is a unit: only the coefficients can fail
+        (kg, cg), = g.items()
+        bad = [k for k, c in f.items() if c % cg]
+        if bad:
+            k = max(bad)
+            raise _not_divisible(lay, k, f[k])
+        out = {k - kg: c // cg for k, c in f.items()}
+        lay.check_range(out)
+        return _new(lay, out)
+    if not (max(f) - max(g)) & lay.guard:
+        try:
+            return _new(lay, _pdiv(f, g, 0, lay))
+        except _Stuck:
+            pass
     try:
-        packed_q = _pdiv_exact(ctx.pack_terms(n, off_n), ctx.pack_terms(d, off_d), ctx)
-    except _PackedStuck as stuck:
-        exps = ctx.unpack_key(stuck.key)
-        shifted = [e - o for e, o in zip(exps, off_n)]
-        mono = Monomial.of([(v, e) for v, e in zip(variables, shifted) if e])
-        raise NotDivisible(
-            f"remainder term {Polynomial.monomial(mono, stuck.coeff).render()} is not reducible",
-            witness=(mono, stuck.coeff),
-        ) from None
-    quotient_off = [on - od for on, od in zip(off_n, off_d)]
-    return ctx.unpack_terms(packed_q, quotient_off)
+        return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))
+    except _Stuck as stuck:
+        raise _not_divisible(lay, stuck.key, stuck.coeff) from None
+
+
+def _not_divisible(lay: _Layout, key: int, coeff: int) -> NotDivisible:
+    return NotDivisible(f"remainder term {_new(lay, {key: coeff}).render()} is not reducible",
+                        witness=(lay.monomial(key), coeff))
 
 
 def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
     total = Polynomial.zero()
-    for item in items:
-        total = total + _coerce_poly(item)
+    for item in share_layout(items):
+        total = total + item
     return total
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
     total = Polynomial.one()
-    for item in items:
-        total = total * _coerce_poly(item)
+    for item in share_layout(items):
+        total = total * item
     return total

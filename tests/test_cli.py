@@ -187,6 +187,19 @@ def test_verify_refuted_exits_one(capsys, monkeypatch):
     assert out == "cayley:n=4: Refuted -- x1\n"
 
 
+def test_exponent_overflow_exits_two(capsys, monkeypatch):
+    import treefactor.cli as cli
+    from treefactor import ExponentOverflow
+
+    def overflow(n):
+        raise ExponentOverflow("exponent 268435456 of x1 is outside [-2**28, 2**28)")
+
+    monkeypatch.setattr(cli, "verify_cayley", overflow)
+    rc, out, err = run(capsys, "verify", "cayley", "--n", "4")
+    assert rc == 2 and out == ""
+    assert err == "error: exponent 268435456 of x1 is outside [-2**28, 2**28)\n"
+
+
 def test_verify_usage_errors(capsys):
     rc, _, err = run(capsys, "verify", "cube-null", "--n", "2", "--set", "1")
     assert rc == 2 and "error" in err

@@ -196,6 +196,16 @@ def test_threshold_rhs_matches_enumeration():
         assert threshold_rhs(lam) == tree_enumerator_det(g, WeightScheme.THRESHOLD_IN_OUT), lam
 
 
+def test_threshold_forms_on_one_vertex_are_one():
+    # the single vertex has one spanning tree, the empty one, of weight 1
+    g = threshold_graph((0,))
+    assert enumerate_sum(g, TreeStatistic.IN_OUT_DEGREE) == Polynomial.one()
+    assert tree_enumerator_det(g, WeightScheme.THRESHOLD_IN_OUT) == Polynomial.one()
+    assert threshold_rhs((0,)) == Polynomial.one()
+    assert threshold_degree_rhs((0,)) == Polynomial.one()
+    assert threshold_rewrite_rhs((0,)) == Polynomial.one()
+
+
 def test_threshold_degree_rhs_is_y_to_x_specialization():
     for lam in [(2, 2, 2), (3, 3, 2, 2), (4, 3, 2, 2, 1)]:
         n = len(lam)

@@ -7,6 +7,7 @@ import pytest
 
 from treefactor.polyring import (
     DivisionByZero,
+    ExponentOverflow,
     Monomial,
     NonInvertibleSubstitution,
     NotDivisible,
@@ -295,3 +296,29 @@ def test_as_int_only_for_constants():
     assert Polynomial.integer(-12).as_int() == -12
     with pytest.raises(ValueError):
         P("x1").as_int()
+
+
+def test_exponent_overflow_at_the_limb_boundary():
+    top = 2 ** 28  # exponents of a packed key lie in [-top, top)
+    assert Polynomial.variable(x(1), top - 1).render() == f"x1^{top - 1}"
+    assert Polynomial.variable(x(1), -top).render() == f"x1^{-top}"
+    for e in (top, -top - 1):
+        with pytest.raises(ExponentOverflow):
+            Polynomial.variable(x(1), e)
+        with pytest.raises(ExponentOverflow):
+            P(f"x2 + x1^{e}")
+    half = Polynomial.variable(x(1), top // 2)
+    assert (half * Polynomial.variable(x(1), top // 2 - 1)).render() == f"x1^{top - 1}"
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        P(f"x1^{top // 2} + x2") * P(f"x1^{top // 2} + x2")
+    with pytest.raises(ExponentOverflow):
+        half ** 2
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(x(1), -top) ** -1
+    with pytest.raises(ExponentOverflow):
+        div_exact(Polynomial.variable(x(1), -top), half)
+    # the error is an arithmetic error, not an assertion
+    assert issubclass(ExponentOverflow, ArithmeticError)
+    assert not issubclass(ExponentOverflow, AssertionError)

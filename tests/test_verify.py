@@ -122,6 +122,28 @@ def test_cube_nullvectors():
     assert verify_cube_nullvector(3, (1, 2, 3)).ok
 
 
+def test_cube_nullvector_residue_sign_is_pinned(monkeypatch):
+    import treefactor.verify as verify
+
+    # negating the Laplacian negates every residue but keeps each entry
+    # divisible by f_A: only the sign check can catch it
+    real = verify.weighted_laplacian
+
+    def negated(g, scheme):
+        return PolyMatrix([[-p for p in row] for row in real(g, scheme).rows])
+
+    monkeypatch.setattr(verify, "weighted_laplacian", negated)
+    for n, a_set in [(2, (1, 2)), (3, (1, 3)), (3, (1, 2, 3))]:
+        v = verify_cube_nullvector(n, a_set)
+        assert v.status == "Refuted", (n, a_set)
+        assert v.witness.startswith("residue mismatch at R="), v.witness
+
+
+def test_threshold_one_vertex_verified():
+    v = verify_threshold((0,))
+    assert v.ok and v.claim_id == "threshold:lam=0"
+
+
 def test_decoupled_nullvectors():
     v = verify_decoupled_nullvectors((2, 3), 2)
     assert v.ok and v.claim_id == "decoupled-null:dims=2x3:dir=2"
