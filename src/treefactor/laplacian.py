@@ -142,12 +142,12 @@ def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
     """Laplacian under the given scheme; rows and columns sum to zero."""
     check_scheme(g, scheme)
     n = g.n
-    zero = Polynomial.zero()
+    # entries built on one layout never need re-keying as they grow
+    zero, *weights = share_layout(
+        [Polynomial.zero()] + [edge_weight(g, e, scheme) * e.multiplicity for e in g.edges]
+    )
     rows = [[zero for _ in range(n)] for _ in range(n)]
-    for edge in g.edges:
-        w = edge_weight(g, edge, scheme)
-        if edge.multiplicity != 1:
-            w = w * edge.multiplicity
+    for edge, w in zip(g.edges, weights):
         u, v = edge.u, edge.v
         rows[u][u] = rows[u][u] + w
         rows[v][v] = rows[v][v] + w

@@ -295,11 +295,16 @@ def _union(a: _Layout, b: _Layout) -> _Layout:
     return _layout(tuple(sorted(a.pos.keys() | b.pos.keys(), key=lambda v: v._key)))
 
 
+@lru_cache(maxsize=1024)
+def _embedding(src: _Layout, dst: _Layout) -> list[int]:
+    return [dst.unit[dst.pos[v]] for v in src.vars]
+
+
 def _rekey(terms: dict[int, int], src: _Layout, dst: _Layout) -> dict[int, int]:
     """The same terms keyed over `dst`, whose variables include `src`'s."""
-    if src is dst or not src.vars or not terms or src.vars == dst.vars:
+    if src is dst or not src.vars or not terms or len(src.vars) == len(dst.vars):
         return terms
-    units = [dst.unit[dst.pos[v]] for v in src.vars]
+    units = _embedding(src, dst)
     exponents = src.exponents
     return {sum(map(mul, exponents(k), units)): c for k, c in terms.items()}
 
@@ -415,8 +420,7 @@ class Polynomial:
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        k = max(self._terms)
-        return self._lay.monomial(k), self._terms[k]
+        return self.canonical_terms()[0]
 
     def as_int(self) -> int:
         if not self._terms:
@@ -427,11 +431,10 @@ class Polynomial:
 
     def is_nonneg(self) -> tuple[bool, Optional[tuple[Monomial, int]]]:
         """All coefficients >= 0?  Witness is the largest offending term."""
-        negative = [k for k, c in self._terms.items() if c < 0]
-        if not negative:
-            return (True, None)
-        k = max(negative)
-        return (False, (self._lay.monomial(k), self._terms[k]))
+        for m, c in self.canonical_terms():
+            if c < 0:
+                return (False, (m, c))
+        return (True, None)
 
     # -- arithmetic --------------------------------------------------------
 
