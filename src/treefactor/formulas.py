@@ -219,8 +219,8 @@ def cube_rhs(n: int) -> Polynomial:
         raise InvalidSize("cube dimension must be at least 1")
     head = Polynomial.monomial(Monomial.of({q(i): 1 for i in range(1, n + 1)}))
     members = list(range(1, n + 1))
-    return poly_product([head] + [cube_subset_factor(subset)
-                                  for r in range(2, n + 1) for subset in combinations(members, r)])
+    factors = [cube_subset_factor(subset) for r in range(2, n + 1) for subset in combinations(members, r)]
+    return poly_product([head] + factors)
 
 
 def _validated_connected(lam: PartitionLike) -> Partition:

@@ -245,7 +245,7 @@ def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                             "Bareiss interior division failed; matrix arithmetic is broken"
                         ) from stuck
                 a[i][j] = elt
-            a[i][k] = Polynomial.zero()  # never read again
+            a[i][k] = Polynomial.zero()  # frees the entry; column k is never read again
         prev = a[k][k]
     det = a[n - 1][n - 1]
     if sign < 0:

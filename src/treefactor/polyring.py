@@ -249,6 +249,9 @@ class _Layout:
         self.range_mask = ones * ((1 << _BITS) - 2 * _EXP_LIMIT)
         self._unpack = struct.Struct(f">{n}i").unpack
 
+    def __reduce__(self):  # pickle by variables; the struct unpacker is not picklable
+        return _layout, (self.vars,)
+
     def exponents(self, key: int) -> tuple[int, ...]:
         """One exponent per variable of the layout."""
         g = self.guard

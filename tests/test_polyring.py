@@ -1,6 +1,7 @@
 """Exercises the polynomial substrate: canonical form, arithmetic, exact
 division with Laurent shifts, substitution, rendering, and serialization."""
 
+import pickle
 import random
 
 import pytest
@@ -258,6 +259,13 @@ def test_serialization_roundtrip_random():
         assert Polynomial.from_json(p.to_json()) == p
         # canonical text itself is stable under reparse
         assert Polynomial.parse(p.render()).render() == p.render()
+
+
+def test_pickle_roundtrip():
+    p = P("2*q1*q2^2*x(1,2)^-1 + x1 - 7")
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back.render() == p.render()
+    assert back + P("x1") == p + P("x1")
 
 
 def test_power_matches_repeated_multiplication():
