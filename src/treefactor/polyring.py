@@ -394,7 +394,7 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         mono = self._lay.monomial
-        return iter([(mono(k), c) for k, c in self._terms.items()])
+        return ((mono(k), c) for k, c in self._terms.items())
 
     def coefficient(self, m: Monomial) -> int:
         try:
@@ -487,9 +487,10 @@ class Polynomial:
             (key, c), = terms.items()
             if k < 0 and c not in (1, -1):
                 raise ValueError("negative power of a non-unit polynomial")
-            out = {key * k: c ** k if k >= 0 else (c if k % 2 else 1)}
-            lay.check_range(out)
-            return _new(lay, out)
+            # scale the exponents, not the key: a scaled key can wrap whole
+            # digits past the range check
+            scaled = lay.key(zip(lay.vars, [e * k for e in lay.exponents(key)]))
+            return _new(lay, {scaled: c ** k if k >= 0 else (c if k % 2 else 1)})
         if k < 0:
             raise ValueError("negative power of a non-unit polynomial")
         # repeated multiplication by the (sparse) base does fewer term
@@ -727,10 +728,7 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
 
     Every monomial is a unit there: the content of an exact quotient (its
     per-variable minimum exponent, whatever the sign) is the difference of
-    the operand contents, so no quotient term may fall below it.  A first
-    pass tries the floor 0, which needs no content scan and succeeds only
-    on an exact quotient; on a stuck term the division is redone with the
-    exact floor, which also names the witness.
+    the operand contents, so no quotient term may fall below it.
     """
     n = _coerce_poly(n)
     d = _coerce_poly(d)
@@ -739,30 +737,12 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
     lay, f, g = _aligned(n, d)
     if not f:
         return _new(lay, {})
-    if len(g) == 1:
-        # a monomial divisor is a unit: only the coefficients can fail
-        (kg, cg), = g.items()
-        bad = [k for k, c in f.items() if c % cg]
-        if bad:
-            k = max(bad)
-            raise _not_divisible(lay, k, f[k])
-        out = {k - kg: c // cg for k, c in f.items()}
-        lay.check_range(out)
-        return _new(lay, out)
-    if not (max(f) - max(g)) & lay.guard:
-        try:
-            return _new(lay, _pdiv(f, g, 0, lay))
-        except _Stuck:
-            pass
     try:
         return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))
     except _Stuck as stuck:
-        raise _not_divisible(lay, stuck.key, stuck.coeff) from None
-
-
-def _not_divisible(lay: _Layout, key: int, coeff: int) -> NotDivisible:
-    return NotDivisible(f"remainder term {_new(lay, {key: coeff}).render()} is not reducible",
-                        witness=(lay.monomial(key), coeff))
+        k, c = stuck.key, stuck.coeff
+        raise NotDivisible(f"remainder term {_new(lay, {k: c}).render()} is not reducible",
+                           witness=(lay.monomial(k), c)) from None
 
 
 def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:

@@ -325,6 +325,14 @@ def test_exponent_overflow_at_the_limb_boundary():
         half ** 2
     with pytest.raises(ExponentOverflow):
         Polynomial.variable(x(1), -top) ** -1
+    # powers that wrap whole 32-bit digits of the key
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(x(1)) ** 2 ** 32
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(x(1), 16) ** top
+    with pytest.raises(ExponentOverflow):
+        P("x1*x2^-1") ** -(2 ** 32)
+    assert (P("-x1*x2^-1") ** -(top - 1)).render() == f"-x1^{1 - top}*x2^{top - 1}"
     with pytest.raises(ExponentOverflow):
         div_exact(Polynomial.variable(x(1), -top), half)
     # the error is an arithmetic error, not an assertion
