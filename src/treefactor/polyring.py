@@ -275,8 +275,21 @@ class _Layout:
         return k
 
     def content(self, keys: Iterable[int]) -> int:
-        """Key of the per-variable minimum exponent over `keys` (absent = 0)."""
-        return sum(map(mul, map(min, zip(*map(self.exponents, keys))), self.unit))
+        """Key of the per-variable minimum exponent over nonempty `keys` (absent = 0).
+
+        Keeps a running minimum of the digits offset by 2**31 (as in
+        `exponents`), all digits at once: two in-range digits differ by less
+        than 2**29, so u - m + 2**30 has bit 30 set in a digit exactly when
+        u >= m there, and no digit borrows.  Nothing is decoded per key.
+        """
+        g, vmask, ones = self.guard, self.vmask, self.guard >> (_BITS - 1)
+        keys = iter(keys)
+        m = (next(keys) + g) & vmask
+        for k in keys:
+            u = (k + g) & vmask
+            keep = (((u - m + (ones << 30)) >> 30) & ones) * 0xFFFFFFFF
+            m = u ^ ((u ^ m) & keep)
+        return sum(map(mul, self._unpack((m ^ g).to_bytes(self.nbytes, "big")), self.unit))
 
     def check_range(self, keys: Iterable[int]) -> None:
         if reduce(or_, map(self.range_bias.__add__, keys), 0) & self.range_mask:

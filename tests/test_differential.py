@@ -208,6 +208,19 @@ def test_div_exact_matches_reference():
     assert checked > 300 and refused > 100
 
 
+def test_content_is_the_per_variable_minimum():
+    # the Laurent floor of div_exact; absent variables count as exponent 0
+    rng = random.Random(7006)
+    for _ in range(300):
+        terms = random_terms(rng, max_exp=2 ** 28 - 1)
+        if not terms:
+            continue
+        p = Polynomial(terms)
+        lay = p._lay
+        ref = {v: min(m.as_dict().get(v, 0) for m in terms) for v in lay.vars}
+        assert lay.monomial(lay.content(p._terms)) == Monomial.of(ref)
+
+
 def test_parse_render_json_roundtrip_random():
     rng = random.Random(7006)
     for _ in range(300):
