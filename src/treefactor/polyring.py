@@ -351,6 +351,34 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
+class PackedMonomials:
+    """Monomials as packed keys over one layout.
+
+    `keys[i]` is the key of the i-th monomial, and a sum of keys is the key
+    of the product, so a caller can multiply these monomials by adding
+    integers and build the polynomial once at the end with `polynomial`.
+    The sum is exact while every exponent sum stays inside 32 signed bits;
+    `polynomial` then rejects any outside [-2**28, 2**28).
+    """
+
+    __slots__ = ("keys", "_lay")
+
+    def __init__(self, monomials: Iterable[Monomial]):
+        monomials = list(monomials)
+        lay = _layout(tuple(sorted({v for m in monomials for v, _ in m.exps}, key=lambda v: v._key)))
+        self._lay = lay
+        self.keys = [lay.key(m.exps) for m in monomials]
+
+    def polynomial(self, terms: Mapping[int, int]) -> "Polynomial":
+        """The sum of c times the monomial of key k over {k: c}.
+
+        ExponentOverflow if a summed exponent left the range of a key.
+        """
+        terms = {k: c for k, c in terms.items() if c}
+        self._lay.check_range(terms)
+        return _new(self._lay, terms)
+
+
 class Polynomial:
     """Canonical integer-coefficient Laurent polynomial."""
 

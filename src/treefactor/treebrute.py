@@ -1,11 +1,21 @@
 """Brute-force spanning tree enumeration and tree statistics.
 
 This is the independent oracle against which the determinant route is
-checked: trees are enumerated one by one by recursive inclusion/exclusion
-of edges (contraction happens in a union-find, deletion prunes on a
-connectivity test, which doubles as the bridge shortcut: a bridge has no
-exclusion branch).  A determinant count at all-ones gates the enumeration
-so a huge graph fails fast instead of hanging.
+checked.  One walk lists the spanning trees by recursive inclusion and
+exclusion of edges (Read and Tarjan, "Bounds on backtrack algorithms for
+listing cycles, paths, and spanning trees", Networks 5, 1975): contraction
+happens in a union-find, and deletion prunes on a connectivity test, which
+doubles as the bridge shortcut (a bridge has no exclusion branch).
+
+Every tree statistic is a sum over the tree's edges, so each edge gets an
+additive key once: the packed key of its one-edge statistic monomial.  The
+walk adds an edge's key on inclusion and passes the running sum down as an
+argument, so backtracking subtracts nothing, and it tallies {key: trees}.
+`enumerate_sum` builds its polynomial from that tally with no per-tree
+object; `all_spanning_trees` runs the same walk with the key 1 << position
+for each parallel edge copy and decodes the masks in walk order.  A
+determinant count at all-ones gates the walk, so a huge graph fails fast
+instead of hanging, and the tally's total must equal it.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from enum import Enum
 
 from .graphs import Graph, SpanningTree, is_connected
 from .laplacian import SchemeMismatch, WeightScheme
-from .polyring import Monomial, Polynomial, q, x, xd, y
+from .polyring import Monomial, PackedMonomials, Polynomial, q, x, xd, y
 
 DEFAULT_CAP = 10_000_000
 
@@ -92,22 +102,31 @@ def spanning_tree_count(g: Graph) -> int:
     return _int_det(reduced)
 
 
-def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
-    """Every spanning tree exactly once; parallel copies count separately."""
-    n = g.n
-    if n == 1:
-        return [SpanningTree(())]
+def _predicted_count(g: Graph, cap: int) -> int:
+    """Kirchhoff's tree count, once the graph is known connected and under the cap."""
+    if g.n == 1:
+        return 1
     if not is_connected(g):
         raise DisconnectedGraph("graph has no spanning trees")
     predicted = spanning_tree_count(g)
     if predicted > cap:
         raise CapExceeded(f"{predicted} spanning trees exceed cap {cap}")
+    return predicted
 
-    expanded: list[tuple[int, int, int]] = []
-    for idx, e in enumerate(g.edges):
-        for _ in range(e.multiplicity):
-            expanded.append((e.u, e.v, idx))
-    n_edges = len(expanded)
+
+def _edge_copies(g: Graph) -> list[int]:
+    """The edge index of every parallel copy, in edge order."""
+    return [idx for idx, e in enumerate(g.edges) for _ in range(e.multiplicity)]
+
+
+def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
+    """{sum of the keys of a tree's edge copies: trees with that sum}, in walk order.
+
+    `keys` has one entry per edge copy, as listed by `_edge_copies`.
+    """
+    n = g.n
+    ends = [(g.edges[idx].u, g.edges[idx].v) for idx in _edge_copies(g)]
+    n_copies = len(ends)
 
     parent = list(range(n))
     rank = [0] * n
@@ -118,12 +137,11 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
             a = parent[a]
         return a
 
-    alive = [True] * n_edges
-    result: list[SpanningTree] = []
-    chosen: list[int] = []
+    alive = [True] * n_copies
+    tally: dict[int, int] = {}
 
-    def still_connected(pos: int) -> bool:
-        """Can the alive edges from pos onward finish connecting the forest?"""
+    def still_connected(pos: int, comps: int) -> bool:
+        """Can the alive edges from pos onward join the forest's comps components?"""
         local: dict[int, int] = {}
 
         def lfind(a: int) -> int:
@@ -132,14 +150,10 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
                 a = local[a]
             return a
 
-        roots = {find(v) for v in range(n)}
-        comps = len(roots)
-        if comps == 1:
-            return True
-        for k in range(pos, n_edges):
+        for k in range(pos, n_copies):
             if not alive[k]:
                 continue
-            ra, rb = lfind(expanded[k][0]), lfind(expanded[k][1])
+            ra, rb = lfind(ends[k][0]), lfind(ends[k][1])
             if ra != rb:
                 local[ra] = rb
                 comps -= 1
@@ -147,17 +161,17 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
                     return True
         return False
 
-    def rec(pos: int, components: int) -> None:
+    def rec(pos: int, components: int, key: int) -> None:
         if components == 1:
-            result.append(SpanningTree(tuple(sorted(chosen))))
+            tally[key] = tally.get(key, 0) + 1
             return
-        if pos == n_edges:
+        if pos == n_copies:
             return
-        u, v, orig = expanded[pos]
+        u, v = ends[pos]
         ru, rv = find(u), find(v)
         if ru == rv:
             # cycle edge: only the exclusion branch exists
-            rec(pos + 1, components)
+            rec(pos + 1, components, key)
             return
         # include the edge (contraction)
         if rank[ru] < rank[rv]:
@@ -166,30 +180,46 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
         bumped = rank[ru] == rank[rv]
         if bumped:
             rank[ru] += 1
-        chosen.append(orig)
-        rec(pos + 1, components - 1)
-        chosen.pop()
+        rec(pos + 1, components - 1, key + keys[pos])
         if bumped:
             rank[ru] -= 1
         parent[rv] = rv
         # exclude the edge (deletion); a bridge has no such branch
         alive[pos] = False
-        if still_connected(pos + 1):
-            rec(pos + 1, components)
+        if still_connected(pos + 1, components):
+            rec(pos + 1, components, key)
         alive[pos] = True
 
-    rec(0, n)
-    if len(result) != predicted:
+    rec(0, n, 0)
+    total = sum(tally.values())
+    if total != predicted:
         raise AssertionError(
-            f"enumerated {len(result)} trees but determinant predicts {predicted}"
+            f"enumerated {total} trees but determinant predicts {predicted}"
         )
-    return result
+    return tally
+
+
+def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
+    """Every spanning tree exactly once; parallel copies count separately."""
+    predicted = _predicted_count(g, cap)
+    copies = _edge_copies(g)
+    masks = _walk(g, [1 << pos for pos in range(len(copies))], predicted)
+    return [SpanningTree(tuple(idx for pos, idx in enumerate(copies) if mask >> pos & 1))
+            for mask in masks]
+
+
+def _check_kind(g: Graph, stat: TreeStatistic) -> None:
+    if g.kind not in _STAT_KINDS[stat]:
+        raise SchemeMismatch(f"{stat.value} statistic is not defined on a {g.kind} graph")
 
 
 def statistic_monomial(g: Graph, tree: SpanningTree, stat: TreeStatistic) -> Monomial:
-    """Monomial a single spanning tree contributes under the statistic."""
-    if g.kind not in _STAT_KINDS[stat]:
-        raise SchemeMismatch(f"{stat.value} statistic is not defined on a {g.kind} graph")
+    """Monomial a single spanning tree contributes under the statistic.
+
+    Each statistic is a product over the tree's edges, which is what lets
+    `enumerate_sum` sum one-edge keys instead of calling this per tree.
+    """
+    _check_kind(g, stat)
     exps: dict = {}
 
     def bump(var, e=1):
@@ -230,8 +260,9 @@ def statistic_monomial(g: Graph, tree: SpanningTree, stat: TreeStatistic) -> Mon
 
 def enumerate_sum(g: Graph, stat: TreeStatistic, cap: int = DEFAULT_CAP) -> Polynomial:
     """Sum of statistic monomials over every spanning tree."""
-    terms: dict[Monomial, int] = {}
-    for tree in all_spanning_trees(g, cap=cap):
-        m = statistic_monomial(g, tree, stat)
-        terms[m] = terms.get(m, 0) + 1
-    return Polynomial(terms)
+    predicted = _predicted_count(g, cap)
+    _check_kind(g, stat)  # an edgeless graph computes no edge key below
+    edges = PackedMonomials(statistic_monomial(g, SpanningTree((idx,)), stat)
+                            for idx in range(len(g.edges)))
+    keys = [edges.keys[idx] for idx in _edge_copies(g)]
+    return edges.polynomial(_walk(g, keys, predicted))

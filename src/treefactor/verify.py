@@ -49,6 +49,7 @@ from .polyring import (
     NotDivisible,
     Polynomial,
     div_exact,
+    share_layout,
     x,
     xd,
     y,
@@ -201,8 +202,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     assert g.labels[0] == frozenset()
     lhat, _ = reduce_matrix(lap, 0, 0)
     labels = [set(s) for s in g.labels[1:]]
-
-    f_a = cube_subset_factor(sorted(aset))
+    size = lhat.size
 
     def squared(members: set) -> Polynomial:
         return Polynomial.monomial(Monomial.of({x(i): 2 for i in members}))
@@ -211,17 +211,19 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     for s in labels:
         sign = -1 if len(aset & s) % 2 else 1
         vec.append(squared(aset) - squared(aset - s) * sign)
+    # one layout for L-hat, v and f_A: no product or division below re-keys
+    zero, f_a, *shared = share_layout([Polynomial.zero(), cube_subset_factor(sorted(aset)), *vec,
+                                       *(e for row in lhat.rows for e in row)])
+    vec, entries = shared[:size], shared[size:]
 
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
-    size = lhat.size
     for r_idx, r in enumerate(labels):
-        entry = Polynomial.zero()
-        for c_idx in range(size):
-            e = lhat.at(r_idx, c_idx)
+        entry = zero
+        for e, val in zip(entries[r_idx * size:(r_idx + 1) * size], vec):
             if not e.is_zero:
-                entry = entry + e * vec[c_idx]
+                entry = entry + e * val
         try:
             div_exact(entry, f_a)
         except NotDivisible:
@@ -273,28 +275,29 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     g = cartesian_product([complete_graph(d) for d in dims])
     lap = weighted_laplacian(g, WeightScheme.DECOUPLED)
     n_vertices = g.n
-    f_i = coordinate_sum(i, ni)
 
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
+    # one layout for L, the vector entries and f_i: no product or division below re-keys
+    zero, f_i, minus_first, *rest = share_layout(
+        [Polynomial.zero(), coordinate_sum(i, ni), -Polynomial.variable(xd(i, 1)),
+         *(Polynomial.variable(xd(i, j)) for j in range(2, ni + 1)),
+         *(e for row in lap.rows for e in row)])
+    others, entries = rest[:ni - 1], rest[ni - 1:]
     vectors: list[list[Polynomial]] = []
     for k in range(1, ni):
-        u = [Polynomial.zero()] * ni
-        u[0] = Polynomial.variable(xd(i, k + 1))
-        u[k] = -Polynomial.variable(xd(i, 1))
-        w = [Polynomial.zero()] * n_vertices
-        for v_idx, label in enumerate(g.labels):
-            coord = label[i - 1] - 1  # factor labels are 1-based
-            if not u[coord].is_zero:
-                w[v_idx] = u[coord]
-        vectors.append(w)
+        u = [zero] * ni
+        u[0] = others[k - 1]
+        u[k] = minus_first
+        vectors.append([u[label[i - 1] - 1] for label in g.labels])  # factor labels are 1-based
+
+    for k, w in enumerate(vectors, start=1):
         for r in range(n_vertices):
-            entry = Polynomial.zero()
-            for c in range(n_vertices):
-                e = lap.at(r, c)
-                if not e.is_zero and not w[c].is_zero:
-                    entry = entry + e * w[c]
+            entry = zero
+            for e, val in zip(entries[r * n_vertices:(r + 1) * n_vertices], w):
+                if not e.is_zero and not val.is_zero:
+                    entry = entry + e * val
             try:
                 div_exact(entry, f_i)
             except NotDivisible:
@@ -391,26 +394,33 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
     verdicts: list[Verdict] = []
 
-    def apply(vec: dict[int, Polynomial]) -> list[Polynomial]:
-        # vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n
+    size = lhat.size
+    lhat_entries = [e for row in lhat.rows for e in row]
+
+    def apply(vec: dict[int, Polynomial], divisor: Polynomial) -> tuple[list[Polynomial], Polynomial]:
+        """L-hat times vec, and the divisor, on one layout: no product or division re-keys.
+
+        vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n.
+        """
+        zero, divisor, *shared = share_layout([Polynomial.zero(), divisor, *vec.values(), *lhat_entries])
+        vals, entries = shared[:len(vec)], shared[len(vec):]
         out = []
-        for row in range(lhat.size):
-            entry = Polynomial.zero()
-            for label, val in vec.items():
-                e = lhat.at(row, label - 2)
+        for row in range(size):
+            entry = zero
+            for label, val in zip(vec, vals):
+                e = entries[row * size + label - 2]
                 if not e.is_zero:
                     entry = entry + e * val
             out.append(entry)
-        return out
+        return out, divisor
 
     for r in range(2, s + 1):
         claim = f"threshold-null:lam={_lam_id(lam)}:f:r={r}"
         t0 = time.perf_counter()
-        f_r = threshold_f_factor(lam, r)
         vec = {r: poly_sum_vars_x(r)}
         for i2 in range(r + 1, conj[r - 1] + 1):
             vec[i2] = Polynomial.variable(x(r))
-        result = apply(vec)
+        result, f_r = apply(vec, threshold_f_factor(lam, r))
         bad = None
         for row_idx, entry in enumerate(result):
             try:
@@ -431,7 +441,7 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
                 a + 1: Polynomial.variable(y(a + k + 1)),
                 a + k + 1: -Polynomial.variable(y(a + 1)),
             }
-            bad = _first_bad_entry(apply(vec), g_poly, h, a, b, n)
+            bad = _first_bad_entry(*apply(vec, g_poly), h, a, b, n)
             ms = (time.perf_counter() - t0) * 1000.0
             verdicts.append(Verdict(claim, "Refuted" if bad else "Verified", bad, ms))
 
@@ -442,7 +452,7 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
         for i in range(1 + h, a + 1):
             tail = tail - Polynomial.variable(y(i))
         vec[a + b] = vec.get(a + b, Polynomial.zero()) + tail
-        bad = _first_bad_entry(apply(vec), g_poly, h, a, b, n)
+        bad = _first_bad_entry(*apply(vec, g_poly), h, a, b, n)
         ms = (time.perf_counter() - t0) * 1000.0
         verdicts.append(Verdict(claim, "Refuted" if bad else "Verified", bad, ms))
 

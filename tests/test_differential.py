@@ -18,6 +18,7 @@ from treefactor import (
     NotDivisible,
     Polynomial,
     SCHEME_FOR_STATISTIC,
+    SchemeMismatch,
     TreeStatistic,
     WeightScheme,
     all_spanning_trees,
@@ -33,8 +34,10 @@ from treefactor import (
     evar,
     hypercube,
     is_connected,
+    multigraph_kn,
     q,
     spanning_tree_count,
+    statistic_monomial,
     threshold_degree_rhs,
     threshold_graph,
     threshold_rhs,
@@ -139,6 +142,59 @@ def test_decoupled_factors_divide_random_products():
         for base, exp in decoupled_enumerator_factors(dims):
             rebuilt = rebuilt * base ** exp
         assert rebuilt == enumerate_sum(g, TreeStatistic.DIR_DECOUPLED), dims
+
+
+def per_tree_sum(g: Graph, stat: TreeStatistic) -> Polynomial:
+    """The statistic summed tree by tree: one Monomial per explicit tree."""
+    terms: dict = {}
+    for tree in all_spanning_trees(g):
+        mono = statistic_monomial(g, tree, stat)
+        terms[mono] = terms.get(mono, 0) + 1
+    return Polynomial(terms)
+
+
+def random_product(rng: random.Random) -> Graph:
+    """A product of one to three small random plain multigraphs."""
+    while True:
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            factors.append(complete_graph(1) if rng.random() < 0.15 else
+                           multigraph_kn(rng.randrange(2, 4), rng.choice((1, 1, 2))))
+        g = cartesian_product(factors)
+        if spanning_tree_count(g) <= TREE_CAP:
+            return g
+
+
+def test_edge_key_sums_match_per_tree_statistics():
+    rng = random.Random(7007)
+    plain = [complete_graph(1), multigraph_kn(3, 2), multigraph_kn(2, 3)]
+    plain += [random_multigraph(rng) for _ in range(8)]
+    threshold = [threshold_graph(rng.choice(connected_threshold_sequences(n))) for n in (1, 3, 4, 5, 6)]
+    products = [cartesian_product([complete_graph(1)])] + [random_product(rng) for _ in range(6)]
+    cubes = [hypercube(n) for n in (1, 2, 3)]  # negative x exponents
+    cases = {
+        TreeStatistic.DEGREE: plain + threshold,
+        TreeStatistic.IN_OUT_DEGREE: plain + threshold,
+        TreeStatistic.DIRECTION: products + cubes,
+        TreeStatistic.DIR_DECOUPLED: products,
+        TreeStatistic.CUBE_SUBSTITUTED: cubes,
+    }
+    for stat, graphs in cases.items():
+        for g in graphs:
+            brute, ref = enumerate_sum(g, stat), per_tree_sum(g, stat)
+            label = (stat.value, g.kind, g.n, g.edges)
+            assert brute == ref, label
+            assert brute.render() == ref.render() and brute.to_json() == ref.to_json(), label
+    # a graph kind outside the statistic's domain, one-vertex graphs included
+    for stat, g in [
+        (TreeStatistic.DEGREE, hypercube(2)),
+        (TreeStatistic.IN_OUT_DEGREE, cartesian_product([complete_graph(1)])),
+        (TreeStatistic.DIRECTION, complete_graph(1)),
+        (TreeStatistic.DIR_DECOUPLED, threshold_graph((0,))),
+        (TreeStatistic.CUBE_SUBSTITUTED, multigraph_kn(3, 2)),
+    ]:
+        with pytest.raises(SchemeMismatch):
+            enumerate_sum(g, stat)
 
 
 # -- arithmetic against a dict-of-Monomial reference ------------------------

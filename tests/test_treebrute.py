@@ -1,7 +1,10 @@
 """Brute-force tree enumeration against the determinant route."""
 
+import hashlib
+
 import pytest
 
+from treefactor import treebrute
 from treefactor import (
     CapExceeded,
     DisconnectedGraph,
@@ -141,3 +144,29 @@ def test_enumeration_count_matches_unit_specialization():
     enum = enumerate_sum(g, TreeStatistic.DIRECTION)
     ones = {v: Polynomial.one() for v in enum.variables()}
     assert enum.substitute(ones).as_int() == spanning_tree_count(g) == 4
+
+
+def test_count_gate_is_live(monkeypatch):
+    # a walk that lost or doubled a tree must not go unnoticed
+    real = treebrute.spanning_tree_count
+    monkeypatch.setattr(treebrute, "spanning_tree_count", lambda g: real(g) + 1)
+    with pytest.raises(AssertionError, match="determinant predicts 17"):
+        all_spanning_trees(complete_graph(4))
+    with pytest.raises(AssertionError, match="determinant predicts 17"):
+        enumerate_sum(complete_graph(4), TreeStatistic.DEGREE)
+
+
+def test_all_spanning_trees_order_is_pinned():
+    # digests of repr([t.edge_indices for t in trees]), taken from the
+    # tree-by-tree enumeration this walk replaced
+    pinned = {
+        "K4": (complete_graph(4), 16, "2bc46be8353ea06d2a6da3e3051bb8890862324898470dfebbe58faf54f48faa"),
+        "K3(2)": (multigraph_kn(3, 2), 12, "394fca81bcbf36454b1627849901adee72e32063066546b4b5278cdd86a179ff"),
+        "Q2": (hypercube(2), 4, "8871c4d2529855c20429291cc94b13f2d0b8190c2460d292c08e22927473b7ea"),
+        "T:3,3,2,2": (threshold_graph((3, 3, 2, 2)), 8,
+                      "dd64c77a6dbd83de352bf426c26b96f64d08e6eff02ca769a26a884d7ed47e88"),
+    }
+    for name, (g, count, digest) in pinned.items():
+        trees = all_spanning_trees(g)
+        assert len(trees) == count, name
+        assert hashlib.sha256(repr([t.edge_indices for t in trees]).encode()).hexdigest() == digest, name
