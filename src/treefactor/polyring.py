@@ -306,6 +306,11 @@ def _layout(variables: tuple[Variable, ...]) -> _Layout:
 _EMPTY = _layout(())
 
 
+def _layout_of(monomials: Iterable[Monomial]) -> _Layout:
+    """The layout of every variable the monomials hold."""
+    return _layout(tuple(sorted({v for m in monomials for v, _ in m.exps}, key=lambda v: v._key)))
+
+
 @lru_cache(maxsize=1024)
 def _union(a: _Layout, b: _Layout) -> _Layout:
     return _layout(tuple(sorted(a.pos.keys() | b.pos.keys(), key=lambda v: v._key)))
@@ -347,7 +352,9 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     Arithmetic among them then does no layout work at all.
     """
     polys = [_coerce_poly(p) for p in polys]
-    lay = reduce(_union, [p._lay for p in polys], _EMPTY)
+    # widest first, so that operands on sub-layouts build no intermediate layout
+    lays = sorted(dict.fromkeys(p._lay for p in polys), key=lambda lay: -len(lay.vars))
+    lay = reduce(_union, lays, _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
@@ -365,7 +372,7 @@ class PackedMonomials:
 
     def __init__(self, monomials: Iterable[Monomial]):
         monomials = list(monomials)
-        lay = _layout(tuple(sorted({v for m in monomials for v, _ in m.exps}, key=lambda v: v._key)))
+        lay = _layout_of(monomials)
         self._lay = lay
         self.keys = [lay.key(m.exps) for m in monomials]
 
@@ -386,7 +393,7 @@ class Polynomial:
 
     def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
         terms = terms or {}
-        lay = _layout(tuple(sorted({v for m in terms for v, _ in m.exps}, key=lambda v: v._key)))
+        lay = _layout_of(terms)
         acc: dict[int, int] = {}
         for m, c in terms.items():
             if c:

@@ -279,17 +279,17 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
-    # one layout for L, the vector entries and f_i: no product or division below re-keys
-    zero, f_i, minus_first, *rest = share_layout(
+    # one layout for L, the entries of every u_k and f_i: no product or division below re-keys
+    zero, f_i, minus_x1, *rest = share_layout(
         [Polynomial.zero(), coordinate_sum(i, ni), -Polynomial.variable(xd(i, 1)),
          *(Polynomial.variable(xd(i, j)) for j in range(2, ni + 1)),
          *(e for row in lap.rows for e in row)])
-    others, entries = rest[:ni - 1], rest[ni - 1:]
+    x_later, entries = rest[:ni - 1], rest[ni - 1:]
     vectors: list[list[Polynomial]] = []
     for k in range(1, ni):
         u = [zero] * ni
-        u[0] = others[k - 1]
-        u[k] = minus_first
+        u[0] = x_later[k - 1]
+        u[k] = minus_x1
         vectors.append([u[label[i - 1] - 1] for label in g.labels])  # factor labels are 1-based
 
     for k, w in enumerate(vectors, start=1):
