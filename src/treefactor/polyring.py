@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import mul, or_
+from operator import attrgetter, mul, or_
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -352,8 +352,9 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     Arithmetic among them then does no layout work at all.
     """
     polys = [_coerce_poly(p) for p in polys]
-    # widest first, so that operands on sub-layouts build no intermediate layout
-    lays = sorted(dict.fromkeys(p._lay for p in polys), key=lambda lay: -len(lay.vars))
+    # widest first (nbytes grows with the variable count), so that operands
+    # on sub-layouts build no intermediate layout
+    lays = sorted(dict.fromkeys(p._lay for p in polys), key=attrgetter("nbytes"), reverse=True)
     lay = reduce(_union, lays, _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
