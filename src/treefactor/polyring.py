@@ -352,10 +352,10 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     Arithmetic among them then does no layout work at all.
     """
     polys = [_coerce_poly(p) for p in polys]
-    # widest first (nbytes grows with the variable count), so that operands
-    # on sub-layouts build no intermediate layout
-    lays = sorted(dict.fromkeys(p._lay for p in polys), key=attrgetter("nbytes"), reverse=True)
-    lay = reduce(_union, lays, _EMPTY)
+    lays = [p._lay for p in polys]
+    # start from the widest layout (nbytes grows with the variable count), so
+    # that operands on its sub-layouts build no intermediate layout
+    lay = reduce(_union, lays, max(lays, key=attrgetter("nbytes"), default=_EMPTY))
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
