@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from treefactor import (
     Polynomial,
     PolyMatrix,
@@ -137,6 +139,83 @@ def test_cube_nullvector_residue_sign_is_pinned(monkeypatch):
         v = verify_cube_nullvector(n, a_set)
         assert v.status == "Refuted", (n, a_set)
         assert v.witness.startswith("residue mismatch at R="), v.witness
+
+
+def _refuted_nullvector_witnesses(lam):
+    verdicts = [*verify_threshold_nullvectors(lam), verify_cube_nullvector(3, (1, 2)),
+                verify_decoupled_nullvectors((2, 3), 2)]
+    return {v.claim_id: v.witness for v in verdicts if not v.ok}
+
+
+# x1 added to diagonal entry i of the Laplacian refutes the claims whose
+# vector is nonzero at vertex i, at that row.  Together with the divisor
+# perturbation below this reaches threshold f cases (i)-(iii) and g cases
+# (ii)-(iv); neither perturbation reaches f case (iv) or g case (i).
+_DIAGONAL_WITNESSES = {
+    2: {
+        "threshold-null:lam=4,4,2,2,2:f:r=2": "case (iii), row 3: x1*x2",
+        "threshold-null:lam=4,4,2,2,2:g:a=3:extra": "case (ii), row 3: x1*y3*y5 + x2*y3*y5 + x1*y5",
+        "cube-null:n=3:A={1,2}":
+            "entry R={2}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1^3 + q1*x2*x3^-1 + q2*x1*x3^-1",
+        "decoupled-null:dims=2x3:dir=2":
+            "k=2, row (1, 3): -q2*x(1,1)^2*x(2,1)^2*x(2,3) - q2*x(1,1)^2*x(2,1)*x(2,2)*x(2,3)"
+            " - q2*x(1,1)^2*x(2,1)*x(2,3)^2 - x1*x(2,1)",
+    },
+    3: {
+        "threshold-null:lam=4,4,2,2,2:f:r=2": "case (iii), row 4: x1*x2",
+        "threshold-null:lam=4,4,2,2,2:g:a=3:inblock:k=1": "case (iii), row 4: x1*y4*y5 + x2*y4*y5 + x1*y5",
+        "cube-null:n=3:A={1,2}":
+            "entry R={2,3}: q1*x1^2*x2*x3 + q2*x1*x2^2*x3 + x1^3*x2^2 + q1*x2*x3 + q2*x1*x3 + x1^3",
+        "decoupled-null:dims=2x3:dir=2":
+            "k=1, row (2, 1): q2*x(1,2)^2*x(2,1)^2*x(2,2) + q2*x(1,2)^2*x(2,1)*x(2,2)^2"
+            " + q2*x(1,2)^2*x(2,1)*x(2,2)*x(2,3) + x1*x(2,2)",
+    },
+    4: {
+        "threshold-null:lam=4,4,2,2,2:f:r=2": "case (iii), row 5: x1*x2",
+        "threshold-null:lam=4,4,2,2,2:g:a=3:inblock:k=1": "case (iv), row 5: -x1*y4*y5 - x2*y4*y5 - x1*y4",
+        "threshold-null:lam=4,4,2,2,2:g:a=3:extra": "case (iv), row 5: -x1*y3*y5 - x2*y3*y5 - x1*y3",
+        "cube-null:n=3:A={1,2}":
+            "entry R={1}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1*x2^2 + q1*x2*x3^-1 + q2*x1*x3^-1",
+        "decoupled-null:dims=2x3:dir=2":
+            "k=1, row (2, 2): -q2*x(1,2)^2*x(2,1)^2*x(2,2) - q2*x(1,2)^2*x(2,1)*x(2,2)^2"
+            " - q2*x(1,2)^2*x(2,1)*x(2,2)*x(2,3) - x1*x(2,1)",
+    },
+}
+
+
+@pytest.mark.parametrize("index", sorted(_DIAGONAL_WITNESSES))
+def test_nullvector_witnesses_with_perturbed_diagonal(monkeypatch, index):
+    import treefactor.verify as verify
+
+    real = verify.weighted_laplacian
+
+    def bumped(g, scheme):
+        rows = [list(row) for row in real(g, scheme).rows]
+        rows[index][index] = rows[index][index] + P("x1")
+        return PolyMatrix(rows)
+
+    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    assert _refuted_nullvector_witnesses((4, 4, 2, 2, 2)) == _DIAGONAL_WITNESSES[index]
+
+
+def test_nullvector_witnesses_with_perturbed_divisors(monkeypatch):
+    import treefactor.verify as verify
+
+    for name in ("threshold_f_factor", "cube_subset_factor", "coordinate_sum"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, real=real: real(*args) + 1)
+    assert _refuted_nullvector_witnesses((4, 4, 4, 4, 4)) == {
+        "threshold-null:lam=4,4,4,4,4:f:r=2":
+            "case (ii), row 2: x1^2*y2 + x1*x2*y2 + x1*x2*y3 + x1*x2*y4 + x1*x2*y5",
+        "threshold-null:lam=4,4,4,4,4:f:r=3":
+            "case (i), row 2: -x1*x2*y3 - x2^2*y3 - x2*x3*y3 - x2*x3*y4 - x2*x3*y5",
+        "threshold-null:lam=4,4,4,4,4:f:r=4":
+            "case (i), row 2: -x1*x2*y4 - x2^2*y4 - x2*x3*y4 - x2*x4*y4 - x2*x4*y5",
+        "cube-null:n=3:A={1,2}": "entry R={3}: -q1*x1^2*x2*x3 - q2*x1*x2^2*x3 - q1*x2*x3 - q2*x1*x3",
+        "decoupled-null:dims=2x3:dir=2":
+            "k=1, row (1, 1): q2*x(1,1)^2*x(2,1)^2*x(2,2) + q2*x(1,1)^2*x(2,1)*x(2,2)^2"
+            " + q2*x(1,1)^2*x(2,1)*x(2,2)*x(2,3)",
+    }
 
 
 def test_threshold_one_vertex_verified():
