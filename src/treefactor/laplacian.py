@@ -8,9 +8,7 @@ determinant, times (-1)^(r+s), is the weighted spanning tree sum.
 Determinants are computed exactly: cofactor expansion for orders up to 4,
 fraction-free Bareiss elimination above that.  Every interior Bareiss
 division is exact over an integral domain, so a failed division there is
-an implementation bug, not an input condition.  Rows with negative
-exponents are premultiplied by a clearing monomial and the product of the
-clearing monomials is divided back out of the determinant at the end.
+an implementation bug, not an input condition.
 """
 
 from __future__ import annotations
@@ -204,25 +202,8 @@ def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     n = len(rows)
     if n == 0:
         return Polynomial.one()
-    # clear Laurent entries row by row; det scales by the clearing monomials
-    shift = Monomial()
-    cleared: list[list[Polynomial]] = []
-    for row in rows:
-        mins: dict = {}
-        for p in row:
-            for v, e in p.min_exponents().items():
-                if e < 0 and e < mins.get(v, 0):
-                    mins[v] = e
-        if mins:
-            m = Monomial.of({v: -e for v, e in mins.items()})
-            shift = shift * m
-            mp = Polynomial.monomial(m)
-            cleared.append([p * mp for p in row])
-        else:
-            cleared.append(list(row))
-
     # one layout for every entry: the elimination below does no layout work
-    flat = share_layout(p for row in cleared for p in row)
+    flat = share_layout(p for row in rows for p in row)
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
 
     sign = 1
@@ -248,11 +229,7 @@ def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             a[i][k] = Polynomial.zero()  # frees the entry; column k is never read again
         prev = a[k][k]
     det = a[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    if shift.exps:
-        det = det * Polynomial.monomial(shift ** -1)
-    return det
+    return -det if sign < 0 else det
 
 
 def tree_enumerator_det(

@@ -39,6 +39,7 @@ from .graphs import (
     threshold_graph,
 )
 from .laplacian import (
+    PolyMatrix,
     WeightScheme,
     reduce_matrix,
     tree_enumerator_det,
@@ -49,6 +50,7 @@ from .polyring import (
     NotDivisible,
     Polynomial,
     div_exact,
+    poly_sum,
     share_layout,
     x,
     xd,
@@ -183,6 +185,46 @@ def _subset_id(a: Sequence[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(a)) + "}"
 
 
+def _divides(divisor: Polynomial, p: Polynomial) -> bool:
+    try:
+        div_exact(p, divisor)
+    except NotDivisible:
+        return False
+    return True
+
+
+def _residues(matrix: PolyMatrix, vectors: Sequence[dict[int, Polynomial]], divisor: Polynomial
+              ) -> tuple[Polynomial, list[list[Polynomial]], Optional[tuple[int, int]]]:
+    """The rows of L v for each of one claim's vectors v, up to the first one divisor leaves over.
+
+    Each vector maps column indices to entries.  One layout holds L, every
+    vector and the divisor, so no product or division below re-keys, and
+    each row walks only the vector's nonzero entries.  Returns the divisor
+    on that layout, the rows computed for each vector, and the (vector,
+    row) index of the first row the divisor does not divide, or None.
+    """
+    size = matrix.size
+    zero, divisor, *flat = share_layout([Polynomial.zero(), divisor, *(e for row in matrix.rows for e in row),
+                                         *(val for v in vectors for val in v.values())])
+    entries, pos = flat[:size * size], size * size
+    products: list[list[Polynomial]] = []
+    for k, v in enumerate(vectors):
+        walk = [(col, val) for col, val in zip(v, flat[pos:pos + len(v)]) if not val.is_zero]
+        pos += len(v)
+        rows: list[Polynomial] = []
+        products.append(rows)
+        for r in range(size):
+            entry = zero
+            for col, val in walk:
+                e = entries[r * size + col]
+                if not e.is_zero:
+                    entry = entry + e * val
+            rows.append(entry)
+            if not _divides(divisor, entry):
+                return divisor, products, (k, r)
+    return divisor, products, None
+
+
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     """The palindromic nullvector of the reduced hypercube Laplacian.
 
@@ -202,55 +244,29 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     assert g.labels[0] == frozenset()
     lhat, _ = reduce_matrix(lap, 0, 0)
     labels = [set(s) for s in g.labels[1:]]
-    size = lhat.size
 
     def squared(members: set) -> Polynomial:
         return Polynomial.monomial(Monomial.of({x(i): 2 for i in members}))
 
-    vec = []
-    for s in labels:
-        sign = -1 if len(aset & s) % 2 else 1
-        vec.append(squared(aset) - squared(aset - s) * sign)
-    # one layout for L-hat, v and f_A: no product or division below re-keys
-    zero, f_a, *shared = share_layout([Polynomial.zero(), cube_subset_factor(sorted(aset)), *vec,
-                                       *(e for row in lhat.rows for e in row)])
-    vec, entries = shared[:size], shared[size:]
+    vec = {col: squared(aset) - squared(aset - s) * (-1) ** len(aset & s) for col, s in enumerate(labels)}
+    f_a, (entries,), bad = _residues(lhat, [vec], cube_subset_factor(sorted(aset)))
 
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
-    for r_idx, r in enumerate(labels):
-        entry = zero
-        for e, val in zip(entries[r_idx * size:(r_idx + 1) * size], vec):
-            if not e.is_zero:
-                entry = entry + e * val
-        try:
-            div_exact(entry, f_a)
-        except NotDivisible:
+    for r_idx, (r, entry) in enumerate(zip(labels, entries)):
+        if bad == (0, r_idx):
             return finish("Refuted", f"entry R={_subset_id(r)}: {entry.render()}")
         # closed residue, its sign fixed by the parity of |A n R|
         exps = {x(t): 2 * ((t in r) + (t in aset - r)) - 1 for t in range(1, n + 1)}
         scale = Polynomial.monomial(Monomial.of(exps))
-        expected = scale * f_a
         lead_sign = 1 if len(aset & r) % 2 else -1
-        if entry != expected * lead_sign:
+        if entry != scale * f_a * lead_sign:
             return finish("Refuted", f"residue mismatch at R={_subset_id(r)}: {entry.render()}")
 
-    for s, val in zip(labels, vec):
-        try:
-            div_exact(val, f_a)
-        except NotDivisible:
-            break
-    else:
+    if all(_divides(f_a, val) for val in vec.values()):
         return finish("Refuted", "every entry of v is divisible by f_A; v is trivial")
     return finish("Verified", None)
-
-
-def _tensor_index(sizes: Sequence[int], coords: Sequence[int]) -> int:
-    idx = 0
-    for size, c in zip(sizes, coords):
-        idx = idx * size + c
-    return idx
 
 
 def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict:
@@ -274,38 +290,23 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
 
     g = cartesian_product([complete_graph(d) for d in dims])
     lap = weighted_laplacian(g, WeightScheme.DECOUPLED)
-    n_vertices = g.n
 
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
-    # one layout for L, the entries of every u_k and f_i: no product or division below re-keys
-    zero, f_i, minus_x1, *rest = share_layout(
-        [Polynomial.zero(), coordinate_sum(i, ni), -Polynomial.variable(xd(i, 1)),
-         *(Polynomial.variable(xd(i, j)) for j in range(2, ni + 1)),
-         *(e for row in lap.rows for e in row)])
-    x_later, entries = rest[:ni - 1], rest[ni - 1:]
-    vectors: list[list[Polynomial]] = []
+    vectors: list[dict[int, Polynomial]] = []
     for k in range(1, ni):
-        u = [zero] * ni
-        u[0] = x_later[k - 1]
-        u[k] = minus_x1
-        vectors.append([u[label[i - 1] - 1] for label in g.labels])  # factor labels are 1-based
-
-    for k, w in enumerate(vectors, start=1):
-        for r in range(n_vertices):
-            entry = zero
-            for e, val in zip(entries[r * n_vertices:(r + 1) * n_vertices], w):
-                if not e.is_zero and not val.is_zero:
-                    entry = entry + e * val
-            try:
-                div_exact(entry, f_i)
-            except NotDivisible:
-                return finish("Refuted", f"k={k}, row {g.labels[r]}: {entry.render()}")
+        u = {1: Polynomial.variable(xd(i, k + 1)), k + 1: -Polynomial.variable(xd(i, 1))}  # labels are 1-based
+        vectors.append({s: u[label[i - 1]] for s, label in enumerate(g.labels) if label[i - 1] in u})
+    _, products, bad = _residues(lap, vectors, coordinate_sum(i, ni))
+    if bad is not None:
+        k, r = bad
+        return finish("Refuted", f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}")
 
     rng = random.Random(20260817)
     bindings = {xd(i, j): rng.randrange(2, 10 ** 6) for j in range(1, ni + 1)}
-    numeric = [[Fraction(w_s.substitute(bindings).as_int()) for w_s in w] for w in vectors]
+    numeric = [[Fraction(w[s].substitute(bindings).as_int()) if s in w else Fraction(0) for s in range(g.n)]
+               for w in vectors]
     if _rational_rank(numeric) != ni - 1:
         return finish("Refuted", "nullvectors are linearly dependent at a random point")
     return finish("Verified", None)
@@ -394,88 +395,38 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
     verdicts: list[Verdict] = []
 
-    size = lhat.size
-    lhat_entries = [e for row in lhat.rows for e in row]
+    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case_tag) -> None:
+        """vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n."""
+        t0 = time.perf_counter()
+        _, (rows,), bad = _residues(lhat, [{label - 2: val for label, val in vec.items()}], divisor)
+        witness = None
+        if bad is not None:
+            label = bad[1] + 2
+            witness = f"case {case_tag(label)}, row {label}: {rows[bad[1]].render()}"
+        ms = (time.perf_counter() - t0) * 1000.0
+        verdicts.append(Verdict(claim, "Refuted" if witness else "Verified", witness, ms))
 
-    def apply(vec: dict[int, Polynomial], divisor: Polynomial) -> tuple[list[Polynomial], Polynomial]:
-        """L-hat times vec, and the divisor, on one layout: no product or division re-keys.
-
-        vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n.
-        """
-        zero, divisor, *shared = share_layout([Polynomial.zero(), divisor, *vec.values(), *lhat_entries])
-        vals, entries = shared[:len(vec)], shared[len(vec):]
-        out = []
-        for row in range(size):
-            entry = zero
-            for label, val in zip(vec, vals):
-                e = entries[row * size + label - 2]
-                if not e.is_zero:
-                    entry = entry + e * val
-            out.append(entry)
-        return out, divisor
+    def x_sum(upto: int) -> Polynomial:
+        return poly_sum(Polynomial.variable(x(i)) for i in range(1, upto + 1))
 
     for r in range(2, s + 1):
-        claim = f"threshold-null:lam={_lam_id(lam)}:f:r={r}"
-        t0 = time.perf_counter()
-        vec = {r: poly_sum_vars_x(r)}
-        for i2 in range(r + 1, conj[r - 1] + 1):
-            vec[i2] = Polynomial.variable(x(r))
-        result, f_r = apply(vec, threshold_f_factor(lam, r))
-        bad = None
-        for row_idx, entry in enumerate(result):
-            try:
-                div_exact(entry, f_r)
-            except NotDivisible:
-                j = row_idx + 2
-                bad = f"case {_f_case_tag(j, r, edge_set)}, row {j}: {entry.render()}"
-                break
-        ms = (time.perf_counter() - t0) * 1000.0
-        verdicts.append(Verdict(claim, "Refuted" if bad else "Verified", bad, ms))
+        vec = {r: x_sum(r), **{i2: Polynomial.variable(x(r)) for i2 in range(r + 1, conj[r - 1] + 1)}}
+        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, threshold_f_factor(lam, r),
+              lambda j, r=r: _f_case_tag(j, r, edge_set))
 
     for a, b, h in _threshold_blocks(lam):
-        g_poly = poly_sum_vars_x(h)
-        for k in range(1, b):
-            claim = f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}"
-            t0 = time.perf_counter()
-            vec = {
-                a + 1: Polynomial.variable(y(a + k + 1)),
-                a + k + 1: -Polynomial.variable(y(a + 1)),
-            }
-            bad = _first_bad_entry(*apply(vec, g_poly), h, a, b, n)
-            ms = (time.perf_counter() - t0) * 1000.0
-            verdicts.append(Verdict(claim, "Refuted" if bad else "Verified", bad, ms))
+        g_poly = x_sum(h)
 
-        claim = f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra"
-        t0 = time.perf_counter()
+        g_tag = lambda k, a=a, b=b, h=h: _g_case_tag(k, h, a, b, n)  # noqa: E731
+        for k in range(1, b):
+            vec = {a + 1: Polynomial.variable(y(a + k + 1)), a + k + 1: -Polynomial.variable(y(a + 1))}
+            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_poly, g_tag)
+
         vec = {i: Polynomial.variable(y(a + b)) for i in range(1 + h, a + 1)}
-        tail = Polynomial.zero()
-        for i in range(1 + h, a + 1):
-            tail = tail - Polynomial.variable(y(i))
-        vec[a + b] = vec.get(a + b, Polynomial.zero()) + tail
-        bad = _first_bad_entry(*apply(vec, g_poly), h, a, b, n)
-        ms = (time.perf_counter() - t0) * 1000.0
-        verdicts.append(Verdict(claim, "Refuted" if bad else "Verified", bad, ms))
+        vec[a + b] = -poly_sum(Polynomial.variable(y(i)) for i in range(1 + h, a + 1))
+        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, g_poly, g_tag)
 
     return verdicts
-
-
-def poly_sum_vars_x(upto: int) -> Polynomial:
-    """x1 + ... + x_upto."""
-    total = Polynomial.zero()
-    for i in range(1, upto + 1):
-        total = total + Polynomial.variable(x(i))
-    return total
-
-
-def _first_bad_entry(entries: list[Polynomial], divisor: Polynomial,
-                     h: int, a: int, b: int, n: int) -> Optional[str]:
-    for row_idx, entry in enumerate(entries):
-        try:
-            div_exact(entry, divisor)
-        except NotDivisible:
-            k = row_idx + 2
-            return f"case {_g_case_tag(k, h, a, b, n)}, row {k}: {entry.render()}"
-    return None
 
 
 def verify_cayley(n: int) -> Verdict:

@@ -207,3 +207,14 @@ def test_enumerator_counts_at_unit_weights():
     enum = tree_enumerator_det(g, WeightScheme.CAYLEY_PRUFER)
     ones = {v: Polynomial.one() for v in enum.variables()}
     assert enum.substitute(ones).as_int() == 16
+
+
+def test_bareiss_divides_exactly_over_laurent_entries():
+    # negative exponents go straight into the elimination; every interior
+    # division must still be exact in the Laurent ring
+    rng = random.Random(52033)
+    vars_ = [q(1), x(1), x(2)]
+    for n in (5, 6):
+        for _ in range(4):
+            m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
+            assert determinant(m, method="bareiss") == determinant(m, method="cofactor")
