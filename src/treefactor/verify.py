@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .formulas import (
@@ -195,13 +196,13 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
 
 def _residues(matrix: PolyMatrix, vectors: Sequence[dict[int, Polynomial]], divisor: Polynomial
               ) -> tuple[Polynomial, list[list[Polynomial]], Optional[tuple[int, int]]]:
-    """The rows of L v for each of one claim's vectors v, up to the first one divisor leaves over.
+    """L v for each of one claim's vectors v, up to the first row the divisor does not divide.
 
-    Each vector maps column indices to entries.  One layout holds L, every
-    vector and the divisor, so no product or division below re-keys, and
-    each row walks only the vector's nonzero entries.  Returns the divisor
-    on that layout, the rows computed for each vector, and the (vector,
-    row) index of the first row the divisor does not divide, or None.
+    Each vector maps column indices to entries.  L, every vector and the
+    divisor go onto one layout first, so no product or division re-keys,
+    and each row walks only the vector's nonzero entries.  Returns the
+    divisor on that layout, the rows of L v computed for each vector, and
+    the (vector, row) index of the row it does not divide, or None.
     """
     size = matrix.size
     zero, divisor, *flat = share_layout([Polynomial.zero(), divisor, *(e for row in matrix.rows for e in row),
@@ -260,8 +261,9 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
         # closed residue, its sign fixed by the parity of |A n R|
         exps = {x(t): 2 * ((t in r) + (t in aset - r)) - 1 for t in range(1, n + 1)}
         scale = Polynomial.monomial(Monomial.of(exps))
+        expected = scale * f_a
         lead_sign = 1 if len(aset & r) % 2 else -1
-        if entry != scale * f_a * lead_sign:
+        if entry != expected * lead_sign:
             return finish("Refuted", f"residue mismatch at R={_subset_id(r)}: {entry.render()}")
 
     if all(_divides(f_a, val) for val in vec.values()):
@@ -410,16 +412,20 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
         return poly_sum(Polynomial.variable(x(i)) for i in range(1, upto + 1))
 
     for r in range(2, s + 1):
-        vec = {r: x_sum(r), **{i2: Polynomial.variable(x(r)) for i2 in range(r + 1, conj[r - 1] + 1)}}
+        vec = {r: x_sum(r)}
+        for i2 in range(r + 1, conj[r - 1] + 1):
+            vec[i2] = Polynomial.variable(x(r))
         check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, threshold_f_factor(lam, r),
-              lambda j, r=r: _f_case_tag(j, r, edge_set))
+              partial(_f_case_tag, r=r, edges=edge_set))
 
     for a, b, h in _threshold_blocks(lam):
         g_poly = x_sum(h)
-
-        g_tag = lambda k, a=a, b=b, h=h: _g_case_tag(k, h, a, b, n)  # noqa: E731
+        g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
         for k in range(1, b):
-            vec = {a + 1: Polynomial.variable(y(a + k + 1)), a + k + 1: -Polynomial.variable(y(a + 1))}
+            vec = {
+                a + 1: Polynomial.variable(y(a + k + 1)),
+                a + k + 1: -Polynomial.variable(y(a + 1)),
+            }
             check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_poly, g_tag)
 
         vec = {i: Polynomial.variable(y(a + b)) for i in range(1 + h, a + 1)}
