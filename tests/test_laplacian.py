@@ -1,5 +1,6 @@
 """Weight schemes, Laplacian structure, and exact determinants."""
 
+import hashlib
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from treefactor import (
     WeightScheme,
     cartesian_product,
     complete_graph,
+    connected_threshold_sequences,
     determinant,
     edge_weight,
     hypercube,
@@ -218,3 +220,32 @@ def test_bareiss_divides_exactly_over_laurent_entries():
         for _ in range(4):
             m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
             assert determinant(m, method="bareiss") == determinant(m, method="cofactor")
+
+
+def _pinned_enumerator_cases():
+    def product(dims):
+        return cartesian_product([complete_graph(d) for d in dims])
+
+    S = WeightScheme
+    cases = [(complete_graph(n), S.CAYLEY_PRUFER) for n in range(3, 8)]
+    cases += [(product(d), S.DIRECTION) for d in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4),
+                                                    (2, 3, 3), (2, 5), (3, 4), (5, 5)]]
+    cases += [(threshold_graph(lam), S.THRESHOLD_IN_OUT)
+              for n in range(1, 7) for lam in connected_threshold_sequences(n)]
+    cases += [(product(d), S.DECOUPLED) for d in [(2, 3), (2, 4), (2, 2, 2)]]
+    cases += [(hypercube(n), s) for n in (1, 2, 3) for s in (S.CUBE_LAURENT, S.DIRECTION)]
+    cases += [(multigraph_kn(5, 2), S.CAYLEY_PRUFER), (multigraph_kn(6, 3), S.GENERIC),
+              (complete_graph(6), S.GENERIC)]
+    return cases
+
+
+def test_enumerator_outputs_are_pinned():
+    # one digest over the canonical text and JSON of 59 determinants, on
+    # both sides of every size threshold that picks a determinant method
+    cases = _pinned_enumerator_cases()
+    digest = hashlib.sha256()
+    for g, scheme in cases:
+        p = tree_enumerator_det(g, scheme)
+        digest.update(f"{p.render()}\n{p.to_json()}\n".encode())
+    assert len(cases) == 59
+    assert digest.hexdigest() == "21eb5ccd4209042b1672ad029e89e51fe13682fe0903b8a3f70679ab078ed0b7"
