@@ -5,22 +5,35 @@ the diagonal and the sum of incident weights on it, so every row and
 column sums to zero.  Striking row r and column s leaves a matrix whose
 determinant, times (-1)^(r+s), is the weighted spanning tree sum.
 
-Determinants are computed exactly: cofactor expansion for orders up to 4,
-fraction-free Bareiss elimination above that.  Every interior Bareiss
-division is exact over an integral domain, so a failed division there is
-an implementation bug, not an input condition.
+Determinants are computed exactly, by one of three paths:
+  - cofactor expansion, for orders up to 4;
+  - fraction-free Bareiss elimination over the integers, after one
+    Kronecker substitution phi, when phi's image is small;
+  - Bareiss elimination over the Laurent polynomials otherwise.
+phi divides each row by its monomial content, then evaluates each variable
+at a power of 2**(8w).  It is a ring homomorphism, so det phi(M) =
+phi(det M).  Two bounds keep det M inside a box that phi maps one-to-one:
+the exponent of each variable is at most the sum over rows of the row's
+largest exponent of it, and every coefficient is at most the product over
+rows of the row's summed absolute coefficients, which fixes the slot width
+w.  Inside the box phi(det M) decodes back to det M (see
+`polyring._KroneckerImage`).  Both Bareiss paths run one elimination loop.
+Every interior Bareiss division is exact over an integral domain, and a
+decoded image always fits its box, so a failure there is an implementation
+bug, not an input condition.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import Edge, Graph, is_connected
 from .polyring import (
     Monomial,
     NotDivisible,
     Polynomial,
+    _KroneckerImage,
     div_exact,
     evar,
     q,
@@ -168,14 +181,34 @@ def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
     return PolyMatrix(rows), sign
 
 
+# Images above this many bits go to polynomial Bareiss: CPython's long
+# division is quadratic, and past it the integer elimination loses.
+_KRONECKER_BITS = 1 << 15
+
+
 def determinant(m: PolyMatrix, method: Optional[str] = None) -> Polynomial:
-    """Exact determinant; cofactor expansion up to 4x4, Bareiss beyond."""
+    """Exact determinant of a square polynomial matrix.
+
+    By default: cofactor expansion up to 4x4.  Above that, the bounds are
+    taken before anything is packed: an image phi(M) of at most 2**15 bits
+    (slots times 8w) is eliminated over the integers and decoded once;
+    a larger one goes to Bareiss over the polynomials.  `method="cofactor"`
+    or `"bareiss"` forces that method.
+    """
+    rows = m.rows
+    if not rows:
+        return Polynomial.one()
     if method is None:
-        method = "cofactor" if m.size <= 4 else "bareiss"
+        if m.size <= 4:
+            return _cofactor_det(rows)
+        image = _KroneckerImage(rows)
+        if image.bits <= _KRONECKER_BITS:
+            return _kronecker_det(image)
+        method = "bareiss"
     if method == "cofactor":
-        return _cofactor_det(m.rows)
+        return _cofactor_det(rows)
     if method == "bareiss":
-        return _bareiss_det(m.rows)
+        return _bareiss_det(rows)
     raise ValueError(f"unknown determinant method {method!r}")
 
 
@@ -198,38 +231,60 @@ def _cofactor_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return total
 
 
-def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.one()
-    # one layout for every entry: the elimination below does no layout work
-    flat = share_layout(p for row in rows for p in row)
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+def _eliminate(a: list[list], zero, divide: Callable):
+    """Fraction-free Bareiss elimination of the nonempty square `a`, in place.
 
+    Works over any integral domain whose exact division is `divide`: every
+    interior quotient is a minor of the matrix (Sylvester's identity), so
+    `divide` raising means the arithmetic is broken, not the input.
+    """
+    n = len(a)
     sign = 1
     prev = None
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if not a[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot_row is None:
-                return Polynomial.zero()
+                return zero
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if prev is not None:
-                    try:
-                        elt = div_exact(elt, prev)
-                    except NotDivisible as stuck:  # impossible over a domain
-                        raise AssertionError(
-                            "Bareiss interior division failed; matrix arithmetic is broken"
-                        ) from stuck
-                a[i][j] = elt
-            a[i][k] = Polynomial.zero()  # frees the entry; column k is never read again
-        prev = a[k][k]
+                elt = pivot * row_i[j] - lead * row_k[j]
+                row_i[j] = elt if prev is None else divide(elt, prev)
+            row_i[k] = zero  # frees the entry; column k is never read again
+        prev = pivot
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    n = len(rows)
+    # one layout for every entry: the elimination does no layout work
+    flat = share_layout(p for row in rows for p in row)
+    return _eliminate([flat[i * n:(i + 1) * n] for i in range(n)], Polynomial.zero(), _divide_poly)
+
+
+def _divide_poly(a: Polynomial, b: Polynomial) -> Polynomial:
+    try:
+        return div_exact(a, b)
+    except NotDivisible as stuck:  # impossible over a domain
+        raise AssertionError("Bareiss interior division failed; matrix arithmetic is broken") from stuck
+
+
+def _kronecker_det(image: _KroneckerImage) -> Polynomial:
+    """det M = phi^-1(det phi(M)): integer Bareiss on the packed matrix, one unpack."""
+    return image.polynomial(_eliminate(image.matrix(), 0, _divide_int))
+
+
+def _divide_int(a: int, b: int) -> int:
+    quotient, remainder = divmod(a, b)
+    if remainder:  # impossible over the integers
+        raise AssertionError("Bareiss interior division left a remainder; integer arithmetic is broken")
+    return quotient
 
 
 def tree_enumerator_det(

@@ -45,7 +45,7 @@ from enum import IntEnum
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import attrgetter, mul, or_
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -383,6 +383,99 @@ class PackedMonomials:
         ExponentOverflow if a summed exponent left the range of a key.
         """
         terms = {k: c for k, c in terms.items() if c}
+        self._lay.check_range(terms)
+        return _new(self._lay, terms)
+
+
+class _KroneckerImage:
+    """A square polynomial matrix M sent to integers by one Kronecker substitution.
+
+    Each row is first divided by its content, a monomial, by subtracting
+    its key; `_shift`, the summed key, multiplies the determinant back at
+    the end.  Every exponent is then >= 0, and two bounds fix a box that
+    holds det M:
+      - each term of det M takes one entry from every row, so the exponent
+        of v is at most D_v, the sum over rows of the row's largest one;
+      - |coefficient| <= ||det M||_1 <= prod_i sum_j ||a_ij||_1 = B.
+    When every row has one total degree (a key's top digit), so does det M
+    (the sum of the rows'), and the last variable is set to 1: its
+    exponent is that degree minus the others'.
+
+    phi sends each packed variable v_i to X**s_i with X = 2**(8w), 8w - 1
+    >= the bits of B and s_i = prod_{j>i}(D_j + 1).  phi is a ring
+    homomorphism, so det phi(M) = phi(det M).  Inside the box distinct
+    exponent vectors land on distinct slots, and every coefficient is one
+    balanced base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
+    """
+
+    __slots__ = ("bits", "_lay", "_entries", "_shift", "_degree", "_units", "_radix", "_width")
+
+    def __init__(self, rows: Sequence[Sequence[Polynomial]]):
+        n = len(rows)
+        flat = share_layout(p for row in rows for p in row)
+        lay = self._lay = flat[0]._lay
+        exponents, top = lay.exponents, _BITS * len(lay.vars)
+        high = [0] * len(lay.vars)
+        shift = degree = 0
+        homogeneous, bound = True, 1
+        self._entries = []
+        for i in range(n):
+            row = flat[i * n:(i + 1) * n]
+            keys = [k for p in row for k in p._terms]
+            content = lay.content(keys) if keys else 0
+            shift += content
+            degrees = {(k - content) >> top for k in keys}
+            homogeneous = homogeneous and len(degrees) <= 1
+            degree += max(degrees, default=0)
+            entries = [[(exponents(k - content), c) for k, c in p._terms.items()] for p in row]
+            for v, column in enumerate(zip(*(e for entry in entries for e, _ in entry))):
+                high[v] += max(column)
+            bound *= sum(abs(c) for p in row for c in p._terms.values())
+            self._entries.append(entries)
+        units = list(lay.unit)
+        if homogeneous and units:  # the last variable is set to 1
+            high.pop()
+            self._degree = (degree, units.pop())
+        else:
+            self._degree = None
+        self._shift, self._units = shift, units
+        self._radix = [d + 1 for d in high]
+        self._width = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
+        self.bits = reduce(mul, self._radix, 8 * self._width)
+
+    def matrix(self) -> list[list[int]]:
+        """phi(M): entry sum_e c_e * X**(sum_i e_i * s_i) over the packed variables."""
+        shifts = [0] * (len(self._radix) + 1)  # in bits; the variable set to 1 shifts by 0
+        step = 8 * self._width
+        for i in reversed(range(len(self._radix))):
+            shifts[i] = step
+            step *= self._radix[i]
+        return [[sum(c << sum(map(mul, e, shifts)) for e, c in entry) for entry in row]
+                for row in self._entries]
+
+    def polynomial(self, value: int) -> Polynomial:
+        """det M from value = phi(det M); AssertionError if it leaves the box."""
+        w = self._width
+        nbytes = self.bits // 8
+        bias = int.from_bytes((bytes(w - 1) + b"\x80") * (nbytes // w), "little")  # X/2 per slot
+        try:  # offset digits, then each one's top bit flipped: two's complement slots
+            raw = ((value + bias) ^ bias).to_bytes(nbytes, "little")
+        except OverflowError:
+            raise AssertionError("the determinant's Kronecker image does not fit its box") from None
+        radix, units = self._radix[::-1], self._units[::-1]
+        terms: dict[int, int] = {}
+        for slot in range(nbytes // w):
+            c = int.from_bytes(raw[slot * w:(slot + 1) * w], "little", signed=True)
+            if c:
+                key, rest, total = self._shift, slot, 0
+                for r, unit in zip(radix, units):
+                    rest, e = divmod(rest, r)
+                    key += e * unit
+                    total += e
+                if self._degree:
+                    degree, unit = self._degree
+                    key += (degree - total) * unit
+                terms[key] = c
         self._lay.check_range(terms)
         return _new(self._lay, terms)
 

@@ -46,6 +46,8 @@ from treefactor import (
     xd,
     y,
 )
+from treefactor import laplacian
+from treefactor.polyring import _KroneckerImage
 
 # enumeration stays cheap below this many trees
 TREE_CAP = 3000
@@ -195,6 +197,89 @@ def test_edge_key_sums_match_per_tree_statistics():
     ]:
         with pytest.raises(SchemeMismatch):
             enumerate_sum(g, stat)
+
+
+# -- determinants: the Kronecker image against both polynomial methods ------
+
+
+def random_entry(rng: random.Random, variables, degree=None, big=False) -> Polynomial:
+    """0-3 random Laurent terms; all of total degree `degree` when it is given."""
+    terms: dict = {}
+    for _ in range(rng.randrange(0, 4)):
+        exps = {v: rng.randrange(-1, 2) for v in variables}
+        if degree is not None and variables:
+            last = variables[-1]
+            exps[last] = degree - sum(e for v, e in exps.items() if v != last)
+        c = rng.choice((-1, 1)) * (2 ** 40 - rng.randrange(3) if big else rng.randrange(1, 6))
+        mono = Monomial.of(exps)
+        terms[mono] = terms.get(mono, 0) + c
+    return Polynomial(terms)
+
+
+def random_matrix(rng: random.Random, n: int, variables, big=False) -> list:
+    """Rows that are each homogeneous, or all homogeneous but one, or mixed."""
+    shape = rng.choice(("homogeneous", "one-inhomogeneous", "mixed"))
+    rows = []
+    for i in range(n):
+        if shape == "mixed" or (shape == "one-inhomogeneous" and i == n - 1):
+            degree = None
+        else:
+            degree = rng.randrange(-1, 3)
+        rows.append([random_entry(rng, variables, degree, big) for _ in range(n)])
+    return rows
+
+
+def degenerate(rng: random.Random, rows: list) -> list:
+    """The matrix with a zero leading pivot, a zero row, or a dependent row."""
+    n = len(rows)
+    kind = rng.choice(("pivot", "zero-row", "singular"))
+    rows = [list(row) for row in rows]
+    if kind == "pivot":
+        rows[0][0] = Polynomial.zero()
+    elif kind == "zero-row":
+        rows[rng.randrange(n)] = [Polynomial.zero()] * n
+    elif n >= 2:
+        factor = random_entry(rng, [q(1)]) or Polynomial.one()
+        rows[-1] = [a * factor - b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_kronecker_determinant_matches_bareiss_and_cofactor():
+    rng = random.Random(7005)
+    pools = [[], [x(2)], [q(1), x(1)], [q(1), q(2), y(3)], [q(2), x(1), x(3), evar(1, 2)]]
+    seen = set()
+    for trial in range(300):
+        n = rng.randrange(1, 8)
+        variables = pools[trial % len(pools)]
+        big = trial % 6 == 5
+        rows = random_matrix(rng, n, variables, big)
+        if trial % 3 == 2:
+            rows = degenerate(rng, rows)
+        image = _KroneckerImage(rows)
+        if image.bits > 1 << 17:
+            continue  # four times the size `determinant` sends this way; seconds each
+        det = laplacian._kronecker_det(image)
+        assert det == laplacian._bareiss_det(rows), (n, variables, big)
+        if n <= 5:
+            assert det == laplacian._cofactor_det(rows), (n, variables, big)
+        seen.add((n, len(variables), big, det.is_zero, image._degree is None))
+    # every order, constant and one-variable matrices, 2**40 coefficients,
+    # zero determinants, and images with and without a variable set to 1
+    assert {key[0] for key in seen} == set(range(1, 8))
+    assert {key[1] for key in seen} >= {0, 1}
+    assert any(key[2] for key in seen) and any(key[3] for key in seen)
+    assert {key[4] for key in seen} == {False, True}
+
+
+def test_kronecker_image_rejects_a_value_outside_its_box():
+    rows = random_matrix(random.Random(7006), 3, [q(1), x(1)])
+    image = _KroneckerImage(rows)
+    with pytest.raises(AssertionError):
+        image.polynomial(1 << image.bits)
+    with pytest.raises(AssertionError):
+        image.polynomial(-(1 << image.bits))
+    with pytest.raises(AssertionError):
+        laplacian._divide_int(7, 2)
 
 
 # -- arithmetic against a dict-of-Monomial reference ------------------------

@@ -249,3 +249,33 @@ def test_enumerator_outputs_are_pinned():
         digest.update(f"{p.render()}\n{p.to_json()}\n".encode())
     assert len(cases) == 59
     assert digest.hexdigest() == "21eb5ccd4209042b1672ad029e89e51fe13682fe0903b8a3f70679ab078ed0b7"
+
+
+def test_determinant_takes_each_path_where_intended(monkeypatch):
+    # both elimination paths must stay in use: the Kronecker image for the
+    # small dense direction products, polynomial Bareiss for wide images
+    from treefactor import laplacian
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("_kronecker_det", "_bareiss_det", "_cofactor_det"):
+        monkeypatch.setattr(laplacian, name, counted(name, getattr(laplacian, name)))
+
+    def path(g, scheme):
+        calls.clear()
+        tree_enumerator_det(g, scheme)
+        return calls[0]
+
+    S = WeightScheme
+    for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 3, 3)]:
+        assert path(cartesian_product([complete_graph(d) for d in dims]), S.DIRECTION) == "_kronecker_det", dims
+    assert path(complete_graph(7), S.CAYLEY_PRUFER) == "_bareiss_det"
+    assert path(threshold_graph((5, 5, 5, 5, 5, 5)), S.THRESHOLD_IN_OUT) == "_bareiss_det"
+    assert path(cartesian_product([complete_graph(2), complete_graph(3)]), S.DECOUPLED) == "_bareiss_det"
+    assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_cofactor_det"
