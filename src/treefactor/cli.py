@@ -163,7 +163,10 @@ def _cmd_enumerate(args) -> int:
         scheme = WeightScheme(args.weights) if args.weights else SCHEME_FOR_STATISTIC[stat]
         remove = None
         if args.reduce:
-            r, s = _parse_ints(args.reduce, "--reduce")
+            indices = _parse_ints(args.reduce, "--reduce")
+            if len(indices) != 2:
+                raise argparse.ArgumentTypeError("--reduce takes two 1-based indices R,S")
+            r, s = indices
             if not (1 <= r <= g.n and 1 <= s <= g.n):
                 raise IndexOutOfRange(f"--reduce indices must be in 1..{g.n}")
             remove = (r - 1, s - 1)

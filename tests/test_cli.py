@@ -103,6 +103,13 @@ def test_enumerate_reduce_choice_is_irrelevant(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_enumerate_reduce_needs_exactly_two_indices(capsys):
+    for text in ("1,2,3", "1"):
+        rc, out, err = run(capsys, "enumerate", "--reduce", text, "K4")
+        assert (rc, out) == (2, "")
+        assert err == "error: --reduce takes two 1-based indices R,S\n"
+
+
 def test_enumerate_flag_conflicts(capsys):
     rc, _, err = run(capsys, "enumerate", "--brute", "--weights", "cayley", "K3")
     assert rc == 2 and "error" in err
