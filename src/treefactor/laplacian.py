@@ -214,8 +214,6 @@ def determinant(m: PolyMatrix, method: Optional[str] = None) -> Polynomial:
 
 def _cofactor_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     n = len(rows)
-    if n == 0:
-        return Polynomial.one()
     if n == 1:
         return rows[0][0]
     if n == 2:

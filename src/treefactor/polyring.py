@@ -31,7 +31,8 @@ are built only at the edge: Polynomial(dict), terms(), coefficient(),
 parse and JSON.  Division is decided in the Laurent ring, testing whether
 a leading term divides with one guard bit per digit of the keys (Monagan
 and Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
-46(7), 2011).
+46(7), 2011).  `_KroneckerImage` packs a square matrix of polynomials into
+integers and decodes its determinant's image, for `laplacian.determinant`.
 """
 
 from __future__ import annotations
