@@ -150,7 +150,7 @@ def _cmd_enumerate(args) -> int:
         print("error: --brute enumerates a statistic; --weights picks the determinant scheme",
               file=sys.stderr)
         return 2
-    if args.brute and args.reduce:
+    if args.brute and args.reduce is not None:
         print("error: --reduce applies to the determinant route", file=sys.stderr)
         return 2
     stat = TreeStatistic(args.stat) if args.stat else _DEFAULT_STAT[g.kind]
@@ -162,7 +162,7 @@ def _cmd_enumerate(args) -> int:
     else:
         scheme = WeightScheme(args.weights) if args.weights else SCHEME_FOR_STATISTIC[stat]
         remove = None
-        if args.reduce:
+        if args.reduce is not None:
             indices = _parse_ints(args.reduce, "--reduce")
             if len(indices) != 2:
                 raise argparse.ArgumentTypeError("--reduce takes two 1-based indices R,S")

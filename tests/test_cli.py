@@ -108,6 +108,10 @@ def test_enumerate_reduce_needs_exactly_two_indices(capsys):
         rc, out, err = run(capsys, "enumerate", "--reduce", text, "K4")
         assert (rc, out) == (2, "")
         assert err == "error: --reduce takes two 1-based indices R,S\n"
+    # an empty value is an error too, not the default choice
+    rc, out, err = run(capsys, "enumerate", "--reduce", "", "K4")
+    assert (rc, out) == (2, "")
+    assert err == "error: expected comma-separated integers for --reduce\n"
 
 
 def test_enumerate_flag_conflicts(capsys):
