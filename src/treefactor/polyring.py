@@ -393,7 +393,7 @@ class _KroneckerImage:
 
     Each row is first divided by its content, a monomial, by subtracting
     its key; `_shift`, the summed key, multiplies the determinant back at
-    the end.  Every exponent is then >= 0, and two bounds fix a box that
+    the end when it is decoded.  Every exponent is then >= 0, and two bounds fix a box that
     holds det M:
       - each term of det M takes one entry from every row, so the exponent
         of v is at most D_v, the sum over rows of the row's largest one;
@@ -409,7 +409,7 @@ class _KroneckerImage:
     balanced base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
     """
 
-    __slots__ = ("bits", "_lay", "_entries", "_shift", "_degree", "_units", "_radix", "_width")
+    __slots__ = ("bits", "_lay", "_entries", "_shift", "_units", "_radix", "_width")
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]):
         n = len(rows)
@@ -436,9 +436,11 @@ class _KroneckerImage:
         units = list(lay.unit)
         if homogeneous and units:  # the last variable is set to 1
             high.pop()
-            self._degree = (degree, units.pop())
-        else:
-            self._degree = None
+            last = units.pop()
+            # K is linear, so e_last = degree - sum(e) adds degree * last to
+            # the key and takes last off the unit of every other variable
+            shift += degree * last
+            units = [u - last for u in units]
         self._shift, self._units = shift, units
         self._radix = [d + 1 for d in high]
         self._width = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
@@ -468,14 +470,10 @@ class _KroneckerImage:
         for slot in range(nbytes // w):
             c = int.from_bytes(raw[slot * w:(slot + 1) * w], "little", signed=True)
             if c:
-                key, rest, total = self._shift, slot, 0
+                key, rest = self._shift, slot
                 for r, unit in zip(radix, units):
                     rest, e = divmod(rest, r)
                     key += e * unit
-                    total += e
-                if self._degree:
-                    degree, unit = self._degree
-                    key += (degree - total) * unit
                 terms[key] = c
         self._lay.check_range(terms)
         return _new(self._lay, terms)
