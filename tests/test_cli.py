@@ -1,12 +1,15 @@
 """Command-line interface: parsing, verbs, formats, exit codes."""
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from treefactor import Polynomial, Verdict
+from treefactor import ExponentOverflow, FormMismatch, Polynomial, Verdict
 from treefactor.cli import ParseError, main, parse_spec
 
 
@@ -270,3 +273,134 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "16\n"
+
+
+# Every verb with and without --json, all eight verify targets, and exit
+# codes 0, 2 and 3 from the library's own inputs.
+_TRANSCRIPT = [line.split() for line in """
+count K4
+count --json K4
+count K3(2)
+count Q3
+count T:3,1,1,1
+count --json K2xK3
+count T:1,1,0
+count K1
+count K2(2)xK3
+count Zebra
+count K0
+count Qx
+count T:2,2,1,1
+enumerate K3
+enumerate --json K3
+enumerate Q2
+enumerate --json Q2
+enumerate T:3,1,1,1
+enumerate K2xK3
+enumerate K3(2)
+enumerate --weights direction K2xK3
+enumerate --weights generic K3
+enumerate --brute K4
+enumerate --brute --json K2xK2
+enumerate --brute --stat inout T:3,1,1,1
+enumerate --reduce 1,2 K4
+enumerate --reduce 5,1 K4
+enumerate --reduce 1,2,3 K4
+enumerate --brute --weights cayley K3
+enumerate --brute --reduce 1,1 K3
+enumerate --stat inout Q2
+enumerate T:1,1,0
+enumerate --brute T:1,1,0
+enumerate --brute --cap 100 K6
+enumerate --brute --cap 100 --json K6
+spectrum K2xK3
+spectrum --json K2xK3
+spectrum K4
+spectrum K3(2)
+spectrum --json Q3
+spectrum K2(2)xK3
+spectrum T:3,1,1,1
+verify cayley --n 4
+verify cayley --json --n 5
+verify cayley --n 1
+verify directions --dims 2,3
+verify directions --json --dims 2,2,2
+verify directions --dims 2,zz
+verify divisibility --dims 2,2
+verify divisibility --json --dims 2,3
+verify cube --n 2
+verify cube --json --n 3
+verify cube --brute --n 2
+verify threshold --lam 3,1,1,1
+verify threshold --json --lam 3,3,2,2
+verify threshold --lam 2,2,1,1
+verify cube-null --n 3 --set 1,2
+verify cube-null --json --n 3 --set 1,2,3
+verify cube-null --n 2 --set 1
+verify decoupled-null --dims 2,3 --dir 1
+verify decoupled-null --json --dims 2,3 --dir 2
+verify decoupled-null --dims 2,3 --dir 3
+verify threshold-null --lam 3,3,2,2
+verify threshold-null --json --lam 4,2,2,1,1
+conjecture-scan --dims 2,2
+conjecture-scan --json --dims 2,3
+conjecture-scan --dims 0
+conjecture-scan --dims x
+""".strip().split("\n")]
+
+# Usage errors and help that argparse writes itself.
+_ARGPARSE_TRANSCRIPT = [[], ["nosuch"], ["verify"], ["verify", "nosuch"], ["verify", "--help"],
+                        ["--help"], ["verify", "cayley"], ["enumerate", "K3", "--stat", "nosuch"]]
+
+# Exit code 1 and the remaining error paths, through patched library calls.
+_PATCHED_TRANSCRIPT = [line.split() for line in """
+verify cayley --n 4
+verify cayley --json --n 4
+verify directions --dims 2,3
+verify cube --n 2
+conjecture-scan --dims 2,2
+conjecture-scan --json --dims 2,2
+""".strip().split("\n")]
+
+
+def _transcript(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _argparse_text(text):
+    # Python 3.13 drops the quotes around choices and wraps usage lines
+    # differently, so argparse's own text is compared word by word
+    return " ".join(text.replace("'", "").split())
+
+
+def test_cli_transcript_digest(monkeypatch):
+    import treefactor.cli as cli
+
+    digest = hashlib.sha256()
+
+    def record(argv, rc, out, err):
+        digest.update(json.dumps([argv, rc, out, err]).encode() + b"\n")
+
+    for argv in _TRANSCRIPT:
+        record(argv, *_transcript(argv))
+    for argv in _ARGPARSE_TRANSCRIPT:
+        rc, out, err = _transcript(argv)
+        record(argv, rc, _argparse_text(out), _argparse_text(err))
+
+    def overflow(n):
+        raise ExponentOverflow("exponent 268435456 of x1 is outside [-2**28, 2**28)")
+
+    def mismatch(dims):
+        raise FormMismatch("the two direction-count expansions disagree")
+
+    monkeypatch.setattr(cli, "verify_cayley", lambda n: Verdict(f"cayley:n={n}", "Refuted", "x1", 1.5))
+    monkeypatch.setattr(cli, "verify_directions", mismatch)
+    monkeypatch.setattr(cli, "verify_cube", lambda n, use_brute: overflow(n))
+    monkeypatch.setattr(cli, "conjecture_scan", lambda dims: (
+        Verdict("nonneg:dims=2x2", "Refuted", "min coefficient -1 at x2", 2.5), Polynomial.parse("x1 - x2")))
+    for argv in _PATCHED_TRANSCRIPT:
+        record(argv, *_transcript(argv))
+    assert digest.hexdigest() == "16352415b4caaef34e98d4fddba046ea7e586f63d0a5c6f9b94c099317eeff47"

@@ -1,5 +1,8 @@
 """Closed-form product formulas against the enumeration and determinant routes."""
 
+import hashlib
+import warnings
+
 import pytest
 
 from treefactor import (
@@ -83,6 +86,24 @@ def test_directions_rhs_rejects_bad_dims():
         directions_rhs(())
     with pytest.raises(InvalidSize):
         directions_rhs((2, 0))
+
+
+# unit factors, one direction, and the direction products the benchmark checks
+_SPECTRAL_DIMS = [(2,), (5,), (1, 2), (2, 1, 3), (1, 1),
+                  (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 3, 3),
+                  (2, 5), (3, 4), (5, 5), (3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 2, 2)]
+
+
+def test_direction_forms_digest():
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for dims in _SPECTRAL_DIMS:
+            rhs = directions_rhs(dims)
+            digest.update(f"{dims}\n{rhs.render()}\n{rhs.to_json()}\n".encode())
+            for base, e in decoupled_enumerator_factors(dims):
+                digest.update(f"{base.render()}\t{base.to_json()}\t{e}\n".encode())
+    assert digest.hexdigest() == "6f49bfa286a7ee34c0b25db1f613f3da5777131f0bbafd37048e9370e879d017"
 
 
 def test_product_spectrum_subset_order():
