@@ -19,19 +19,13 @@ import sys
 from typing import Optional, Sequence
 
 from .formulas import (
-    Disconnected,
     FormMismatch,
-    InvalidSize,
     NotDivisibleCount,
     product_spectrum,
 )
 from .graphs import (
-    EmptyFactor,
     Graph,
-    InvalidSize as GraphInvalidSize,
-    NotThresholdSequence,
     cartesian_product,
-    complete_graph,
     hypercube,
     multigraph_kn,
     threshold_graph,
@@ -105,7 +99,7 @@ def parse_spec(text: str) -> Graph:
             mult = int(m.group(2)) if m.group(2) else 1
             if n < 1:
                 raise ParseError(text, pos, "complete graph needs at least one vertex")
-            factors.append(multigraph_kn(n, mult) if mult > 1 else complete_graph(n))
+            factors.append(multigraph_kn(n, mult))
             pos += len(chunk) + 1
         if len(factors) == 1:
             return factors[0]
@@ -204,66 +198,33 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _print_verdicts(verdicts: Sequence[Verdict], args) -> int:
+def _verdict_line(v: Verdict) -> str:
+    line = f"{v.claim_id}: {v.status}"
+    return f"{line} -- {v.witness}" if v.witness else line
+
+
+def _verdict_row(v: Verdict) -> dict:
+    row = v.to_json_obj()
+    row["elapsed_ms"] = 0.0  # byte-identical output across runs
+    return row
+
+
+def _cmd_verify(args) -> int:
+    verdicts = sorted(args.check(args), key=lambda v: v.claim_id)
     if args.json:
-        rows = []
-        for v in sorted(verdicts, key=lambda v: v.claim_id):
-            row = v.to_json_obj()
-            row["elapsed_ms"] = 0.0  # byte-identical output across runs
-            rows.append(row)
-        payload = json.dumps(rows, indent=2)
+        payload = json.dumps([_verdict_row(v) for v in verdicts], indent=2)
     else:
-        lines = []
-        for v in sorted(verdicts, key=lambda v: v.claim_id):
-            line = f"{v.claim_id}: {v.status}"
-            if v.witness:
-                line += f" -- {v.witness}"
-            lines.append(line)
-        payload = "\n".join(lines)
+        payload = "\n".join(_verdict_line(v) for v in verdicts)
     _emit(payload, args.out)
     return 0 if all(v.ok for v in verdicts) else 1
 
 
-def _cmd_verify(args) -> int:
-    target = args.target
-    if target == "cayley":
-        verdicts = [verify_cayley(args.n)]
-    elif target == "directions":
-        verdicts = [verify_directions(_parse_ints(args.dims, "--dims"))]
-    elif target == "divisibility":
-        verdicts, _ = verify_divisibility(_parse_ints(args.dims, "--dims"))
-    elif target == "cube":
-        verdicts = [verify_cube(args.n, use_brute=args.brute)]
-    elif target == "threshold":
-        verdicts = [verify_threshold(_parse_ints(args.lam, "--lam"))]
-    elif target == "cube-null":
-        subset = _parse_ints(args.set, "--set")
-        verdicts = [verify_cube_nullvector(args.n, subset)]
-    elif target == "decoupled-null":
-        verdicts = [verify_decoupled_nullvectors(_parse_ints(args.dims, "--dims"), args.dir)]
-    elif target == "threshold-null":
-        verdicts = verify_threshold_nullvectors(_parse_ints(args.lam, "--lam"))
-    else:
-        print(f"error: unknown verify target {target!r}", file=sys.stderr)
-        return 2
-    return _print_verdicts(verdicts, args)
-
-
 def _cmd_scan(args) -> int:
-    dims = _parse_ints(args.dims, "--dims")
-    verdict, quotient = conjecture_scan(dims)
+    verdict, quotient = conjecture_scan(_parse_ints(args.dims, "--dims"))
     if args.json:
-        row = verdict.to_json_obj()
-        row["elapsed_ms"] = 0.0
-        row["quotient_terms"] = quotient.n_terms
-        payload = json.dumps(row, indent=2)
+        payload = json.dumps(dict(_verdict_row(verdict), quotient_terms=quotient.n_terms), indent=2)
     else:
-        lines = [f"note: quotient has {quotient.n_terms} terms"]
-        line = f"{verdict.claim_id}: {verdict.status}"
-        if verdict.witness:
-            line += f" -- {verdict.witness}"
-        lines.append(line)
-        payload = "\n".join(lines)
+        payload = f"note: quotient has {quotient.n_terms} terms\n{_verdict_line(verdict)}"
     _emit(payload, args.out)
     return 0 if verdict.ok else 1
 
@@ -301,25 +262,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a factorization or nullvector claim")
     vsub = v.add_subparsers(dest="target", required=True)
+    # each target's check looks its verify_* up at call time
     vc = vsub.add_parser("cayley", parents=[common])
     vc.add_argument("--n", type=int, required=True)
+    vc.set_defaults(check=lambda a: [verify_cayley(a.n)])
     vd = vsub.add_parser("directions", parents=[common])
     vd.add_argument("--dims", required=True)
+    vd.set_defaults(check=lambda a: [verify_directions(_parse_ints(a.dims, "--dims"))])
     vv = vsub.add_parser("divisibility", parents=[common])
     vv.add_argument("--dims", required=True)
+    vv.set_defaults(check=lambda a: verify_divisibility(_parse_ints(a.dims, "--dims"))[0])
     vq = vsub.add_parser("cube", parents=[common])
     vq.add_argument("--n", type=int, required=True)
     vq.add_argument("--brute", action="store_true")
+    vq.set_defaults(check=lambda a: [verify_cube(a.n, use_brute=a.brute)])
     vt = vsub.add_parser("threshold", parents=[common])
     vt.add_argument("--lam", required=True)
+    vt.set_defaults(check=lambda a: [verify_threshold(_parse_ints(a.lam, "--lam"))])
     vcn = vsub.add_parser("cube-null", parents=[common])
     vcn.add_argument("--n", type=int, required=True)
     vcn.add_argument("--set", required=True, help="direction subset, e.g. 1,3")
+    vcn.set_defaults(check=lambda a: [verify_cube_nullvector(a.n, _parse_ints(a.set, "--set"))])
     vdn = vsub.add_parser("decoupled-null", parents=[common])
     vdn.add_argument("--dims", required=True)
     vdn.add_argument("--dir", type=int, required=True)
+    vdn.set_defaults(check=lambda a: [verify_decoupled_nullvectors(_parse_ints(a.dims, "--dims"), a.dir)])
     vtn = vsub.add_parser("threshold-null", parents=[common])
     vtn.add_argument("--lam", required=True)
+    vtn.set_defaults(check=lambda a: verify_threshold_nullvectors(_parse_ints(a.lam, "--lam")))
     v.set_defaults(fn=_cmd_verify)
 
     cs = sub.add_parser("conjecture-scan", parents=[common],
@@ -340,9 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, NotThresholdSequence, SchemeMismatch, IndexOutOfRange,
-            InvalidSize, GraphInvalidSize, EmptyFactor, Disconnected,
-            argparse.ArgumentTypeError, ValueError, ExponentOverflow) as exc:
+    except (ValueError, IndexOutOfRange, argparse.ArgumentTypeError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FormMismatch, NotDivisibleCount) as exc:

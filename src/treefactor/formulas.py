@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .graphs import (
+    InvalidSize,
     Partition,
     PartitionLike,
     _coerce_partition,
@@ -42,10 +43,6 @@ class Disconnected(ValueError):
     """Formula requires a connected graph."""
 
 
-class InvalidSize(ValueError):
-    """Size parameter out of range."""
-
-
 def cayley_prufer_rhs(n: int) -> Polynomial:
     """x1...xn times (x1+...+xn)^(n-2): the degree-weighted tree sum of K_n."""
     if n < 2:
@@ -73,9 +70,11 @@ def _subset_eigenvalue(subset: Sequence[tuple[int, int]]) -> Polynomial:
 def directions_rhs(dims: Sequence[int]) -> Polynomial:
     """Direction-weighted tree sum of a product of complete graphs.
 
-    Computed two ways: the all-subsets product divided by the vertex count,
-    and the subsets-of-size->=2 product with the single-direction part
-    pulled out front.  Both expansions must agree exactly.
+    Computed two ways that must agree exactly: Kirchhoff's product of the
+    nonzero Laplacian eigenvalues divided by the vertex count
+    (`count_from_spectrum` of `product_spectrum`), and the product over
+    direction subsets of size >= 2 with the single-direction part pulled
+    out front.
     """
     kept = _clean_dims(dims)
     if not kept:
@@ -84,14 +83,7 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     for _, d in kept:
         total *= d
 
-    form1 = Polynomial.one()
-    for r in range(1, len(kept) + 1):
-        for subset in combinations(kept, r):
-            mult = 1
-            for _, d in subset:
-                mult *= d - 1
-            form1 = form1 * _subset_eigenvalue(subset) ** mult
-    form1 = div_exact(form1, total)
+    form1 = count_from_spectrum(product_spectrum(dims), total)
 
     form2 = Polynomial.one()
     for i, d in kept:
@@ -195,7 +187,7 @@ def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, 
             factors.append((Polynomial.variable(xd(i, j)), total // d))
     for i, d in kept:
         if d - 2 > 0:
-            factors.append((poly_sum(Polynomial.variable(xd(i, j)) for j in range(1, d + 1)), d - 2))
+            factors.append((coordinate_sum(i, d), d - 2))
     return factors
 
 

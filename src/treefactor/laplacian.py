@@ -186,30 +186,24 @@ def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
 _KRONECKER_BITS = 1 << 15
 
 
-def determinant(m: PolyMatrix, method: Optional[str] = None) -> Polynomial:
+def determinant(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    By default: cofactor expansion up to 4x4.  Above that, the bounds are
-    taken before anything is packed: an image phi(M) of at most 2**15 bits
-    (slots times 8w) is eliminated over the integers and decoded once;
-    a larger one goes to Bareiss over the polynomials.  `method="cofactor"`
-    or `"bareiss"` forces that method.
+    Cofactor expansion up to 4x4.  Above that, the bounds are taken before
+    anything is packed: an image phi(M) of at most 2**15 bits (slots times
+    8w) is eliminated over the integers and decoded once; a larger one goes
+    to Bareiss over the polynomials.  The path follows from the matrix
+    alone; `_cofactor_det` and `_bareiss_det` take the rows directly.
     """
     rows = m.rows
     if not rows:
         return Polynomial.one()
-    if method is None:
-        if m.size <= 4:
-            return _cofactor_det(rows)
-        image = _KroneckerImage(rows)
-        if image.bits <= _KRONECKER_BITS:
-            return _kronecker_det(image)
-        method = "bareiss"
-    if method == "cofactor":
+    if m.size <= 4:
         return _cofactor_det(rows)
-    if method == "bareiss":
-        return _bareiss_det(rows)
-    raise ValueError(f"unknown determinant method {method!r}")
+    image = _KroneckerImage(rows)
+    if image.bits <= _KRONECKER_BITS:
+        return _kronecker_det(image)
+    return _bareiss_det(rows)
 
 
 def _cofactor_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:

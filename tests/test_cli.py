@@ -250,6 +250,13 @@ def test_spec_errors_exit_two(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_zero_multiplicity_is_rejected(capsys):
+    for argv in (["count", "K2(0)"], ["count", "K3xK2(0)"], ["enumerate", "--brute", "K2(0)"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: edge multiplicity must be at least 1\n"
+
+
 def test_usage_error_from_argparse(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -81,6 +81,14 @@ def test_directions_rhs_strips_unit_factors():
         assert directions_rhs((1, 1)) == Polynomial.one()
 
 
+def test_size_errors_share_one_class():
+    import treefactor
+
+    for build, arg in [(cayley_prufer_rhs, 1), (cube_rhs, 0), (directions_rhs, ()), (product_spectrum, (0,))]:
+        with pytest.raises(treefactor.InvalidSize):
+            build(arg)
+
+
 def test_directions_rhs_rejects_bad_dims():
     with pytest.raises(InvalidSize):
         directions_rhs(())
@@ -104,6 +112,23 @@ def test_direction_forms_digest():
             for base, e in decoupled_enumerator_factors(dims):
                 digest.update(f"{base.render()}\t{base.to_json()}\t{e}\n".encode())
     assert digest.hexdigest() == "6f49bfa286a7ee34c0b25db1f613f3da5777131f0bbafd37048e9370e879d017"
+
+
+def test_directions_self_check_compares_against_the_spectrum(monkeypatch):
+    import treefactor.formulas as formulas
+
+    spectrum = formulas.product_spectrum
+
+    def doubled_first_direction(dims, qs=None):
+        # the pair at position 1 is direction set {1}
+        pairs = list(spectrum(dims, qs))
+        pairs[1] = (pairs[1][0] * 2, pairs[1][1])
+        return Spectrum(pairs)
+
+    monkeypatch.setattr(formulas, "product_spectrum", doubled_first_direction)
+    for dims in [(2, 3), (3, 3), (2, 2, 2)]:
+        with pytest.raises(FormMismatch):
+            directions_rhs(dims)
 
 
 def test_product_spectrum_subset_order():

@@ -16,7 +16,6 @@ from treefactor import (
     cartesian_product,
     complete_graph,
     connected_threshold_sequences,
-    determinant,
     edge_weight,
     hypercube,
     multigraph_kn,
@@ -27,6 +26,7 @@ from treefactor import (
     weighted_laplacian,
     x,
 )
+from treefactor import laplacian
 
 P = Polynomial.parse
 
@@ -135,8 +135,8 @@ def test_determinant_3x3_permutation_oracle():
             for i in range(3):
                 term = term * rows[i][perm[i]]
             expected = expected + (term if inv % 2 == 0 else -term)
-        assert determinant(m, method="cofactor") == expected
-        assert determinant(m, method="bareiss") == expected
+        assert laplacian._cofactor_det(m.rows) == expected
+        assert laplacian._bareiss_det(m.rows) == expected
 
 
 def _rand_poly(rng, vars_, laurent=True):
@@ -159,7 +159,7 @@ def test_determinant_methods_agree_on_random_matrices():
     for _ in range(60):
         n = rng.randrange(1, 5)
         m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-        assert determinant(m, method="bareiss") == determinant(m, method="cofactor")
+        assert laplacian._bareiss_det(m.rows) == laplacian._cofactor_det(m.rows)
 
 
 def test_determinant_methods_agree_on_reduced_laplacians():
@@ -172,7 +172,7 @@ def test_determinant_methods_agree_on_reduced_laplacians():
     for g, scheme in cases:
         lap = weighted_laplacian(g, scheme)
         minor, _ = reduce_matrix(lap, g.n - 1, g.n - 1)
-        assert determinant(minor, method="bareiss") == determinant(minor, method="cofactor")
+        assert laplacian._bareiss_det(minor.rows) == laplacian._cofactor_det(minor.rows)
 
 
 def test_full_laplacian_is_singular():
@@ -182,7 +182,7 @@ def test_full_laplacian_is_singular():
         (cartesian_product([complete_graph(3), complete_graph(3)]), WeightScheme.DIRECTION),
     ]:
         lap = weighted_laplacian(g, scheme)
-        assert determinant(lap, method="bareiss").is_zero
+        assert laplacian._bareiss_det(lap.rows).is_zero
 
 
 def test_enumerator_independent_of_removal_choice():
@@ -219,7 +219,7 @@ def test_bareiss_divides_exactly_over_laurent_entries():
     for n in (5, 6):
         for _ in range(4):
             m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-            assert determinant(m, method="bareiss") == determinant(m, method="cofactor")
+            assert laplacian._bareiss_det(m.rows) == laplacian._cofactor_det(m.rows)
 
 
 def _pinned_enumerator_cases():
