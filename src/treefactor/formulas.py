@@ -83,7 +83,10 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     for _, d in kept:
         total *= d
 
-    form1 = count_from_spectrum(product_spectrum(dims), total)
+    # the kept factors' spectrum on their own direction variables: each
+    # stripped unit factor would double the subsets and add nothing
+    spectrum = product_spectrum([d for _, d in kept], qs=[Polynomial.variable(q(i)) for i, _ in kept])
+    form1 = count_from_spectrum(spectrum, total)
 
     form2 = Polynomial.one()
     for i, d in kept:

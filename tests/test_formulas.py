@@ -131,6 +131,18 @@ def test_directions_self_check_compares_against_the_spectrum(monkeypatch):
             directions_rhs(dims)
 
 
+def test_directions_spectrum_leaves_out_unit_factors(monkeypatch):
+    import treefactor.formulas as formulas
+
+    sizes = []
+    spectrum = formulas.product_spectrum
+    monkeypatch.setattr(formulas, "product_spectrum",
+                        lambda dims, qs=None: sizes.append(tuple(dims)) or spectrum(dims, qs))
+    with pytest.warns(UserWarning):
+        assert directions_rhs((1,) * 6 + (3,)) == P("3*q7^2")
+    assert sizes == [(3,)]
+
+
 def test_product_spectrum_subset_order():
     spec = product_spectrum((2, 3))
     assert len(spec) == 4
