@@ -25,6 +25,7 @@ from .graphs import (
 from .polyring import (
     Monomial,
     Polynomial,
+    _coerce_poly,
     div_exact,
     poly_product,
     poly_sum,
@@ -133,9 +134,7 @@ def product_spectrum(dims: Sequence[int], qs: Optional[Sequence[Union[int, Polyn
     r = len(dims)
     values: list[Polynomial] = []
     for i, d in enumerate(dims, start=1):
-        base = Polynomial.variable(q(i))
-        if qs is not None:
-            base = base.substitute({q(i): qs[i - 1]})
+        base = Polynomial.variable(q(i)) if qs is None else _coerce_poly(qs[i - 1])
         values.append(base * d)
     pairs: list[tuple[Polynomial, int]] = []
     for mask in range(1 << r):
