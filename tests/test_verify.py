@@ -1,5 +1,6 @@
 """Verdict machinery and the mechanical verification routines."""
 
+import hashlib
 import json
 
 import pytest
@@ -263,3 +264,52 @@ def test_verdicts_deterministic_apart_from_timing():
 
 def test_decoupled_enumerator_is_cached():
     assert decoupled_enumerator((2, 2)) is decoupled_enumerator((2, 2))
+
+
+def _nullvector_verdicts():
+    from itertools import combinations
+
+    from treefactor import connected_threshold_sequences
+
+    verdicts = []
+    for n in range(5, 9):
+        for lam in connected_threshold_sequences(n):
+            verdicts += verify_threshold_nullvectors(lam)
+    for n in (3, 4):
+        for r in range(2, n + 1):
+            verdicts += [verify_cube_nullvector(n, a_set) for a_set in combinations(range(1, n + 1), r)]
+    for dims in [(2, 3), (3, 3), (2, 3, 4)]:
+        verdicts += [verify_decoupled_nullvectors(dims, i) for i in range(1, len(dims) + 1)]
+    return verdicts
+
+
+def _verdicts_digest():
+    digest = hashlib.sha256()
+    for v in _nullvector_verdicts():
+        digest.update(json.dumps([v.claim_id, v.status, v.witness]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_nullvector_verdicts_are_pinned(monkeypatch):
+    # threshold n = 5..8, cube n = 3, 4 with every subset of size >= 2 and
+    # decoupled (2,3), (3,3), (2,3,4) in every direction: as they are, with
+    # the three divisor builders plus 1, and with x1 on diagonal entry 1
+    import treefactor.verify as verify
+
+    assert _verdicts_digest() == "2f9471594086eef3bc6ce9820ee0e133d7bbef998dfa81fc0af19370e87c8510"
+
+    with monkeypatch.context() as patched:
+        for name in ("threshold_f_factor", "cube_subset_factor", "coordinate_sum"):
+            real = getattr(verify, name)
+            patched.setattr(verify, name, lambda *args, real=real: real(*args) + 1)
+        assert _verdicts_digest() == "46a83a1b4951013c468309fd93a5b41da4024631e217f9ddcce41a3579ec7a0a"
+
+    real = verify.weighted_laplacian
+
+    def bumped(g, scheme):
+        rows = [list(row) for row in real(g, scheme).rows]
+        rows[1][1] = rows[1][1] + P("x1")
+        return PolyMatrix(rows)
+
+    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    assert _verdicts_digest() == "d3ded63e6ae9359477c26bbd36468f4c1f6025865f1e30e929a590e2f32127ba"
