@@ -9,6 +9,7 @@ exact integer-coefficient divisions performed after full expansion.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -26,6 +27,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     _coerce_poly,
+    _variable_polys,
     div_exact,
     poly_product,
     poly_sum,
@@ -195,15 +197,17 @@ def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, 
 
 def coordinate_sum(i: int, size: int) -> Polynomial:
     """x(i,1) + ... + x(i,size): the divisor tied to direction i."""
-    return poly_sum(Polynomial.variable(xd(i, j)) for j in range(1, size + 1))
+    return poly_sum(_variable_polys([xd(i, j) for j in range(1, size + 1)]))
 
 
 def cube_subset_factor(subset: Sequence[int]) -> Polynomial:
     """sum_{i in A} q_i (x_i^-1 + x_i) for a direction subset A."""
+    members = sorted(set(subset))
+    polys = _variable_polys([*map(q, members), *map(x, members)])
+    qs, xs = dict(zip(members, polys)), dict(zip(members, polys[len(members):]))
     total = Polynomial.zero()
     for i in subset:
-        pal = Polynomial.monomial(Monomial.of({x(i): -1})) + Polynomial.variable(x(i))
-        total = total + Polynomial.variable(q(i)) * pal
+        total = total + qs[i] * (xs[i] ** -1 + xs[i])
     return total
 
 
@@ -270,12 +274,23 @@ def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     return out
 
 
+@lru_cache(maxsize=64)
+def _in_out_variables(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """x1..xn and y1..yn keyed over their one layout, the layout of the
+    in/out weights on a threshold graph with n vertices."""
+    polys = _variable_polys([*(x(i) for i in range(1, n + 1)), *(y(i) for i in range(1, n + 1))])
+    return tuple(polys[:n]), tuple(polys[n:])
+
+
 def threshold_f_factor(lam: Partition, r: int) -> Polynomial:
     """y_r*(x_1+..+x_r) + x_r*(y_{r+1}+..+y_{1+lam_r}): the row-r divisor
-    for rows inside the staircase."""
-    head = Polynomial.variable(y(r)) * poly_sum(Polynomial.variable(x(i)) for i in range(1, r + 1))
-    tail = poly_sum(Polynomial.variable(y(i)) for i in range(r + 1, lam[r - 1] + 2))
-    return head + Polynomial.variable(x(r)) * tail
+    for rows inside the staircase.
+
+    Keyed over the in/out layout of the threshold graph, so its nullvector
+    check divides by it as it is.
+    """
+    xs, ys = _in_out_variables(max(len(lam), lam[r - 1] + 1))  # xs[i - 1] is x_i
+    return ys[r - 1] * poly_sum(xs[:r]) + xs[r - 1] * poly_sum(ys[r:lam[r - 1] + 1])
 
 
 def threshold_g_factor(lam: Partition, r: int) -> Polynomial:

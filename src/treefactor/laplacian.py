@@ -5,6 +5,13 @@ the diagonal and the sum of incident weights on it, so every row and
 column sums to zero.  Striking row r and column s leaves a matrix whose
 determinant, times (-1)^(r+s), is the weighted spanning tree sum.
 
+Each weight scheme has one key table: a layout of variables that the
+scheme fixes from the graph's shape, built once, and the packed key of
+every edge's weight over it (`_weight_table`).  `weighted_laplacian` adds
+each edge's key, times its multiplicity, into the four cells it touches, and
+`edge_weight` reads its key from the same table, so each scheme's weight is
+written once and no polynomial is built per edge.
+
 Determinants are computed exactly, by one of three paths:
   - cofactor expansion, for orders up to 4;
   - fraction-free Bareiss elimination over the integers, after one
@@ -30,10 +37,12 @@ from typing import Callable, Optional, Sequence
 
 from .graphs import Edge, Graph, is_connected
 from .polyring import (
-    Monomial,
     NotDivisible,
     Polynomial,
     _KroneckerImage,
+    _Layout,
+    _layout,
+    _new,
     div_exact,
     evar,
     q,
@@ -76,35 +85,58 @@ def check_scheme(g: Graph, scheme: WeightScheme) -> None:
         raise SchemeMismatch(f"{scheme.value} weights are not defined on a {g.kind} graph")
 
 
-def edge_weight(g: Graph, edge: Edge, scheme: WeightScheme) -> Polynomial:
-    """Weight monomial of one edge (multiplicity not included)."""
-    check_scheme(g, scheme)
-    u, v, direction = edge.u, edge.v, edge.direction
+def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tuple[_Layout, list[int]]:
+    """The layout `scheme` fixes for g, and the packed key of each edge's weight over it.
+
+    The layout's variables are built once: x1..xn for degrees; x1..xn and
+    y1..yn for in/out degrees; q_i for each direction with edges; q1..qr and
+    x1..xr on the r-cube; those q_i and every coordinate x(i,j) for the
+    decoupled weights; e(u,v) for each edge of g under generic weights.  A
+    weight is a product of variables, so its key is a sum of their keys.
+    """
+    n = g.n
+    vertices = range(1, n + 1)
     if scheme is WeightScheme.GENERIC:
-        return Polynomial.variable(evar(u + 1, v + 1))
-    if scheme is WeightScheme.CAYLEY_PRUFER:
-        return Polynomial.monomial(Monomial.of({x(u + 1): 1}) * Monomial.of({x(v + 1): 1}))
-    if scheme is WeightScheme.DIRECTION:
-        return Polynomial.variable(q(direction))
-    if scheme is WeightScheme.DECOUPLED:
-        exps: dict = {q(direction): 1}
-        for label in (g.labels[u], g.labels[v]):
-            for t, member in enumerate(label, start=1):
-                key = xd(t, member)
-                exps[key] = exps.get(key, 0) + 1
-        return Polynomial.monomial(Monomial.of(exps))
-    if scheme is WeightScheme.CUBE_LAURENT:
-        s_set = g.labels[u]
-        n = len(g.dims)
-        exps = {q(direction): 1}
-        for t in range(1, n + 1):
-            if t == direction:
-                continue
-            exps[x(t)] = 1 if t in s_set else -1
-        return Polynomial.monomial(Monomial.of(exps))
-    if scheme is WeightScheme.THRESHOLD_IN_OUT:
-        return Polynomial.monomial(Monomial.of({x(u + 1): 1, y(v + 1): 1}))
-    raise SchemeMismatch(f"unknown scheme {scheme!r}")
+        pairs = sorted({(e.u + 1, e.v + 1) for e in g.edges})
+        lay = _layout(tuple(evar(u, v) for u, v in pairs))
+        pair_keys = dict(zip(pairs, lay.unit))
+        keys = [pair_keys[e.u + 1, e.v + 1] for e in edges]
+    elif scheme is WeightScheme.CAYLEY_PRUFER:
+        lay = _layout(tuple(map(x, vertices)))
+        xs = lay.unit
+        keys = [xs[e.u] + xs[e.v] for e in edges]
+    elif scheme is WeightScheme.THRESHOLD_IN_OUT:
+        lay = _layout((*map(x, vertices), *map(y, vertices)))
+        xs, ys = lay.unit[:n], lay.unit[n:]
+        keys = [xs[e.u] + ys[e.v] for e in edges]
+    elif scheme is WeightScheme.CUBE_LAURENT:
+        directions = range(1, len(g.dims) + 1)
+        lay = _layout((*map(q, directions), *map(x, directions)))
+        qs, xs = lay.unit[:len(directions)], lay.unit[len(directions):]
+        # x_t or 1/x_t as t is in the lower endpoint's subset or not, off the edge's direction
+        keys = [qs[e.direction - 1] + sum(xs[t - 1] if t in g.labels[e.u] else -xs[t - 1]
+                                          for t in directions if t != e.direction) for e in edges]
+    else:
+        directions = [i for i, d in enumerate(g.dims, start=1) if d > 1]
+        coords = []
+        if scheme is WeightScheme.DECOUPLED:
+            coords = [(i, m) for i, d in enumerate(g.dims, start=1) for m in range(1, d + 1)]
+        lay = _layout((*map(q, directions), *(xd(i, m) for i, m in coords)))
+        qs = dict(zip(directions, lay.unit))
+        xs = dict(zip(coords, lay.unit[len(directions):]))
+        keys = [qs[e.direction] for e in edges]
+        if coords:  # decoupled: both endpoints' coordinates, labels being 1-based tuples
+            keys = [k + sum(xs[t, m] for label in (g.labels[e.u], g.labels[e.v]) for t, m in enumerate(label, start=1))
+                    for k, e in zip(keys, edges)]
+    lay.check_range(keys)
+    return lay, keys
+
+
+def edge_weight(g: Graph, edge: Edge, scheme: WeightScheme) -> Polynomial:
+    """Weight monomial of one edge (multiplicity not included), from the scheme's key table."""
+    check_scheme(g, scheme)
+    lay, (key,) = _weight_table(g, scheme, (edge,))
+    return _new(lay, {key: 1})
 
 
 class PolyMatrix:
@@ -150,21 +182,22 @@ class PolyMatrix:
 
 
 def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
-    """Laplacian under the given scheme; rows and columns sum to zero."""
+    """Laplacian under the given scheme; rows and columns sum to zero.
+
+    Each edge adds its key, times its multiplicity, into the four
+    {key: coefficient} cells it touches.  Multiplicities are positive, so no
+    coefficient sums to 0.
+    """
     check_scheme(g, scheme)
-    n = g.n
-    # entries built on one layout never need re-keying as they grow
-    zero, *weights = share_layout(
-        [Polynomial.zero()] + [edge_weight(g, e, scheme) * e.multiplicity for e in g.edges]
-    )
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for edge, w in zip(g.edges, weights):
-        u, v = edge.u, edge.v
-        rows[u][u] = rows[u][u] + w
-        rows[v][v] = rows[v][v] + w
-        rows[u][v] = rows[u][v] - w
-        rows[v][u] = rows[v][u] - w
-    return PolyMatrix(rows)
+    lay, keys = _weight_table(g, scheme, g.edges)
+    cells: dict[tuple[int, int], dict[int, int]] = {}
+    for (u, v, _, m), k in zip(g.edges, keys):
+        for cell, c in (((u, u), m), ((v, v), m), ((u, v), -m), ((v, u), -m)):
+            terms = cells.setdefault(cell, {})
+            terms[k] = terms.get(k, 0) + c
+    zero = _new(lay, {})
+    return PolyMatrix([[_new(lay, cells[i, j]) if (i, j) in cells else zero for j in range(g.n)]
+                       for i in range(g.n)])
 
 
 def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:

@@ -28,10 +28,12 @@ graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
-parse and JSON.  Division is decided in the Laurent ring, testing whether
-a leading term divides with one guard bit per digit of the keys (Monagan
-and Pearce, "Sparse polynomial division using a heap", J. Symb. Comp.
-46(7), 2011).  `_KroneckerImage` packs a square matrix of polynomials into
+parse and JSON.  The weight key tables of `laplacian` and the nullvector
+operands and divisors build each Variable once per layout
+(`_variable_polys`) and no Monomial.  Division is decided in the Laurent
+ring, testing whether a leading term divides with one guard bit per digit
+of the keys (Monagan and Pearce, "Sparse polynomial division using a
+heap", J. Symb. Comp. 46(7), 2011).  `_KroneckerImage` packs a square matrix of polynomials into
 integers and decodes its determinant's image, for `laplacian.determinant`.
 """
 
@@ -358,6 +360,12 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     # that operands on its sub-layouts build no intermediate layout
     lay = reduce(_union, lays, max(lays, key=attrgetter("nbytes"), default=_EMPTY))
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
+
+
+def _variable_polys(variables: Sequence[Variable]) -> list["Polynomial"]:
+    """Each variable as a polynomial, all keyed over the layout of the variables."""
+    lay = _layout(tuple(sorted(variables, key=attrgetter("_key"))))
+    return [_new(lay, {lay.unit[lay.pos[v]]: 1}) for v in variables]
 
 
 class PackedMonomials:
@@ -884,6 +892,28 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
         k, c = stuck.key, stuck.coeff
         raise NotDivisible(f"remainder term {_new(lay, {k: c}).render()} is not reducible",
                            witness=(lay.monomial(k), c)) from None
+
+
+def _dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of a*b over pairs keyed over one layout (see share_layout), as one key-sum."""
+    out: dict[int, int] = {}
+    get = out.get
+    lay = None
+    for a, b in pairs:
+        if lay is None:
+            lay = a._lay
+        if a._lay is not lay or b._lay is not lay:
+            raise ValueError("_dot takes operands keyed over one layout")
+        bt = b._terms.items()
+        for ka, ca in a._terms.items():
+            for kb, cb in bt:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    if lay is None:
+        return Polynomial.zero()
+    out = {k: c for k, c in out.items() if c}
+    lay.check_range(out)
+    return _new(lay, out)
 
 
 def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:

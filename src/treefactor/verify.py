@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .formulas import (
     Disconnected,
@@ -28,6 +28,7 @@ from .formulas import (
     threshold_rhs,
 )
 from .graphs import (
+    Graph,
     Partition,
     PartitionLike,
     _coerce_partition,
@@ -42,20 +43,22 @@ from .graphs import (
 from .laplacian import (
     PolyMatrix,
     WeightScheme,
+    _weight_table,
     reduce_matrix,
     tree_enumerator_det,
     weighted_laplacian,
 )
 from .polyring import (
+    Family,
     Monomial,
     NotDivisible,
     Polynomial,
+    _dot,
+    _variable_polys,
     div_exact,
+    poly_product,
     poly_sum,
     share_layout,
-    x,
-    xd,
-    y,
 )
 from .treebrute import TreeStatistic, enumerate_sum
 
@@ -191,36 +194,51 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
     return True
 
 
-def _residues(matrix: PolyMatrix, vectors: Sequence[dict[int, Polynomial]], divisor: Polynomial
-              ) -> tuple[Polynomial, list[list[Polynomial]], Optional[tuple[int, int]]]:
-    """L v for each of one claim's vectors v, up to the first row the divisor does not divide.
+def _claim_variables(g: Graph, scheme: WeightScheme) -> dict[tuple, Polynomial]:
+    """Each variable of the layout `weighted_laplacian` keys g over, by (family, *indices).
 
-    Each vector maps column indices to entries.  L, every vector and the
-    divisor go onto one layout first, so no product or division re-keys,
-    and each row walks only the vector's nonzero entries.  Returns the
-    divisor on that layout, the rows of L v computed for each vector, and
-    the (vector, row) index of the row it does not divide, or None.
+    Each is a polynomial on that layout, so operands built from them share
+    the Laplacian's layout and no product or division among them re-keys.
+    """
+    lay, _ = _weight_table(g, scheme, ())
+    return {(v.family, *v.indices): p for v, p in zip(lay.vars, _variable_polys(lay.vars))}
+
+
+_Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
+
+
+def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
+              ) -> Iterator[tuple[Polynomial, list[list[Polynomial]], Optional[tuple[int, int]]]]:
+    """L v for each vector v of each check, up to the first row the check's divisor does not divide.
+
+    A check is a list of vectors, each mapping column indices to entries,
+    and a divisor.  L, every vector and every divisor go onto one layout
+    once, so no product or division re-keys; each row of L v is one key-sum
+    over the vector's nonzero entries.  Yields, per check, the divisor on
+    that layout, the rows of L v computed for each vector, and the (vector,
+    row) index of the row the divisor does not divide, or None.
     """
     size = matrix.size
-    zero, divisor, *flat = share_layout([Polynomial.zero(), divisor, *(e for row in matrix.rows for e in row),
-                                         *(val for v in vectors for val in v.values())])
-    entries, pos = flat[:size * size], size * size
-    products: list[list[Polynomial]] = []
-    for k, v in enumerate(vectors):
-        walk = [(col, val) for col, val in zip(v, flat[pos:pos + len(v)]) if not val.is_zero]
-        pos += len(v)
-        rows: list[Polynomial] = []
-        products.append(rows)
-        for r in range(size):
-            entry = zero
-            for col, val in walk:
-                e = entries[r * size + col]
-                if not e.is_zero:
-                    entry = entry + e * val
-            rows.append(entry)
-            if not _divides(divisor, entry):
-                return divisor, products, (k, r)
-    return divisor, products, None
+    flat = share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
+                         *(val for vectors, _ in checks for v in vectors for val in v.values())])
+    rows = [flat[r * size:(r + 1) * size] for r in range(size)]
+    pos = size * size + len(checks)
+    for (vectors, _), divisor in zip(checks, flat[size * size:pos]):
+        products: list[list[Polynomial]] = []
+        bad = None
+        for k, v in enumerate(vectors):
+            walk = [(col, val) for col, val in zip(v, flat[pos:pos + len(v)]) if val]
+            pos += len(v)
+            if bad is not None:
+                continue
+            entries: list[Polynomial] = []
+            products.append(entries)
+            for r, row in enumerate(rows):
+                entries.append(_dot((row[col], val) for col, val in walk if row[col]))
+                if not _divides(divisor, entries[-1]):
+                    bad = (k, r)
+                    break
+        yield divisor, products, bad
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
@@ -242,12 +260,21 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     assert g.labels[0] == frozenset()
     lhat, _ = reduce_matrix(lap, 0, 0)
     labels = [set(s) for s in g.labels[1:]]
+    vs = _claim_variables(g, WeightScheme.CUBE_LAURENT)
+    xs = [None, *(vs[Family.X, t] for t in range(1, n + 1))]  # xs[t] is x_t
+    squares: dict[frozenset, Polynomial] = {}
 
     def squared(members: set) -> Polynomial:
-        return Polynomial.monomial(Monomial.of({x(i): 2 for i in members}))
+        key = frozenset(members)
+        if key not in squares:
+            squares[key] = poly_product(xs[i] for i in key) ** 2
+        return squares[key]
 
-    vec = {col: squared(aset) - squared(aset - s) * (-1) ** len(aset & s) for col, s in enumerate(labels)}
-    f_a, (entries,), bad = _residues(lhat, [vec], cube_subset_factor(sorted(aset)))
+    vec = {col: squared(aset) + squared(aset - s) if len(aset & s) % 2 else squared(aset) - squared(aset - s)
+           for col, s in enumerate(labels)}
+    (f_a, (entries,), bad), = _residues(lhat, [([vec], cube_subset_factor(sorted(aset)))])
+    # the closed residue is f_A times x_t^(+1 or -1) as t is in R u A or not
+    f_scaled = f_a * poly_product(xs[1:]) ** -1
 
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
@@ -255,12 +282,9 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     for r_idx, (r, entry) in enumerate(zip(labels, entries)):
         if bad == (0, r_idx):
             return finish("Refuted", f"entry R={_subset_id(r)}: {entry.render()}")
-        # closed residue, its sign fixed by the parity of |A n R|
-        exps = {x(t): 2 * ((t in r) + (t in aset - r)) - 1 for t in range(1, n + 1)}
-        scale = Polynomial.monomial(Monomial.of(exps))
-        expected = scale * f_a
-        lead_sign = 1 if len(aset & r) % 2 else -1
-        if entry != expected * lead_sign:
+        # its sign is fixed by the parity of |A n R|
+        expected = squared(r | aset) * f_scaled
+        if entry != (expected if len(aset & r) % 2 else -expected):
             return finish("Refuted", f"residue mismatch at R={_subset_id(r)}: {entry.render()}")
 
     if all(_divides(f_a, val) for val in vec.values()):
@@ -293,19 +317,22 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     def finish(status: str, witness: Optional[str]) -> Verdict:
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
+    coords = [label[i - 1] for label in g.labels]
+    vs = _claim_variables(g, WeightScheme.DECOUPLED)
+    xs = [None, *(vs[Family.XD, i, j] for j in range(1, ni + 1))]  # xs[j] is x(i,j)
+    # the rank check's random point, x(i,j) at point[j]
+    rng = random.Random(20260817)
+    point = [0] + [rng.randrange(2, 10 ** 6) for _ in range(ni)]
     vectors: list[dict[int, Polynomial]] = []
-    for k in range(1, ni):
-        u = {1: Polynomial.variable(xd(i, k + 1)), k + 1: -Polynomial.variable(xd(i, 1))}  # labels are 1-based
-        vectors.append({s: u[label[i - 1]] for s, label in enumerate(g.labels) if label[i - 1] in u})
-    _, products, bad = _residues(lap, vectors, coordinate_sum(i, ni))
+    numeric: list[list[Fraction]] = []
+    for k in range(2, ni + 1):
+        u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
+        vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
+        numeric.append([Fraction(u[c][1] if c in u else 0) for c in coords])
+    (_, products, bad), = _residues(lap, [(vectors, coordinate_sum(i, ni))])
     if bad is not None:
         k, r = bad
         return finish("Refuted", f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}")
-
-    rng = random.Random(20260817)
-    bindings = {xd(i, j): rng.randrange(2, 10 ** 6) for j in range(1, ni + 1)}
-    numeric = [[Fraction(w[s].substitute(bindings).as_int()) if s in w else Fraction(0) for s in range(g.n)]
-               for w in vectors]
     if _rational_rank(numeric) != ni - 1:
         return finish("Refuted", "nullvectors are linearly dependent at a random point")
     return finish("Verified", None)
@@ -392,43 +419,47 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
     lhat, _ = reduce_matrix(lap, 0, 0)
     edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
-    verdicts: list[Verdict] = []
+    vs = _claim_variables(g, WeightScheme.THRESHOLD_IN_OUT)
+    xs = [vs[Family.X, i] for i in range(1, n + 1)]  # xs[i - 1] is x_i
+    ys = [None, *(vs[Family.Y, i] for i in range(1, n + 1))]  # ys[i] is y_i
+    x_sums = [Polynomial.zero()]  # x_sums[i] is x_1 + ... + x_i
+    for xi in xs:
+        x_sums.append(x_sums[-1] + xi)
+    claims: list[tuple[str, partial]] = []
+    checks: list[_Check] = []
 
-    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case_tag) -> None:
+    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case_tag: partial) -> None:
         """vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n."""
-        t0 = time.perf_counter()
-        _, (rows,), bad = _residues(lhat, [{label - 2: val for label, val in vec.items()}], divisor)
-        witness = None
-        if bad is not None:
-            label = bad[1] + 2
-            witness = f"case {case_tag(label)}, row {label}: {rows[bad[1]].render()}"
-        ms = (time.perf_counter() - t0) * 1000.0
-        verdicts.append(Verdict(claim, "Refuted" if witness else "Verified", witness, ms))
-
-    def x_sum(upto: int) -> Polynomial:
-        return poly_sum(Polynomial.variable(x(i)) for i in range(1, upto + 1))
+        claims.append((claim, case_tag))
+        checks.append(([{label - 2: val for label, val in vec.items()}], divisor))
 
     for r in range(2, s + 1):
-        vec = {r: x_sum(r)}
+        vec = {r: x_sums[r]}
         for i2 in range(r + 1, conj[r - 1] + 1):
-            vec[i2] = Polynomial.variable(x(r))
+            vec[i2] = xs[r - 1]
         check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, threshold_f_factor(lam, r),
               partial(_f_case_tag, r=r, edges=edge_set))
 
     for a, b, h in _threshold_blocks(lam):
-        g_poly = x_sum(h)
         g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
         for k in range(1, b):
-            vec = {
-                a + 1: Polynomial.variable(y(a + k + 1)),
-                a + k + 1: -Polynomial.variable(y(a + 1)),
-            }
-            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_poly, g_tag)
+            vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
+            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, x_sums[h], g_tag)
 
-        vec = {i: Polynomial.variable(y(a + b)) for i in range(1 + h, a + 1)}
-        vec[a + b] = -poly_sum(Polynomial.variable(y(i)) for i in range(1 + h, a + 1))
-        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, g_poly, g_tag)
+        vec = {i: ys[a + b] for i in range(1 + h, a + 1)}
+        vec[a + b] = -poly_sum(ys[1 + h:a + 1])
+        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, x_sums[h], g_tag)
 
+    verdicts: list[Verdict] = []
+    t0 = time.perf_counter()
+    for (claim, case_tag), (_, (rows,), bad) in zip(claims, _residues(lhat, checks)):
+        witness = None
+        if bad is not None:
+            label = bad[1] + 2
+            witness = f"case {case_tag(label)}, row {label}: {rows[bad[1]].render()}"
+        t1 = time.perf_counter()
+        verdicts.append(Verdict(claim, "Refuted" if witness else "Verified", witness, (t1 - t0) * 1000.0))
+        t0 = t1
     return verdicts
 
 

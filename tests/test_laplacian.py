@@ -9,6 +9,7 @@ import pytest
 from treefactor import (
     Edge,
     IndexOutOfRange,
+    Monomial,
     PolyMatrix,
     Polynomial,
     SchemeMismatch,
@@ -17,6 +18,7 @@ from treefactor import (
     complete_graph,
     connected_threshold_sequences,
     edge_weight,
+    evar,
     hypercube,
     multigraph_kn,
     q,
@@ -25,6 +27,8 @@ from treefactor import (
     tree_enumerator_det,
     weighted_laplacian,
     x,
+    xd,
+    y,
 )
 from treefactor import laplacian
 
@@ -105,6 +109,67 @@ def test_multiplicity_scales_weights():
     for i in range(3):
         for j in range(3):
             assert lap2.at(i, j) == lap1.at(i, j) * 2
+
+
+def _reference_weight(g, e, scheme):
+    """An edge's weight monomial written from each scheme's definition."""
+    S, d = WeightScheme, e.direction
+    if scheme is S.GENERIC:
+        exps = [(evar(e.u + 1, e.v + 1), 1)]
+    elif scheme is S.CAYLEY_PRUFER:
+        exps = [(x(e.u + 1), 1), (x(e.v + 1), 1)]
+    elif scheme is S.THRESHOLD_IN_OUT:
+        exps = [(x(e.u + 1), 1), (y(e.v + 1), 1)]
+    elif scheme is S.DIRECTION:
+        exps = [(q(d), 1)]
+    elif scheme is S.DECOUPLED:
+        exps = [(q(d), 1)] + [(xd(t, m), 1) for label in (g.labels[e.u], g.labels[e.v])
+                              for t, m in enumerate(label, start=1)]
+    else:
+        exps = [(q(d), 1)] + [(x(t), 1 if t in g.labels[e.u] else -1)
+                              for t in range(1, len(g.dims) + 1) if t != d]
+    return Polynomial.monomial(Monomial.of(exps))
+
+
+def _random_laplacian_graphs(rng):
+    def factor():
+        n = rng.randint(1, 3)
+        return complete_graph(n) if rng.random() < 0.5 else multigraph_kn(n, rng.randint(1, 3))
+
+    graphs = [complete_graph(1), threshold_graph((1, 1, 0))]
+    graphs += [multigraph_kn(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(6)]
+    graphs += [cartesian_product([factor() for _ in range(rng.randint(1, 3))]) for _ in range(8)]
+    graphs += [hypercube(n) for n in range(1, 5)]
+    graphs += [threshold_graph(rng.choice(connected_threshold_sequences(rng.randint(1, 6)))) for _ in range(6)]
+    return graphs
+
+
+def test_key_built_laplacian_matches_edge_by_edge_sum():
+    # every scheme on every graph family it is defined on, against the
+    # matrix summed edge by edge from the weights, themselves checked
+    # against each scheme's definition
+    rng = random.Random(20261018)
+    checked = set()
+    for g in _random_laplacian_graphs(rng):
+        for scheme in WeightScheme:
+            try:
+                lap = weighted_laplacian(g, scheme)
+            except SchemeMismatch:
+                with pytest.raises(SchemeMismatch):
+                    laplacian.check_scheme(g, scheme)
+                continue
+            rows = [[Polynomial.zero()] * g.n for _ in range(g.n)]
+            for e in g.edges:
+                w = edge_weight(g, e, scheme)
+                assert w == _reference_weight(g, e, scheme), (g.kind, scheme, e)
+                w = w * e.multiplicity
+                rows[e.u][e.u] += w
+                rows[e.v][e.v] += w
+                rows[e.u][e.v] -= w
+                rows[e.v][e.u] -= w
+            assert lap == PolyMatrix(rows), (g.kind, g.labels, scheme)
+            checked.add((g.kind, scheme))
+    assert len(checked) == 12  # the (kind, scheme) pairs check_scheme allows
 
 
 def test_reduce_matrix_signs_and_bounds():

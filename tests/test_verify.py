@@ -313,3 +313,37 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(verify, "weighted_laplacian", bumped)
     assert _verdicts_digest() == "d3ded63e6ae9359477c26bbd36468f4c1f6025865f1e30e929a590e2f32127ba"
+
+
+def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
+    # one warm call of each check: the Laplacian's layout variables are built
+    # once for its key table and once for the claim's operands, and only a
+    # divisor its public builder keys over a smaller layout re-keys, once
+    import treefactor.polyring as polyring
+
+    counts = {"variables": 0, "rekeys": 0}
+    init, rekey = polyring.Variable.__init__, polyring._rekey
+
+    def counted_init(self, *args):
+        counts["variables"] += 1
+        init(self, *args)
+
+    def counted_rekey(terms, src, dst):
+        out = rekey(terms, src, dst)
+        counts["rekeys"] += out is not terms
+        return out
+
+    def warm_counts(call):
+        call()
+        counts.update(variables=0, rekeys=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(polyring.Variable, "__init__", counted_init)
+            patched.setattr(polyring, "_rekey", counted_rekey)
+            verdicts = call()
+        assert all(v.ok for v in (verdicts if isinstance(verdicts, list) else [verdicts]))
+        return counts["variables"], counts["rekeys"]
+
+    # layouts: x1..x9, y1..y9; q1..q5, x1..x5 (+ q, x of A); q1..q3 and 9 x(i,j) (+ x(2,1..3))
+    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (2 * 18, 0)
+    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (2 * 10 + 6, 1)
+    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (2 * 12 + 3, 1)
