@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .formulas import (
     FormMismatch,
     NotDivisibleCount,
+    Spectrum,
     product_spectrum,
 )
 from .graphs import (
@@ -185,10 +186,12 @@ def _spectrum_dims(g: Graph) -> tuple[tuple[int, ...], list]:
 def _cmd_spectrum(args) -> int:
     g = parse_spec(args.spec)
     dims, scales = _spectrum_dims(g)
-    qs = None
-    if any(s != 1 for s in scales):
-        qs = [Polynomial.variable(q(i + 1)) * s for i, s in enumerate(scales)]
-    spec = product_spectrum(dims, qs=qs)
+    # a size-1 factor only doubles the subsets with multiplicity-0 rows, so
+    # the others keep their own direction variables, as in directions_rhs
+    kept = [(i, d, s) for i, (d, s) in enumerate(zip(dims, scales), start=1) if d > 1]
+    spec = Spectrum([(Polynomial.zero(), 1)])  # a single vertex
+    if kept:
+        spec = product_spectrum([d for _, d, _ in kept], qs=[Polynomial.variable(q(i)) * s for i, _, s in kept])
     if args.json:
         rows = [{"eigenvalue": eig.to_json_obj(), "multiplicity": m} for eig, m in spec]
         payload = json.dumps(rows)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -145,6 +146,21 @@ def test_spectrum_text_lines(capsys):
     # thickened edges scale the eigenvalues
     rc, out, _ = run(capsys, "spectrum", "K3(2)")
     assert rc == 0 and out == "0\t1\n6*q1\t2\n"
+
+
+def test_spectrum_drops_size_one_factors(capsys):
+    # a K1 factor keeps the others' direction variables and adds no row
+    rc, out, _ = run(capsys, "spectrum", "K1xK1xK2")
+    assert rc == 0 and out == "0\t1\n2*q3\t1\n"
+    rc, out, _ = run(capsys, "spectrum", "K2(3)xK1xK3")
+    assert rc == 0 and out == "0\t1\n6*q1\t1\n3*q3\t2\n6*q1 + 3*q3\t2\n"
+    rc, out, _ = run(capsys, "spectrum", "K1")
+    assert rc == 0 and out == "0\t1\n"
+    # 2 rows, not 2**17 of which all but 2 have multiplicity 0
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "spectrum", "x".join(["K2"] + ["K1"] * 16))
+    assert rc == 0 and out == "0\t1\n2*q1\t1\n"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_spectrum_json(capsys):
