@@ -133,7 +133,7 @@ def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tupl
 
 
 def edge_weight(g: Graph, edge: Edge, scheme: WeightScheme) -> Polynomial:
-    """Weight monomial of one edge (multiplicity not included), from the scheme's key table."""
+    """Weight monomial of one edge of g (multiplicity not included), from the scheme's key table."""
     check_scheme(g, scheme)
     lay, (key,) = _weight_table(g, scheme, (edge,))
     return _new(lay, {key: 1})
