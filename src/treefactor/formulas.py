@@ -275,22 +275,24 @@ def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
 
 
 @lru_cache(maxsize=64)
-def _in_out_variables(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    """x1..xn and y1..yn keyed over their one layout, the layout of the
-    in/out weights on a threshold graph with n vertices."""
-    polys = _variable_polys([*(x(i) for i in range(1, n + 1)), *(y(i) for i in range(1, n + 1))])
-    return tuple(polys[:n]), tuple(polys[n:])
+def _in_out_variables(n: int) -> tuple[tuple, tuple]:
+    """x1..x(n-1) and y2..yn keyed over their one layout, the layout of the
+    in/out weights on n vertices; xs[i] is x_i and ys[i] is y_i."""
+    polys = _variable_polys([*(x(i) for i in range(1, n)), *(y(i) for i in range(2, n + 1))])
+    return (None, *polys[:n - 1]), (None, None, *polys[n - 1:])
 
 
 def threshold_f_factor(lam: Partition, r: int) -> Polynomial:
     """y_r*(x_1+..+x_r) + x_r*(y_{r+1}+..+y_{1+lam_r}): the row-r divisor
-    for rows inside the staircase.
+    for rows inside the staircase, r >= 2.
 
-    Keyed over the in/out layout of the threshold graph, so its nullvector
-    check divides by it as it is.
+    Keyed over the layout of the in/out weights on the threshold graph, so
+    its nullvector check divides by it as it is.
     """
-    xs, ys = _in_out_variables(max(len(lam), lam[r - 1] + 1))  # xs[i - 1] is x_i
-    return ys[r - 1] * poly_sum(xs[:r]) + xs[r - 1] * poly_sum(ys[r:lam[r - 1] + 1])
+    if r < 2:
+        raise ValueError("the staircase rows start at 2")
+    xs, ys = _in_out_variables(max(len(lam), r + 1, lam[r - 1] + 1))
+    return ys[r] * poly_sum(xs[1:r + 1]) + xs[r] * poly_sum(ys[r + 1:lam[r - 1] + 2])
 
 
 def threshold_g_factor(lam: Partition, r: int) -> Polynomial:

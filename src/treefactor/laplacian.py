@@ -88,11 +88,12 @@ def check_scheme(g: Graph, scheme: WeightScheme) -> None:
 def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tuple[_Layout, list[int]]:
     """The layout `scheme` fixes for g, and the packed key of each edge's weight over it.
 
-    The layout's variables are built once: x1..xn for degrees; x1..xn and
-    y1..yn for in/out degrees; q_i for each direction with edges; q1..qr and
-    x1..xr on the r-cube; those q_i and every coordinate x(i,j) for the
-    decoupled weights; e(u,v) for each edge of g under generic weights.  A
-    weight is a product of variables, so its key is a sum of their keys.
+    The layout's variables are built once: x1..xn for degrees; x1..x(n-1)
+    and y2..yn for in/out degrees (an edge's lower endpoint gives its x, the
+    upper one its y); q_i for each direction with edges; q1..qr and x1..xr
+    on the r-cube; those q_i and every coordinate x(i,j) for the decoupled
+    weights; e(u,v) for each edge of g under generic weights.  A weight is a
+    product of variables, so its key is a sum of their keys.
     """
     n = g.n
     vertices = range(1, n + 1)
@@ -106,9 +107,9 @@ def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tupl
         xs = lay.unit
         keys = [xs[e.u] + xs[e.v] for e in edges]
     elif scheme is WeightScheme.THRESHOLD_IN_OUT:
-        lay = _layout((*map(x, vertices), *map(y, vertices)))
-        xs, ys = lay.unit[:n], lay.unit[n:]
-        keys = [xs[e.u] + ys[e.v] for e in edges]
+        lay = _layout((*map(x, range(1, n)), *map(y, range(2, n + 1))))
+        xs, ys = lay.unit[:n - 1], lay.unit[n - 1:]
+        keys = [xs[e.u] + ys[e.v - 1] for e in edges]
     elif scheme is WeightScheme.CUBE_LAURENT:
         directions = range(1, len(g.dims) + 1)
         lay = _layout((*map(q, directions), *map(x, directions)))

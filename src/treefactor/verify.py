@@ -420,10 +420,10 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     lhat, _ = reduce_matrix(lap, 0, 0)
     edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
     vs = _claim_variables(g, WeightScheme.THRESHOLD_IN_OUT)
-    xs = [vs[Family.X, i] for i in range(1, n + 1)]  # xs[i - 1] is x_i
-    ys = [None, *(vs[Family.Y, i] for i in range(1, n + 1))]  # ys[i] is y_i
+    xs = [None, *(vs[Family.X, i] for i in range(1, n))]  # xs[i] is x_i
+    ys = [None, None, *(vs[Family.Y, i] for i in range(2, n + 1))]  # ys[i] is y_i
     x_sums = [Polynomial.zero()]  # x_sums[i] is x_1 + ... + x_i
-    for xi in xs:
+    for xi in xs[1:]:
         x_sums.append(x_sums[-1] + xi)
     claims: list[tuple[str, partial]] = []
     checks: list[_Check] = []
@@ -436,7 +436,7 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     for r in range(2, s + 1):
         vec = {r: x_sums[r]}
         for i2 in range(r + 1, conj[r - 1] + 1):
-            vec[i2] = xs[r - 1]
+            vec[i2] = xs[r]
         check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, threshold_f_factor(lam, r),
               partial(_f_case_tag, r=r, edges=edge_set))
 

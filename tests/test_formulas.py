@@ -276,6 +276,10 @@ def test_threshold_degree_rhs_is_y_to_x_specialization():
 def test_threshold_factor_pieces():
     lam = Partition((2, 2, 2))
     assert threshold_f_factor(lam, 2) == P("x1*y2 + x2*y2 + x2*y3")
+    # past the staircase: x_r of the last vertex, an empty tail
+    assert threshold_f_factor(lam, 3) == P("x1*y3 + x2*y3 + x3*y3")
+    with pytest.raises(ValueError):
+        threshold_f_factor(lam, 1)  # row 1 is struck from the reduced Laplacian
     assert threshold_g_factor(Partition((3, 1, 1, 1)), 2) == P("x1")
     assert threshold_g_factor(Partition((3, 1, 1, 1)), 4) == Polynomial.zero()
 

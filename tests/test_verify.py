@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from treefactor import (
     cayley_prufer_rhs,
     complete_graph,
     conjecture_scan,
+    connected_threshold_sequences,
     decoupled_enumerator,
     decoupled_enumerator_factors,
     determinant,
@@ -267,10 +269,6 @@ def test_decoupled_enumerator_is_cached():
 
 
 def _nullvector_verdicts():
-    from itertools import combinations
-
-    from treefactor import connected_threshold_sequences
-
     verdicts = []
     for n in range(5, 9):
         for lam in connected_threshold_sequences(n):
@@ -343,7 +341,7 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
         assert all(v.ok for v in (verdicts if isinstance(verdicts, list) else [verdicts]))
         return counts["variables"], counts["rekeys"]
 
-    # layouts: x1..x9, y1..y9; q1..q5, x1..x5 (+ q, x of A); q1..q3 and 9 x(i,j) (+ x(2,1..3))
-    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (2 * 18, 0)
+    # layouts: x1..x8, y2..y9; q1..q5, x1..x5 (+ q, x of A); q1..q3 and 9 x(i,j) (+ x(2,1..3))
+    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (2 * 16, 0)
     assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (2 * 10 + 6, 1)
     assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (2 * 12 + 3, 1)
