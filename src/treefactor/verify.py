@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Iterator, Optional, Sequence, Union
 
 from .formulas import (
@@ -219,18 +219,15 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
     row) index of the row the divisor does not divide, or None.
     """
     size = matrix.size
-    flat = share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
-                         *(val for vectors, _ in checks for v in vectors for val in v.values())])
-    rows = [flat[r * size:(r + 1) * size] for r in range(size)]
-    pos = size * size + len(checks)
-    for (vectors, _), divisor in zip(checks, flat[size * size:pos]):
+    shared = iter(share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
+                                *(val for vectors, _ in checks for v in vectors for val in v.values())]))
+    rows = [[next(shared) for _ in range(size)] for _ in range(size)]
+    divisors = [next(shared) for _ in checks]
+    for (vectors, _), divisor in zip(checks, divisors):
+        walks = [[(col, val) for col, val in zip(v, shared) if val] for v in vectors]
         products: list[list[Polynomial]] = []
         bad = None
-        for k, v in enumerate(vectors):
-            walk = [(col, val) for col, val in zip(v, flat[pos:pos + len(v)]) if val]
-            pos += len(v)
-            if bad is not None:
-                continue
+        for k, walk in enumerate(walks):
             entries: list[Polynomial] = []
             products.append(entries)
             for r, row in enumerate(rows):
@@ -238,6 +235,8 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
                 if not _divides(divisor, entries[-1]):
                     bad = (k, r)
                     break
+            if bad:
+                break
         yield divisor, products, bad
 
 
@@ -259,16 +258,13 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     lap = weighted_laplacian(g, WeightScheme.CUBE_LAURENT)
     assert g.labels[0] == frozenset()
     lhat, _ = reduce_matrix(lap, 0, 0)
-    labels = [set(s) for s in g.labels[1:]]
+    labels = g.labels[1:]
     vs = _claim_variables(g, WeightScheme.CUBE_LAURENT)
     xs = [None, *(vs[Family.X, t] for t in range(1, n + 1))]  # xs[t] is x_t
-    squares: dict[frozenset, Polynomial] = {}
 
-    def squared(members: set) -> Polynomial:
-        key = frozenset(members)
-        if key not in squares:
-            squares[key] = poly_product(xs[i] for i in key) ** 2
-        return squares[key]
+    @cache
+    def squared(members: frozenset) -> Polynomial:
+        return poly_product(xs[i] for i in members) ** 2
 
     vec = {col: squared(aset) + squared(aset - s) if len(aset & s) % 2 else squared(aset) - squared(aset - s)
            for col, s in enumerate(labels)}
@@ -283,7 +279,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
         if bad == (0, r_idx):
             return finish("Refuted", f"entry R={_subset_id(r)}: {entry.render()}")
         # its sign is fixed by the parity of |A n R|
-        expected = squared(r | aset) * f_scaled
+        expected = squared(aset | r) * f_scaled
         if entry != (expected if len(aset & r) % 2 else -expected):
             return finish("Refuted", f"residue mismatch at R={_subset_id(r)}: {entry.render()}")
 
