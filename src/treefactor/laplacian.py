@@ -96,14 +96,13 @@ def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tupl
     product of variables, so its key is a sum of their keys.
     """
     n = g.n
-    vertices = range(1, n + 1)
     if scheme is WeightScheme.GENERIC:
         pairs = sorted({(e.u + 1, e.v + 1) for e in g.edges})
         lay = _layout(tuple(evar(u, v) for u, v in pairs))
         pair_keys = dict(zip(pairs, lay.unit))
         keys = [pair_keys[e.u + 1, e.v + 1] for e in edges]
     elif scheme is WeightScheme.CAYLEY_PRUFER:
-        lay = _layout(tuple(map(x, vertices)))
+        lay = _layout(tuple(map(x, range(1, n + 1))))
         xs = lay.unit
         keys = [xs[e.u] + xs[e.v] for e in edges]
     elif scheme is WeightScheme.THRESHOLD_IN_OUT:
