@@ -302,3 +302,26 @@ def test_threshold_rhs_all_ones_is_merris_count():
         rhs = threshold_rhs(lam)
         ones = {v: Polynomial.one() for v in rhs.variables()}
         assert rhs.substitute(ones).as_int() == merris_count(lam), lam
+
+
+def test_closed_forms_digest():
+    from treefactor import connected_threshold_sequences
+
+    digest = hashlib.sha256()
+
+    def add(label, p):
+        digest.update(f"{label}\n{p.render()}\n{p.to_json()}\n".encode())
+
+    for n in range(2, 10):
+        add(f"cayley {n}", cayley_prufer_rhs(n))
+    for n in range(1, 4):
+        add(f"cube {n}", cube_rhs(n))
+    for n in range(1, 8):
+        for lam in connected_threshold_sequences(n):
+            add(f"threshold {lam.parts}", threshold_rhs(lam))
+            add(f"degree {lam.parts}", threshold_degree_rhs(lam))
+            add(f"rewrite {lam.parts}", threshold_rewrite_rhs(lam))
+            for r in range(2, n + 1):
+                add(f"f {lam.parts} {r}", threshold_f_factor(lam, r))
+                add(f"g {lam.parts} {r}", threshold_g_factor(lam, r))
+    assert digest.hexdigest() == "6a32b91d1b2203f4dca99ca6085867c4f3d15236d3327c6f1d7100c300e501bf"
