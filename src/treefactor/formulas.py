@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .graphs import (
+    Disconnected,
     InvalidSize,
     Partition,
     PartitionLike,
@@ -24,7 +25,6 @@ from .graphs import (
     threshold_graph,
 )
 from .polyring import (
-    Monomial,
     Polynomial,
     _coerce_poly,
     _variable_polys,
@@ -42,17 +42,12 @@ class FormMismatch(ArithmeticError):
     """Two expansions that must be equal are not."""
 
 
-class Disconnected(ValueError):
-    """Formula requires a connected graph."""
-
-
 def cayley_prufer_rhs(n: int) -> Polynomial:
     """x1...xn times (x1+...+xn)^(n-2): the degree-weighted tree sum of K_n."""
     if n < 2:
         raise InvalidSize("need at least two vertices")
-    head = Polynomial.monomial(Monomial.of({x(i): 1 for i in range(1, n + 1)}))
-    body = poly_sum(Polynomial.variable(x(i)) for i in range(1, n + 1))
-    return head * body ** (n - 2)
+    xs = _variable_polys([x(i) for i in range(1, n + 1)])
+    return poly_product(xs) * poly_sum(xs) ** (n - 2)
 
 
 def _clean_dims(dims: Sequence[int]) -> list[tuple[int, int]]:
@@ -65,9 +60,6 @@ def _clean_dims(dims: Sequence[int]) -> list[tuple[int, int]]:
     if len(kept) != len(dims):
         warnings.warn("size-1 factors contribute nothing and were stripped", stacklevel=3)
     return kept
-
-def _subset_eigenvalue(subset: Sequence[tuple[int, int]]) -> Polynomial:
-    return poly_sum(Polynomial.variable(q(i)) * d for i, d in subset)
 
 
 def directions_rhs(dims: Sequence[int]) -> Polynomial:
@@ -85,21 +77,22 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     total = 1
     for _, d in kept:
         total *= d
+    qs = dict(zip((i for i, _ in kept), _variable_polys([q(i) for i, _ in kept])))
 
     # the kept factors' spectrum on their own direction variables: each
     # stripped unit factor would double the subsets and add nothing
-    spectrum = product_spectrum([d for _, d in kept], qs=[Polynomial.variable(q(i)) for i, _ in kept])
+    spectrum = product_spectrum([d for _, d in kept], qs=list(qs.values()))
     form1 = count_from_spectrum(spectrum, total)
 
     form2 = Polynomial.one()
     for i, d in kept:
-        form2 = form2 * Polynomial.variable(q(i)) ** (d - 1) * (d ** (d - 2))
+        form2 = form2 * qs[i] ** (d - 1) * (d ** (d - 2))
     for r in range(2, len(kept) + 1):
         for subset in combinations(kept, r):
             mult = 1
             for _, d in subset:
                 mult *= d - 1
-            form2 = form2 * _subset_eigenvalue(subset) ** mult
+            form2 = form2 * poly_sum(qs[i] * d for i, d in subset) ** mult
 
     if form1 != form2:
         raise FormMismatch("the two direction-count expansions disagree")
@@ -129,15 +122,17 @@ def product_spectrum(dims: Sequence[int], qs: Optional[Sequence[Union[int, Polyn
 
     The subset A contributes eigenvalue sum_{i in A} q_i * n_i with
     multiplicity prod_{i in A} (n_i - 1).  Substituting qs (by position)
-    gives numeric spectra; by default the q_i stay symbolic.
+    gives numeric spectra, one value per factor; by default the q_i stay
+    symbolic.
     """
     if not dims or any(d < 1 for d in dims):
         raise InvalidSize("factor sizes are positive")
     r = len(dims)
-    values: list[Polynomial] = []
-    for i, d in enumerate(dims, start=1):
-        base = Polynomial.variable(q(i)) if qs is None else _coerce_poly(qs[i - 1])
-        values.append(base * d)
+    if qs is None:
+        qs = _variable_polys([q(i) for i in range(1, r + 1)])
+    elif len(qs) != r:
+        raise ValueError(f"qs has {len(qs)} values for {r} factors")
+    values = [_coerce_poly(base) * d for base, d in zip(qs, dims)]
     pairs: list[tuple[Polynomial, int]] = []
     for mask in range(1 << r):
         eig = Polynomial.zero()
@@ -182,16 +177,12 @@ def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, 
     total = 1
     for _, d in kept:
         total *= d
-    factors: list[tuple[Polynomial, int]] = []
-    for i, d in kept:
-        if d - 1 > 0:
-            factors.append((Polynomial.variable(q(i)), d - 1))
-    for i, d in kept:
-        for j in range(1, d + 1):
-            factors.append((Polynomial.variable(xd(i, j)), total // d))
-    for i, d in kept:
-        if d - 2 > 0:
-            factors.append((coordinate_sum(i, d), d - 2))
+    polys = iter(_variable_polys([*(q(i) for i, _ in kept),
+                                  *(xd(i, j) for i, d in kept for j in range(1, d + 1))]))
+    factors = [(next(polys), d - 1) for _, d in kept]
+    coords = [[next(polys) for _ in range(d)] for _, d in kept]
+    factors += [(xij, total // d) for (_, d), xs in zip(kept, coords) for xij in xs]
+    factors += [(poly_sum(xs), d - 2) for (_, d), xs in zip(kept, coords) if d > 2]
     return factors
 
 
@@ -200,25 +191,29 @@ def coordinate_sum(i: int, size: int) -> Polynomial:
     return poly_sum(_variable_polys([xd(i, j) for j in range(1, size + 1)]))
 
 
+def _cube_variables(members: Sequence[int]) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
+    """q_i and x_i for each direction i of `members`, keyed over their one layout."""
+    polys = _variable_polys([*map(q, members), *map(x, members)])
+    return dict(zip(members, polys)), dict(zip(members, polys[len(members):]))
+
+
+def _subset_factor(subset: Sequence[int], qs: dict[int, Polynomial], xs: dict[int, Polynomial]) -> Polynomial:
+    return poly_sum(qs[i] * (xs[i] ** -1 + xs[i]) for i in subset)
+
+
 def cube_subset_factor(subset: Sequence[int]) -> Polynomial:
     """sum_{i in A} q_i (x_i^-1 + x_i) for a direction subset A."""
-    members = sorted(set(subset))
-    polys = _variable_polys([*map(q, members), *map(x, members)])
-    qs, xs = dict(zip(members, polys)), dict(zip(members, polys[len(members):]))
-    total = Polynomial.zero()
-    for i in subset:
-        total = total + qs[i] * (xs[i] ** -1 + xs[i])
-    return total
+    return _subset_factor(subset, *_cube_variables(sorted(set(subset))))
 
 
 def cube_rhs(n: int) -> Polynomial:
     """q1...qn times the product of subset factors over |A| >= 2."""
     if n < 1:
         raise InvalidSize("cube dimension must be at least 1")
-    head = Polynomial.monomial(Monomial.of({q(i): 1 for i in range(1, n + 1)}))
     members = list(range(1, n + 1))
-    factors = [cube_subset_factor(subset) for r in range(2, n + 1) for subset in combinations(members, r)]
-    return poly_product([head] + factors)
+    qs, xs = _cube_variables(members)
+    factors = [_subset_factor(subset, qs, xs) for r in range(2, n + 1) for subset in combinations(members, r)]
+    return poly_product([*qs.values(), *factors])
 
 
 def _validated_connected(lam: PartitionLike) -> Partition:
@@ -241,6 +236,14 @@ def merris_count(lam: PartitionLike) -> int:
     return out
 
 
+@lru_cache(maxsize=64)
+def _in_out_variables(n: int) -> tuple[tuple, tuple]:
+    """x1..x(n-1) and y2..yn keyed over their one layout, the layout of the
+    in/out weights on n vertices; xs[i] is x_i and ys[i] is y_i."""
+    polys = _variable_polys([*(x(i) for i in range(1, n)), *(y(i) for i in range(2, n + 1))])
+    return (None, *polys[:n - 1]), (None, None, *polys[n - 1:])
+
+
 def threshold_rhs(lam: PartitionLike) -> Polynomial:
     """In/out-degree weighted tree sum of a connected threshold graph.
 
@@ -252,12 +255,10 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
     if n == 1:
         return Polynomial.one()
     conj = conjugate(lam)
-    factors = [Polynomial.variable(x(1)), Polynomial.variable(y(n))]
+    xs, ys = _in_out_variables(n)
+    factors = [xs[1], ys[n]]
     for r in range(2, n):
-        factors.append(poly_sum(
-            Polynomial.monomial(Monomial.of({x(min(i, r)): 1, y(max(i, r)): 1}))
-            for i in range(1, conj[r - 1] + 1)
-        ))
+        factors.append(poly_sum(xs[min(i, r)] * ys[max(i, r)] for i in range(1, conj[r - 1] + 1)))
     return poly_product(factors)
 
 
@@ -268,37 +269,37 @@ def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     if n == 1:
         return Polynomial.one()
     conj = conjugate(lam)
-    out = Polynomial.monomial(Monomial.of({x(i): 1 for i in range(1, n + 1)}))
+    xs = _variable_polys([x(i) for i in range(1, n + 1)])
+    out = poly_product(xs)
     for r in range(2, n):
-        out = out * poly_sum(Polynomial.variable(x(i)) for i in range(1, conj[r - 1] + 1))
+        out = out * poly_sum(xs[:conj[r - 1]])
     return out
 
 
-@lru_cache(maxsize=64)
-def _in_out_variables(n: int) -> tuple[tuple, tuple]:
-    """x1..x(n-1) and y2..yn keyed over their one layout, the layout of the
-    in/out weights on n vertices; xs[i] is x_i and ys[i] is y_i."""
-    polys = _variable_polys([*(x(i) for i in range(1, n)), *(y(i) for i in range(2, n + 1))])
-    return (None, *polys[:n - 1]), (None, None, *polys[n - 1:])
+def _check_row(lam: Partition, r: int) -> None:
+    if not 2 <= r <= len(lam):
+        raise ValueError(f"row r = {r} is outside the reduced Laplacian's rows 2..{len(lam)}")
 
 
 def threshold_f_factor(lam: Partition, r: int) -> Polynomial:
     """y_r*(x_1+..+x_r) + x_r*(y_{r+1}+..+y_{1+lam_r}): the row-r divisor
-    for rows inside the staircase, r >= 2.
+    for rows inside the staircase, 2 <= r <= n.
 
     Keyed over the layout of the in/out weights on the threshold graph, so
     its nullvector check divides by it as it is.
     """
-    if r < 2:
-        raise ValueError("the staircase rows start at 2")
+    _check_row(lam, r)
     xs, ys = _in_out_variables(max(len(lam), r + 1, lam[r - 1] + 1))
     return ys[r] * poly_sum(xs[1:r + 1]) + xs[r] * poly_sum(ys[r + 1:lam[r - 1] + 2])
 
 
 def threshold_g_factor(lam: Partition, r: int) -> Polynomial:
-    """x_1 + ... + x_{lam_{r+1}}: the row-r divisor past the staircase."""
+    """x_1 + ... + x_{lam_{r+1}}: the row-r divisor past the staircase,
+    2 <= r <= n; 0 on row n."""
+    _check_row(lam, r)
     bound = lam[r] if r < len(lam) else 0
-    return poly_sum(Polynomial.variable(x(i)) for i in range(1, bound + 1))
+    xs, _ = _in_out_variables(max(len(lam), bound + 1))
+    return poly_sum(xs[1:bound + 1])
 
 
 def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
@@ -312,13 +313,14 @@ def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
     if n == 1:
         return Polynomial.one()
     s = durfee(lam)
-    out = Polynomial.variable(x(1))
+    xs, ys = _in_out_variables(n)
+    out = xs[1]
     for r in range(2, s + 1):
         out = out * threshold_f_factor(lam, r)
     for r in range(s + 1, n):
         out = out * threshold_g_factor(lam, r)
     for r in range(s + 1, n + 1):
-        out = out * Polynomial.variable(y(r))
+        out = out * ys[r]
     direct = threshold_rhs(lam)
     if out != direct:
         raise FormMismatch("staircase rewrite disagrees with the direct product")

@@ -28,6 +28,10 @@ class NotThresholdSequence(ValueError):
     """Degree sequence not realizable by the threshold construction."""
 
 
+class Disconnected(ValueError):
+    """A disconnected graph where spanning trees, or a formula for them, are asked for."""
+
+
 class Edge(NamedTuple):
     u: int
     v: int

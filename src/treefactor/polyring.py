@@ -28,13 +28,14 @@ graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
-parse and JSON.  The weight key tables of `laplacian` and the nullvector
-operands and divisors build each Variable once per layout
-(`_variable_polys`) and no Monomial.  Division is decided in the Laurent
-ring, testing whether a leading term divides with one guard bit per digit
-of the keys (Monagan and Pearce, "Sparse polynomial division using a
-heap", J. Symb. Comp. 46(7), 2011).  `_KroneckerImage` packs a square matrix of polynomials into
-integers and decodes its determinant's image, for `laplacian.determinant`.
+parse and JSON.  The weight key tables of `laplacian`, the nullvector
+operands and divisors, and every closed form and factor list of `formulas`
+build each Variable once per layout (`_variable_polys`) and no Monomial.
+Division is decided in the Laurent ring, testing whether a leading term
+divides with one guard bit per digit of the keys (Monagan and Pearce,
+"Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
+`_KroneckerImage` packs a square matrix of polynomials into integers and
+decodes its determinant's image, for `laplacian.determinant`.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .graphs import Graph, SpanningTree, is_connected
-from .laplacian import SchemeMismatch, WeightScheme
+from .graphs import Disconnected, Graph, SpanningTree, is_connected
+from .laplacian import SchemeMismatch, WeightScheme, check_scheme
 from .polyring import Monomial, PackedMonomials, Polynomial, q, x, xd, y
 
 DEFAULT_CAP = 10_000_000
@@ -33,8 +33,7 @@ class CapExceeded(RuntimeError):
     """Predicted spanning tree count exceeds the enumeration cap."""
 
 
-class DisconnectedGraph(ValueError):
-    """Spanning trees requested for a disconnected graph."""
+DisconnectedGraph = Disconnected  # the same class as graphs.Disconnected
 
 
 class TreeStatistic(Enum):
@@ -44,14 +43,6 @@ class TreeStatistic(Enum):
     CUBE_SUBSTITUTED = "cube"
     IN_OUT_DEGREE = "inout"
 
-
-_STAT_KINDS = {
-    TreeStatistic.DEGREE: {"plain", "threshold"},
-    TreeStatistic.DIRECTION: {"product", "cube"},
-    TreeStatistic.DIR_DECOUPLED: {"product"},
-    TreeStatistic.CUBE_SUBSTITUTED: {"cube"},
-    TreeStatistic.IN_OUT_DEGREE: {"plain", "threshold"},
-}
 
 # weighting whose reduced-Laplacian determinant matches each statistic sum
 SCHEME_FOR_STATISTIC = {
@@ -107,7 +98,7 @@ def _predicted_count(g: Graph, cap: int) -> int:
     if g.n == 1:
         return 1
     if not is_connected(g):
-        raise DisconnectedGraph("graph has no spanning trees")
+        raise Disconnected("graph has no spanning trees")
     predicted = spanning_tree_count(g)
     if predicted > cap:
         raise CapExceeded(f"{predicted} spanning trees exceed cap {cap}")
@@ -209,8 +200,11 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
 
 
 def _check_kind(g: Graph, stat: TreeStatistic) -> None:
-    if g.kind not in _STAT_KINDS[stat]:
-        raise SchemeMismatch(f"{stat.value} statistic is not defined on a {g.kind} graph")
+    """A statistic is defined on the graphs its matching weight scheme is."""
+    try:
+        check_scheme(g, SCHEME_FOR_STATISTIC[stat])
+    except SchemeMismatch:
+        raise SchemeMismatch(f"{stat.value} statistic is not defined on a {g.kind} graph") from None
 
 
 def statistic_monomial(g: Graph, tree: SpanningTree, stat: TreeStatistic) -> Monomial:

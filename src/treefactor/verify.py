@@ -12,8 +12,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, partial
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .formulas import (
@@ -44,6 +44,7 @@ from .laplacian import (
     PolyMatrix,
     WeightScheme,
     _weight_table,
+    determinant,
     reduce_matrix,
     tree_enumerator_det,
     weighted_laplacian,
@@ -114,12 +115,10 @@ def verify_identity(claim_id: str, lhs: Polynomial, rhs: Union[Polynomial, int])
     return Verdict(claim_id, "Refuted", _term_text(m, c), ms)
 
 
-def _decoupled_enumerator(dims: Sequence[int]) -> Polynomial:
+@cache
+def _decoupled_enumerator(dims: tuple[int, ...]) -> Polynomial:
     g = cartesian_product([complete_graph(d) for d in dims])
     return tree_enumerator_det(g, WeightScheme.DECOUPLED)
-
-
-_ENUMERATOR_CACHE: dict[tuple[int, ...], Polynomial] = {}
 
 
 def decoupled_enumerator(dims: Sequence[int]) -> Polynomial:
@@ -128,10 +127,7 @@ def decoupled_enumerator(dims: Sequence[int]) -> Polynomial:
     Cached: the same polynomial backs the divisibility check, the
     conjecture scan, and the acceptance suite.
     """
-    key = tuple(int(d) for d in dims)
-    if key not in _ENUMERATOR_CACHE:
-        _ENUMERATOR_CACHE[key] = _decoupled_enumerator(key)
-    return _ENUMERATOR_CACHE[key]
+    return _decoupled_enumerator(tuple(int(d) for d in dims))
 
 
 def verify_divisibility(dims: Sequence[int]) -> tuple[list[Verdict], Polynomial]:
@@ -294,8 +290,9 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     u_k = x(i,k+1) e_1 - x(i,1) e_(k+1) kills the row vector of coordinate
     variables exactly, so 1 x ... x u_k x ... x 1 must send every row of the
     full Laplacian into multiples of the coordinate sum for that direction.
-    Independence of the n_i - 1 vectors is checked by rational rank at a
-    seeded random integer point.
+    The n_i - 1 vectors are independent if their values at a seeded random
+    integer point are: real vectors are independent exactly when their
+    Gram matrix has a nonzero determinant.
     """
     t0 = time.perf_counter()
     dims = [int(d) for d in dims]
@@ -320,38 +317,19 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     rng = random.Random(20260817)
     point = [0] + [rng.randrange(2, 10 ** 6) for _ in range(ni)]
     vectors: list[dict[int, Polynomial]] = []
-    numeric: list[list[Fraction]] = []
+    numeric: list[list[int]] = []
     for k in range(2, ni + 1):
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
-        numeric.append([Fraction(u[c][1] if c in u else 0) for c in coords])
+        numeric.append([u[c][1] if c in u else 0 for c in coords])
     (_, products, bad), = _residues(lap, [(vectors, coordinate_sum(i, ni))])
     if bad is not None:
         k, r = bad
         return finish("Refuted", f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}")
-    if _rational_rank(numeric) != ni - 1:
+    gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
+    if determinant(gram).is_zero:
         return finish("Refuted", "nullvectors are linearly dependent at a random point")
     return finish("Verified", None)
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def _threshold_blocks(lam: Partition) -> list[tuple[int, int, int]]:

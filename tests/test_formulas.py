@@ -242,6 +242,29 @@ def test_merris_rejects_bad_input():
         merris_count((2, 2, 1, 1))
 
 
+def test_disconnected_is_one_class():
+    from treefactor import DisconnectedGraph
+
+    g = threshold_graph((1, 1, 0))
+    for call in (lambda: enumerate_sum(g, TreeStatistic.IN_OUT_DEGREE), lambda: threshold_rhs((1, 1, 0))):
+        for name in (Disconnected, DisconnectedGraph):
+            with pytest.raises(name):
+                call()
+
+
+def test_helpers_name_out_of_range_arguments():
+    lam = Partition((2, 2, 2))
+    for factor, r in [(threshold_f_factor, 4), (threshold_f_factor, 0),
+                      (threshold_g_factor, -1), (threshold_g_factor, 1), (threshold_g_factor, 4)]:
+        with pytest.raises(ValueError, match=f"row r = {r} "):
+            factor(lam, r)
+    for qs in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="qs has"):
+            product_spectrum((2, 3), qs=qs)
+    # a raw partition whose parts pass n - 1 keeps its whole sum
+    assert threshold_g_factor(Partition((5, 5, 5)), 2) == P("x1 + x2 + x3 + x4 + x5")
+
+
 def test_threshold_rhs_star():
     assert threshold_rhs((3, 1, 1, 1)) == P("x1^3*y2*y3*y4")
     assert threshold_rhs((1, 1)) == P("x1*y2")
@@ -325,3 +348,31 @@ def test_closed_forms_digest():
                 add(f"f {lam.parts} {r}", threshold_f_factor(lam, r))
                 add(f"g {lam.parts} {r}", threshold_g_factor(lam, r))
     assert digest.hexdigest() == "6a32b91d1b2203f4dca99ca6085867c4f3d15236d3327c6f1d7100c300e501bf"
+
+
+def test_closed_forms_build_on_their_own_layouts(monkeypatch):
+    # one warm call each: every operand of a closed form is keyed over the
+    # form's one layout, so no product or sum rebuilds a term dict
+    import treefactor.polyring as polyring
+    from treefactor import connected_threshold_sequences
+
+    rekey = polyring._rekey
+    count = [0]
+
+    def counted_rekey(terms, src, dst):
+        out = rekey(terms, src, dst)
+        count[0] += out is not terms
+        return out
+
+    def warm_rekeys(call):
+        call()
+        count[0] = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(polyring, "_rekey", counted_rekey)
+            call()
+        return count[0]
+
+    sevens = connected_threshold_sequences(7)
+    assert warm_rekeys(lambda: [threshold_rhs(lam) for lam in sevens]) == 0
+    assert warm_rekeys(lambda: cayley_prufer_rhs(9)) == 0
+    assert warm_rekeys(lambda: directions_rhs((2, 3, 3))) == 0

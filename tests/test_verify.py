@@ -233,6 +233,23 @@ def test_decoupled_nullvectors():
     assert verify_decoupled_nullvectors((3,), 1).ok
 
 
+def test_decoupled_rank_check_refutes_dependent_vectors(monkeypatch):
+    # every coordinate of the random point 0: the numeric vectors vanish
+    import treefactor.verify as verify
+
+    class Zeros:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, start, stop):
+            return 0
+
+    monkeypatch.setattr(verify.random, "Random", Zeros)
+    for dims, direction in [((2, 3), 1), ((3, 3), 2)]:
+        v = verify_decoupled_nullvectors(dims, direction)
+        assert (v.status, v.witness) == ("Refuted", "nullvectors are linearly dependent at a random point")
+
+
 def test_threshold_nullvectors():
     vs = verify_threshold_nullvectors((3, 3, 2, 2))
     assert vs and all(v.ok for v in vs)
