@@ -17,7 +17,6 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .formulas import (
-    Disconnected,
     coordinate_sum,
     cube_rhs,
     cube_subset_factor,
@@ -28,6 +27,7 @@ from .formulas import (
     threshold_rhs,
 )
 from .graphs import (
+    Disconnected,
     Graph,
     Partition,
     PartitionLike,
