@@ -30,7 +30,9 @@ many polynomials on one layout up front.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
 parse and JSON.  The weight key tables of `laplacian`, the nullvector
 operands and divisors, and every closed form and factor list of `formulas`
-build each Variable once per layout (`_variable_polys`) and no Monomial.
+build each Variable once per layout (`_variable_polys`) and no Monomial;
+`treebrute` sums the weight tables' keys along its tree walk, the part
+of it that stays independent of the determinant.
 Division is decided in the Laurent ring, testing whether a leading term
 divides with one guard bit per digit of the keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
@@ -367,34 +369,6 @@ def _variable_polys(variables: Sequence[Variable]) -> list["Polynomial"]:
     """Each variable as a polynomial, all keyed over the layout of the variables."""
     lay = _layout(tuple(sorted(variables, key=attrgetter("_key"))))
     return [_new(lay, {lay.unit[lay.pos[v]]: 1}) for v in variables]
-
-
-class PackedMonomials:
-    """Monomials as packed keys over one layout.
-
-    `keys[i]` is the key of the i-th monomial, and a sum of keys is the key
-    of the product, so a caller can multiply these monomials by adding
-    integers and build the polynomial once at the end with `polynomial`.
-    The sum is exact while every exponent sum stays inside 32 signed bits;
-    `polynomial` then rejects any outside [-2**28, 2**28).
-    """
-
-    __slots__ = ("keys", "_lay")
-
-    def __init__(self, monomials: Iterable[Monomial]):
-        monomials = list(monomials)
-        lay = _layout_of(monomials)
-        self._lay = lay
-        self.keys = [lay.key(m.exps) for m in monomials]
-
-    def polynomial(self, terms: Mapping[int, int]) -> "Polynomial":
-        """The sum of c times the monomial of key k over {k: c}.
-
-        ExponentOverflow if a summed exponent left the range of a key.
-        """
-        terms = {k: c for k, c in terms.items() if c}
-        self._lay.check_range(terms)
-        return _new(self._lay, terms)
 
 
 class _KroneckerImage:

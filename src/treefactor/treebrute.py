@@ -7,15 +7,18 @@ listing cycles, paths, and spanning trees", Networks 5, 1975): contraction
 happens in a union-find, and deletion prunes on a connectivity test, which
 doubles as the bridge shortcut (a bridge has no exclusion branch).
 
-Every tree statistic is a sum over the tree's edges, so each edge gets an
-additive key once: the packed key of its one-edge statistic monomial.  The
-walk adds an edge's key on inclusion and passes the running sum down as an
-argument, so backtracking subtracts nothing, and it tallies {key: trees}.
-`enumerate_sum` builds its polynomial from that tally with no per-tree
-object; `all_spanning_trees` runs the same walk with the key 1 << position
-for each parallel edge copy and decodes the masks in walk order.  A
-determinant count at all-ones gates the walk, so a huge graph fails fast
-instead of hanging, and the tally's total must equal it.
+Every tree statistic is a product of edge weights over the tree's edges,
+the weights of its scheme in `SCHEME_FOR_STATISTIC`, so each edge copy's
+additive key is read from that scheme's key table in `laplacian`, where each
+weight is defined once, and the tally lands on the layout of the determinant
+and the closed forms.  What stays independent of the determinant route is
+the walk.  It adds an edge's key on inclusion and passes the running sum
+down as an argument, so backtracking subtracts nothing, and it tallies
+{key: trees}.  `enumerate_sum` builds its polynomial from that tally with no
+per-tree object; `all_spanning_trees` runs the same walk with the key
+1 << position for each parallel edge copy and decodes the masks in walk
+order.  A determinant count at all-ones gates the walk, so a huge graph
+fails fast instead of hanging, and the tally's total must equal it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .graphs import Disconnected, Graph, SpanningTree, is_connected
-from .laplacian import SchemeMismatch, WeightScheme, check_scheme
-from .polyring import Monomial, PackedMonomials, Polynomial, q, x, xd, y
+from .laplacian import SchemeMismatch, WeightScheme, _divide_int, _eliminate, _weight_table, check_scheme
+from .polyring import Monomial, Polynomial, _Layout, _new
 
 DEFAULT_CAP = 10_000_000
 
@@ -54,34 +57,11 @@ SCHEME_FOR_STATISTIC = {
 }
 
 
-def _int_det(a: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees (multiplicities counted), by Kirchhoff."""
     n = g.n
-    if n == 1:
-        return 1
+    if n <= 1:  # the empty graph has no spanning tree
+        return n
     lap = [[0] * n for _ in range(n)]
     for e in g.edges:
         m = e.multiplicity
@@ -90,7 +70,7 @@ def spanning_tree_count(g: Graph) -> int:
         lap[e.u][e.v] -= m
         lap[e.v][e.u] -= m
     reduced = [row[:-1] for row in lap[:-1]]
-    return _int_det(reduced)
+    return _eliminate(reduced, 0, _divide_int)
 
 
 def _predicted_count(g: Graph, cap: int) -> int:
@@ -199,64 +179,29 @@ def all_spanning_trees(g: Graph, cap: int = DEFAULT_CAP) -> list[SpanningTree]:
             for mask in masks]
 
 
-def _check_kind(g: Graph, stat: TreeStatistic) -> None:
-    """A statistic is defined on the graphs its matching weight scheme is."""
+def _statistic_keys(g: Graph, stat: TreeStatistic) -> tuple[_Layout, list[int]]:
+    """The key table of the statistic's weight scheme, on the graphs that scheme is defined on."""
     try:
         check_scheme(g, SCHEME_FOR_STATISTIC[stat])
     except SchemeMismatch:
         raise SchemeMismatch(f"{stat.value} statistic is not defined on a {g.kind} graph") from None
+    return _weight_table(g, SCHEME_FOR_STATISTIC[stat], g.edges)
 
 
 def statistic_monomial(g: Graph, tree: SpanningTree, stat: TreeStatistic) -> Monomial:
     """Monomial a single spanning tree contributes under the statistic.
 
-    Each statistic is a product over the tree's edges, which is what lets
-    `enumerate_sum` sum one-edge keys instead of calling this per tree.
+    Each statistic is a product of its scheme's edge weights over the tree's
+    edges, so the tree's key is the sum of those edges' keys.
     """
-    _check_kind(g, stat)
-    exps: dict = {}
-
-    def bump(var, e=1):
-        exps[var] = exps.get(var, 0) + e
-
-    if stat is TreeStatistic.DEGREE:
-        for idx in tree.edge_indices:
-            e = g.edges[idx]
-            bump(x(e.u + 1))
-            bump(x(e.v + 1))
-    elif stat is TreeStatistic.DIRECTION:
-        for idx in tree.edge_indices:
-            bump(q(g.edges[idx].direction))
-    elif stat is TreeStatistic.DIR_DECOUPLED:
-        for idx in tree.edge_indices:
-            e = g.edges[idx]
-            bump(q(e.direction))
-            for label in (g.labels[e.u], g.labels[e.v]):
-                for t, member in enumerate(label, start=1):
-                    bump(xd(t, member))
-    elif stat is TreeStatistic.CUBE_SUBSTITUTED:
-        n = len(g.dims)
-        for idx in tree.edge_indices:
-            e = g.edges[idx]
-            bump(q(e.direction))
-            s_set = g.labels[e.u]
-            for t in range(1, n + 1):
-                if t == e.direction:
-                    continue
-                bump(x(t), 1 if t in s_set else -1)
-    elif stat is TreeStatistic.IN_OUT_DEGREE:
-        for idx in tree.edge_indices:
-            e = g.edges[idx]
-            bump(x(e.u + 1))
-            bump(y(e.v + 1))
-    return Monomial.of(exps)
+    lay, keys = _statistic_keys(g, stat)
+    return lay.monomial(sum(keys[idx] for idx in tree.edge_indices))
 
 
 def enumerate_sum(g: Graph, stat: TreeStatistic, cap: int = DEFAULT_CAP) -> Polynomial:
     """Sum of statistic monomials over every spanning tree."""
     predicted = _predicted_count(g, cap)
-    _check_kind(g, stat)  # an edgeless graph computes no edge key below
-    edges = PackedMonomials(statistic_monomial(g, SpanningTree((idx,)), stat)
-                            for idx in range(len(g.edges)))
-    keys = [edges.keys[idx] for idx in _edge_copies(g)]
-    return edges.polynomial(_walk(g, keys, predicted))
+    lay, keys = _statistic_keys(g, stat)
+    tally = _walk(g, [keys[idx] for idx in _edge_copies(g)], predicted)
+    lay.check_range(tally)
+    return _new(lay, tally)

@@ -247,7 +247,10 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     t0 = time.perf_counter()
     aset = frozenset(int(i) for i in a_set)
     claim = f"cube-null:n={n}:A={_subset_id(aset)}"
-    if len(aset) < 2 or not aset <= set(range(1, n + 1)):
+    outside = aset - set(range(1, n + 1))
+    if outside:
+        raise ValueError(f"direction {min(outside)} is outside 1..{n}")
+    if len(aset) < 2:
         raise ValueError("need a direction subset of size at least 2")
 
     g = hypercube(n)

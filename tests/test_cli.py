@@ -239,6 +239,16 @@ def test_verify_usage_errors(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_cube_null_names_the_fault(capsys):
+    # an out-of-range direction is named with the range; a short subset by its size
+    rc, out, err = run(capsys, "verify", "cube-null", "--n", "3", "--set", "1,5")
+    assert rc == 2 and out == ""
+    assert err == "error: direction 5 is outside 1..3\n"
+    rc, out, err = run(capsys, "verify", "cube-null", "--n", "3", "--set", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: need a direction subset of size at least 2\n"
+
+
 def test_conjecture_scan_text_and_json(capsys):
     rc, out, _ = run(capsys, "conjecture-scan", "--dims", "2,2")
     assert rc == 0

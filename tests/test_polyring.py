@@ -12,7 +12,6 @@ from treefactor.polyring import (
     Monomial,
     NonInvertibleSubstitution,
     NotDivisible,
-    PackedMonomials,
     Polynomial,
     Variable,
     div_exact,
@@ -339,20 +338,3 @@ def test_exponent_overflow_at_the_limb_boundary():
     # the error is an arithmetic error, not an assertion
     assert issubclass(ExponentOverflow, ArithmeticError)
     assert not issubclass(ExponentOverflow, AssertionError)
-
-
-def test_packed_monomials_multiply_by_adding_keys():
-    monos = [Monomial.of({x(1): 1, q(2): 1}), Monomial.of({x(1): -1, y(3): 2}), Monomial()]
-    packed = PackedMonomials(monos)
-    a, b, one = packed.keys
-    assert one == 0
-    expected = P("3*q2*y3^2 + 2*x1*q2 - 1")
-    got = packed.polynomial({a + b: 3, a: 2, one: -1, b: 0})
-    assert got == expected and got.render() == expected.render()
-    assert packed.polynomial({}) == 0
-    # a sum of keys is range-checked when it becomes a polynomial
-    big = PackedMonomials([Monomial.of({x(1): 2 ** 27, x(2): -(2 ** 27)})])
-    (k,) = big.keys
-    assert big.polynomial({k + k - k: 1}).render() == f"x1^{2 ** 27}*x2^{-(2 ** 27)}"
-    with pytest.raises(ExponentOverflow):
-        big.polynomial({k + k: 1})

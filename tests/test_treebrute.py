@@ -8,6 +8,7 @@ from treefactor import treebrute
 from treefactor import (
     CapExceeded,
     DisconnectedGraph,
+    Graph,
     Polynomial,
     SCHEME_FOR_STATISTIC,
     SchemeMismatch,
@@ -16,13 +17,16 @@ from treefactor import (
     all_spanning_trees,
     cartesian_product,
     complete_graph,
+    connected_threshold_sequences,
     enumerate_sum,
     hypercube,
     multigraph_kn,
     spanning_tree_count,
     statistic_monomial,
     threshold_graph,
+    threshold_rhs,
     tree_enumerator_det,
+    verify_identity,
     x,
 )
 
@@ -38,6 +42,7 @@ def test_spanning_tree_counts():
     assert spanning_tree_count(cartesian_product([complete_graph(2), complete_graph(3)])) == 75
     assert spanning_tree_count(threshold_graph((3, 1, 1, 1))) == 1
     assert spanning_tree_count(threshold_graph((1, 1, 0))) == 0
+    assert spanning_tree_count(Graph(kind="plain", labels=(), edges=())) == 0
 
 
 def test_all_spanning_trees_are_valid_trees():
@@ -86,6 +91,21 @@ def test_statistic_monomial_examples():
     t = SpanningTree((0, 1))
     assert statistic_monomial(g, t, TreeStatistic.DEGREE) == P("x1^2*x2*x3").leading_term()[0]
     assert statistic_monomial(g, t, TreeStatistic.IN_OUT_DEGREE) == P("x1^2*y2*y3").leading_term()[0]
+    g = cartesian_product([complete_graph(2), complete_graph(3)])
+    # vertices (1,1), (1,2), (1,3), (2,1), (2,2), (2,3); the tree joins each
+    # K3 copy by its first vertex's edges and the copies by (1,1)-(2,1)
+    t = SpanningTree((0, 3, 4, 5, 6))
+    assert [g.edges[idx][:3] for idx in t.edge_indices] == [(0, 3, 1), (0, 1, 2), (3, 4, 2), (0, 2, 2), (3, 5, 2)]
+    assert statistic_monomial(g, t, TreeStatistic.DIRECTION) == P("q1*q2^4").leading_term()[0]
+    assert statistic_monomial(g, t, TreeStatistic.DIR_DECOUPLED) == P(
+        "q1*q2^4*x(1,1)^5*x(1,2)^5*x(2,1)^6*x(2,2)^2*x(2,3)^2").leading_term()[0]
+    g = hypercube(2)
+    # edges {}-{1}, {}-{2}, {2}-{1,2}: each carries 1/x_t off its direction
+    # when t is not in its lower end
+    t = SpanningTree((0, 1, 2))
+    assert [(g.labels[g.edges[idx].u], g.edges[idx].direction) for idx in t.edge_indices] == [
+        (frozenset(), 1), (frozenset(), 2), (frozenset({2}), 1)]
+    assert statistic_monomial(g, t, TreeStatistic.CUBE_SUBSTITUTED) == P("q1^2*q2*x1^-1").leading_term()[0]
 
 
 def test_statistic_requires_matching_family():
@@ -170,3 +190,31 @@ def test_all_spanning_trees_order_is_pinned():
         trees = all_spanning_trees(g)
         assert len(trees) == count, name
         assert hashlib.sha256(repr([t.edge_indices for t in trees]).encode()).hexdigest() == digest, name
+
+
+def test_brute_threshold_claims_do_not_rekey(monkeypatch):
+    # the walk's tally is keyed over the in/out key table's layout, the one
+    # threshold_rhs builds on, so checking the identity rebuilds no term dict
+    import treefactor.polyring as polyring
+
+    rekey = polyring._rekey
+    count = [0]
+
+    def counted_rekey(terms, src, dst):
+        out = rekey(terms, src, dst)
+        count[0] += out is not terms
+        return out
+
+    def warm_rekeys(call):
+        call()
+        count[0] = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(polyring, "_rekey", counted_rekey)
+            assert all(v.ok for v in call())
+        return count[0]
+
+    sequences = [lam for n in range(2, 7) for lam in connected_threshold_sequences(n)]
+    assert len(sequences) == 31
+    assert warm_rekeys(lambda: [
+        verify_identity("brute", enumerate_sum(threshold_graph(lam), TreeStatistic.IN_OUT_DEGREE), threshold_rhs(lam))
+        for lam in sequences]) == 0
