@@ -192,6 +192,25 @@ def test_all_spanning_trees_order_is_pinned():
         assert hashlib.sha256(repr([t.edge_indices for t in trees]).encode()).hexdigest() == digest, name
 
 
+def test_enumerate_sum_terms_order_is_pinned():
+    # terms() lists the walk's tally in the order the walk first reached each
+    # key; rendering and JSON sort their terms and equality ignores order
+    cases = {
+        "K5": (complete_graph(5), TreeStatistic.DEGREE),
+        "K4(2)": (multigraph_kn(4, 2), TreeStatistic.DEGREE),
+        "K2xK3": (cartesian_product([complete_graph(2), complete_graph(3)]), TreeStatistic.DIRECTION),
+        "K3(2)xK2": (cartesian_product([multigraph_kn(3, 2), complete_graph(2)]), TreeStatistic.DIR_DECOUPLED),
+        "Q3": (hypercube(3), TreeStatistic.CUBE_SUBSTITUTED),
+        "T:4,3,2,2,1": (threshold_graph((4, 3, 2, 2, 1)), TreeStatistic.IN_OUT_DEGREE),
+    }
+    digest = hashlib.sha256()
+    for name, (g, stat) in cases.items():
+        digest.update(f"{name}\n".encode())
+        for mono, coeff in enumerate_sum(g, stat).terms():
+            digest.update(f"{Polynomial.monomial(mono).render()}\t{coeff}\n".encode())
+    assert digest.hexdigest() == "a2105d4806259c362f019608782fe5b0b0bc84283fe981e5744abf7462a1514c"
+
+
 def test_brute_threshold_claims_do_not_rekey(monkeypatch):
     # the walk's tally is keyed over the in/out key table's layout, the one
     # threshold_rhs builds on, so checking the identity rebuilds no term dict
