@@ -13,6 +13,7 @@ coordinate a product edge moves along; 1 elsewhere) and a multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
 
@@ -167,15 +168,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
         strides[i] = strides[i + 1] * sizes[i + 1]
     total = strides[0] * sizes[0]
 
-    labels = []
-    coords = [0] * r
-    for idx in range(total):
-        rem = idx
-        tup = []
-        for i in range(r):
-            c, rem = divmod(rem, strides[i])
-            tup.append(factors[i].labels[c])
-        labels.append(tuple(tup))
+    labels = tuple(product(*(g.labels for g in factors)))
 
     edges: list[Edge] = []
     for i in range(r):
@@ -191,7 +184,7 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
                 edges.append(Edge(u, v, i + 1, fe.multiplicity))
     return Graph(
         kind="product",
-        labels=tuple(labels),
+        labels=labels,
         edges=tuple(edges),
         dims=tuple(sizes),
     )

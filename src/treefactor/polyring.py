@@ -180,9 +180,6 @@ class Monomial:
     def as_dict(self) -> dict[Variable, int]:
         return dict(self.exps)
 
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.is_one:
             return other
@@ -196,22 +193,6 @@ class Monomial:
             else:
                 del acc[v]
         return Monomial(tuple(sorted(acc.items(), key=lambda p: p[0]._key)))
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k == 0:
-            return Monomial()
-        return Monomial(tuple((v, e * k) for v, e in self.exps))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        return self * (other ** -1)
-
-    def render(self) -> str:
-        if self.is_one:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            parts.append(v.render() if e == 1 else f"{v.render()}^{e}")
-        return "*".join(parts)
 
 
 def _mono(exps: tuple) -> Monomial:
@@ -322,16 +303,11 @@ def _union(a: _Layout, b: _Layout) -> _Layout:
     return _layout(tuple(sorted(a.pos.keys() | b.pos.keys(), key=lambda v: v._key)))
 
 
-@lru_cache(maxsize=1024)
-def _embedding(src: _Layout, dst: _Layout) -> list[int]:
-    return [dst.unit[dst.pos[v]] for v in src.vars]
-
-
 def _rekey(terms: dict[int, int], src: _Layout, dst: _Layout) -> dict[int, int]:
     """The same terms keyed over `dst`, whose variables include `src`'s."""
     if src is dst or not src.vars or not terms or len(src.vars) == len(dst.vars):
         return terms
-    units = _embedding(src, dst)
+    units = [dst.unit[dst.pos[v]] for v in src.vars]
     exponents = src.exponents
     return {sum(map(mul, exponents(k), units)): c for k, c in terms.items()}
 
@@ -358,10 +334,7 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     Arithmetic among them then does no layout work at all.
     """
     polys = [_coerce_poly(p) for p in polys]
-    lays = [p._lay for p in polys]
-    # start from the widest layout (nbytes grows with the variable count), so
-    # that operands on its sub-layouts build no intermediate layout
-    lay = reduce(_union, lays, max(lays, key=attrgetter("nbytes"), default=_EMPTY))
+    lay = reduce(_union, dict.fromkeys(p._lay for p in polys), _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
@@ -799,16 +772,11 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-class _Stuck(Exception):
-    def __init__(self, key: int, coeff: int):
-        self.key = key
-        self.coeff = coeff
-
-
 def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dict[int, int]:
-    """Quotient f/g with no quotient exponent below floor's; _Stuck otherwise.
+    """Quotient f/g with no quotient exponent below floor's.
 
-    Keys are popped in strictly decreasing graded-lex order; every key a
+    Otherwise NotDivisible, whose witness is the stuck term as a (monomial,
+    coefficient) pair.  Keys are popped in strictly decreasing graded-lex order; every key a
     reduction introduces is strictly smaller than the key being reduced,
     so a stuck leading term can never cancel later and is a definitive
     non-divisibility witness.  Quotient terms are bounded below by the
@@ -829,7 +797,8 @@ def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dic
             continue
         t = w - kg
         if (t - floor) & guard or c % cg:
-            raise _Stuck(w, c)
+            raise NotDivisible(f"remainder term {_new(lay, {w: c}).render()} is not reducible",
+                               witness=(lay.monomial(w), c))
         if (t + bias) & rmask:
             lay.check_range((t,))
         cq = c // cg
@@ -861,12 +830,7 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
     lay, f, g = _aligned(n, d)
     if not f:
         return _new(lay, {})
-    try:
-        return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))
-    except _Stuck as stuck:
-        k, c = stuck.key, stuck.coeff
-        raise NotDivisible(f"remainder term {_new(lay, {k: c}).render()} is not reducible",
-                           witness=(lay.monomial(k), c)) from None
+    return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))
 
 
 def _dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:

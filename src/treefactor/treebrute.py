@@ -108,11 +108,10 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
             a = parent[a]
         return a
 
-    alive = [True] * n_copies
     tally: dict[int, int] = {}
 
     def still_connected(pos: int, comps: int) -> bool:
-        """Can the alive edges from pos onward join the forest's comps components?"""
+        """Can the copies from pos onward, none yet decided, join the forest's comps components?"""
         local: dict[int, int] = {}
 
         def lfind(a: int) -> int:
@@ -121,10 +120,8 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
                 a = local[a]
             return a
 
-        for k in range(pos, n_copies):
-            if not alive[k]:
-                continue
-            ra, rb = lfind(ends[k][0]), lfind(ends[k][1])
+        for a, b in ends[pos:]:
+            ra, rb = lfind(a), lfind(b)
             if ra != rb:
                 local[ra] = rb
                 comps -= 1
@@ -156,10 +153,8 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
             rank[ru] -= 1
         parent[rv] = rv
         # exclude the edge (deletion); a bridge has no such branch
-        alive[pos] = False
         if still_connected(pos + 1, components):
             rec(pos + 1, components, key)
-        alive[pos] = True
 
     rec(0, n, 0)
     total = sum(tally.values())

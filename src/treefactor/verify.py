@@ -151,7 +151,7 @@ def verify_divisibility(dims: Sequence[int]) -> tuple[list[Verdict], Polynomial]
             quotient = piece
             verdicts.append(Verdict(claim, "Verified", None, (time.perf_counter() - t0) * 1000.0))
         except NotDivisible as err:
-            wit = _term_text(err.witness, 1) if err.witness is not None else str(err)
+            wit = _term_text(*err.witness)
             verdicts.append(Verdict(claim, "Refuted", wit, (time.perf_counter() - t0) * 1000.0))
     return verdicts, quotient
 
@@ -302,7 +302,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     i = int(direction)
     claim = f"decoupled-null:dims={_dims_id(dims)}:dir={i}"
     if not 1 <= i <= len(dims):
-        raise ValueError("direction out of range")
+        raise ValueError(f"direction {i} is outside 1..{len(dims)}")
     ni = dims[i - 1]
     if ni < 2:
         raise ValueError("direction needs at least two coordinate values")

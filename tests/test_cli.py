@@ -249,6 +249,29 @@ def test_cube_null_names_the_fault(capsys):
     assert err == "error: need a direction subset of size at least 2\n"
 
 
+def test_decoupled_null_names_the_fault(capsys):
+    rc, out, err = run(capsys, "verify", "decoupled-null", "--dims", "2,3", "--dir", "3")
+    assert rc == 2 and out == ""
+    assert err == "error: direction 3 is outside 1..2\n"
+
+
+def test_verify_divisibility_refuted_exits_one(capsys, monkeypatch):
+    # a factor that does not divide is a Refuted verdict, not a crash
+    import treefactor.verify as verify
+
+    real = verify.decoupled_enumerator_factors
+
+    def claimed(dims):
+        *factors, (base, exp) = real(dims)
+        return [*factors, (base, exp + 1)]
+
+    monkeypatch.setattr(verify, "decoupled_enumerator_factors", claimed)
+    rc, out, err = run(capsys, "verify", "divisibility", "--dims", "2,3")
+    assert rc == 1 and err == ""
+    assert out.split("\n")[0] == (
+        "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^2: Refuted -- -q1^2*x(1,1)^4*x(2,2)^2*x(2,3)")
+
+
 def test_conjecture_scan_text_and_json(capsys):
     rc, out, _ = run(capsys, "conjecture-scan", "--dims", "2,2")
     assert rc == 0
@@ -436,4 +459,4 @@ def test_cli_transcript_digest(monkeypatch):
         Verdict("nonneg:dims=2x2", "Refuted", "min coefficient -1 at x2", 2.5), Polynomial.parse("x1 - x2")))
     for argv in _PATCHED_TRANSCRIPT:
         record(argv, *_transcript(argv))
-    assert digest.hexdigest() == "16352415b4caaef34e98d4fddba046ea7e586f63d0a5c6f9b94c099317eeff47"
+    assert digest.hexdigest() == "209dbb8d51e73b528bc8d7e292885a06084de38898aa9aeaf762540c64c53d4a"

@@ -88,6 +88,15 @@ def test_laplacian_entry_and_symmetry():
             assert lap.at(i, j) == lap.at(j, i)
 
 
+def test_laplacian_prints_as_aligned_rows():
+    lap = weighted_laplacian(complete_graph(3), WeightScheme.CAYLEY_PRUFER)
+    assert str(lap) == (
+        "[ x1*x2 + x1*x3         -x1*x2         -x1*x3 ]\n"
+        "[        -x1*x2  x1*x2 + x2*x3         -x2*x3 ]\n"
+        "[        -x1*x3         -x2*x3  x1*x3 + x2*x3 ]"
+    )
+
+
 def test_laplacian_rows_sum_to_zero():
     cases = [
         (complete_graph(4), WeightScheme.GENERIC),

@@ -53,6 +53,10 @@ def test_add_inverse_gives_zero():
     assert (p + (-p)).is_zero
 
 
+def test_integer_minus_polynomial():
+    assert (1 - P("x1")).render() == "-x1 + 1"
+
+
 def test_add_collects_like_terms():
     total = P("x1 + x2") + P("x2")
     assert total == P("x1 + 2*x2")
@@ -96,11 +100,13 @@ def test_div_exact_monomial_divisors_are_units():
 
 
 def test_div_exact_remainder_refuses():
-    with pytest.raises(NotDivisible) as err:
+    # the witness is the stuck term: its monomial and its coefficient
+    with pytest.raises(NotDivisible, match=r"^remainder term x2 is not reducible$") as err:
         div_exact(P("x1 + x2"), P("x1 + 1"))
-    assert err.value.witness is not None
-    with pytest.raises(NotDivisible):
+    assert err.value.witness == (Monomial.of({x(2): 1}), 1)
+    with pytest.raises(NotDivisible, match=r"^remainder term 2\*x2\^2 is not reducible$") as err:
         div_exact(P("x1^2 + x2^2"), P("x1 + x2"))
+    assert err.value.witness == (Monomial.of({x(2): 2}), 2)
 
 
 def test_div_by_zero():

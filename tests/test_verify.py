@@ -98,6 +98,30 @@ def test_divisibility_names_sum_factors_with_parentheses():
     assert "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^1" in ids
 
 
+def _one_power_too_many(monkeypatch):
+    # the last factor of a product claims one more power than divides
+    import treefactor.verify as verify
+
+    real = verify.decoupled_enumerator_factors
+
+    def claimed(dims):
+        *factors, (base, exp) = real(dims)
+        return [*factors, (base, exp + 1)]
+
+    monkeypatch.setattr(verify, "decoupled_enumerator_factors", claimed)
+
+
+def test_divisibility_refutes_with_the_stuck_term(monkeypatch):
+    _one_power_too_many(monkeypatch)
+    witness = "-q1^2*x(1,1)^4*x(2,2)^2*x(2,3)"
+    verdicts, _ = verify_divisibility((2, 3))
+    assert [v.ok for v in verdicts] == [True] * 7 + [False]
+    assert (verdicts[-1].claim_id, verdicts[-1].witness) == (
+        "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^2", witness)
+    verdict, _ = conjecture_scan((2, 3))
+    assert (verdict.claim_id, verdict.status, verdict.witness) == ("nonneg:dims=2x3", "Refuted", witness)
+
+
 def test_conjecture_scan_reports_minimum_coefficient():
     verdict, quotient = conjecture_scan((2, 2))
     assert verdict.ok
