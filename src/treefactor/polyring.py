@@ -773,14 +773,14 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dict[int, int]:
-    """Quotient f/g with no quotient exponent below floor's.
+    """Quotient f/g with no quotient exponent below floor's; NotDivisible otherwise.
 
-    Otherwise NotDivisible, whose witness is the stuck term as a (monomial,
-    coefficient) pair.  Keys are popped in strictly decreasing graded-lex order; every key a
+    Keys are popped in strictly decreasing graded-lex order; every key a
     reduction introduces is strictly smaller than the key being reduced,
     so a stuck leading term can never cancel later and is a definitive
-    non-divisibility witness.  Quotient terms are bounded below by the
-    floor and above in degree, so the loop ends.
+    non-divisibility witness, raised as a (monomial, coefficient) pair.
+    Quotient terms are bounded below by the floor and above in degree, so
+    the loop ends.
     """
     guard, bias, rmask = lay.guard, lay.range_bias, lay.range_mask
     kg = max(g)

@@ -156,6 +156,7 @@ def test_render_zero_and_signs():
     # leading sign attaches to the first term, interior joins use " - "
     text = (P("x1^2") - P("3*x2")).render()
     assert text == "x1^2 - 3*x2"
+    assert repr(P("x1^2 - 3*x2")) == "Polynomial(x1^2 - 3*x2)"
 
 
 def test_render_descending_graded_lex():
