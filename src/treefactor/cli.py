@@ -131,6 +131,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers for {what}")
 
 
+def _tree_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"a tree cap cannot be negative: {cap}")
+    return cap
+
+
 def _cmd_count(args) -> int:
     g = parse_spec(args.spec)
     n = spanning_tree_count(g)
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the determinant weight scheme")
     e.add_argument("--brute", action="store_true", help="sum over explicit trees")
     e.add_argument("--reduce", metavar="R,S", help="1-based row,col to strike")
-    e.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max trees to enumerate")
+    e.add_argument("--cap", type=_tree_cap, default=DEFAULT_CAP, help="max trees to enumerate")
     e.set_defaults(fn=_cmd_enumerate)
 
     s = sub.add_parser("spectrum", parents=[common],

@@ -13,10 +13,15 @@ each edge's key, times its multiplicity, into the four cells it touches, and
 written once and no polynomial is built per edge.
 
 Determinants are computed exactly, by one of three paths:
-  - cofactor expansion, for orders up to 4;
+  - expansion by minors, for orders up to 4, and above that for matrices
+    whose Kronecker image is too wide but whose zero pattern leaves at most
+    `_MINOR_STATES` (2**12) column sets to expand over;
   - fraction-free Bareiss elimination over the integers, after one
-    Kronecker substitution phi, when phi's image is small;
+    Kronecker substitution phi, when phi's image has at most
+    `_KRONECKER_BITS` (2**15) bits;
   - Bareiss elimination over the Laurent polynomials otherwise.
+The expansion (`_minors_det`) only multiplies an entry by a minor and
+never divides, which suits a Laplacian's sparse monomial entries.
 phi divides each row by its monomial content, then evaluates each variable
 at a power of 2**(8w).  It is a ring homomorphism, so det phi(M) =
 phi(det M).  Two bounds keep det M inside a box that phi maps one-to-one:
@@ -41,6 +46,7 @@ from .polyring import (
     Polynomial,
     _KroneckerImage,
     _Layout,
+    _dot,
     _layout,
     _new,
     div_exact,
@@ -214,46 +220,79 @@ def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
     return PolyMatrix(rows), sign
 
 
-# Images above this many bits go to polynomial Bareiss: CPython's long
+# Images above this many bits leave integer Bareiss: CPython's long
 # division is quadratic, and past it the integer elimination loses.
 _KRONECKER_BITS = 1 << 15
+# Wide images with more column sets than this go to polynomial Bareiss: each
+# level of the expansion by minors holds all its minors at once (decoupled
+# K4xK4, at 29,887 sets, ran out of 6 GB).
+_MINOR_STATES = 1 << 12
 
 
 def determinant(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Cofactor expansion up to 4x4.  Above that, the bounds are taken before
+    Expansion by minors up to 4x4.  Above that, the bounds are taken before
     anything is packed: an image phi(M) of at most 2**15 bits (slots times
-    8w) is eliminated over the integers and decoded once; a larger one goes
-    to Bareiss over the polynomials.  The path follows from the matrix
-    alone; `_cofactor_det` and `_bareiss_det` take the rows directly.
+    8w) is eliminated over the integers and decoded once.  A wider one is
+    expanded by minors when the zero pattern leaves at most 2**12 column
+    sets, and goes to Bareiss over the polynomials otherwise.  The path
+    follows from the matrix alone; `_minors_det` and `_bareiss_det` take the
+    rows directly.
     """
     rows = m.rows
-    if not rows:
-        return Polynomial.one()
     if m.size <= 4:
-        return _cofactor_det(rows)
+        return _minors_det(rows)
     image = _KroneckerImage(rows)
     if image.bits <= _KRONECKER_BITS:
         return _kronecker_det(image)
+    if _minor_states(rows) <= _MINOR_STATES:
+        return _minors_det(rows)
     return _bareiss_det(rows)
 
 
-def _cofactor_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Laplace expansion along rows 0..n-1 that keeps one minor per column set.
+
+    After r rows, `level` maps each column set T (a bit mask) to D(T), the
+    minor on rows 0..r-1 and columns T.  Expanding D(T + j) along its last
+    row gives the sum of +-a[r][j] * D(T), signed by the parity of the
+    columns of T after j, so each product is one entry times one minor and
+    nothing is divided (Gentleman and Johnson, ACM TOMS 2(3), 1976).  Zero
+    minors are dropped.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * _cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    if not n:
+        return Polynomial.one()
+    flat = share_layout(p for row in rows for p in row)
+    level = {1 << j: p for j, p in enumerate(flat[:n]) if p}
+    for r in range(1, n):
+        row = [(j, 1 << j, p, -p) for j, p in enumerate(flat[r * n:(r + 1) * n]) if p]
+        pairs: dict[int, list] = {}
+        for t, minor in level.items():
+            for j, bit, plus, minus in row:
+                if not t & bit:
+                    pairs.setdefault(t | bit, []).append((minus if (t >> j).bit_count() & 1 else plus, minor))
+        level = {s: d for s, terms in pairs.items() if (d := _dot(terms))}
+    return level.popitem()[1] if level else Polynomial.zero()
+
+
+def _minor_states(rows: Sequence[Sequence[Polynomial]]) -> int:
+    """How many column sets `_minors_det` would keep, from the zero pattern alone.
+
+    Counts every level's sets; stops as soon as the count passes
+    `_MINOR_STATES`, so a large dense matrix costs only a few levels.
+    """
+    count, level = 0, {0}
+    for row in rows:
+        bits = [1 << j for j, p in enumerate(row) if p]
+        nxt = set()
+        for t in level:
+            nxt.update(t | bit for bit in bits if not t & bit)
+            if count + len(nxt) > _MINOR_STATES:
+                return count + len(nxt)
+        count, level = count + len(nxt), nxt
+    return count
 
 
 def _eliminate(a: list[list], zero, divide: Callable):

@@ -97,7 +97,6 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
     """
     n = g.n
     ends = [(g.edges[idx].u, g.edges[idx].v) for idx in _edge_copies(g)]
-    n_copies = len(ends)
 
     parent = list(range(n))
     rank = [0] * n
@@ -133,8 +132,10 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
         if components == 1:
             tally[key] = tally.get(key, 0) + 1
             return
-        if pos == n_copies:
-            return
+        # a copy is left: every call keeps "the copies from pos onward can
+        # join the forest" (the root by _predicted_count's connectivity test,
+        # exclusion by still_connected; a cycle copy or a contraction keeps
+        # it), and a forest of several components needs one more copy
         u, v = ends[pos]
         ru, rv = find(u), find(v)
         if ru == rv:

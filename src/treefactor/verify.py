@@ -29,6 +29,7 @@ from .formulas import (
 from .graphs import (
     Disconnected,
     Graph,
+    InvalidSize,
     Partition,
     PartitionLike,
     _coerce_partition,
@@ -247,6 +248,8 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     t0 = time.perf_counter()
     aset = frozenset(int(i) for i in a_set)
     claim = f"cube-null:n={n}:A={_subset_id(aset)}"
+    if n < 1:
+        raise InvalidSize(f"hypercube dimension n={n} must be at least 1")
     outside = aset - set(range(1, n + 1))
     if outside:
         raise ValueError(f"direction {min(outside)} is outside 1..{n}")
@@ -255,7 +258,8 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
 
     g = hypercube(n)
     lap = weighted_laplacian(g, WeightScheme.CUBE_LAURENT)
-    assert g.labels[0] == frozenset()
+    if g.labels[0]:  # the row and column struck below must be the empty subset's
+        raise AssertionError("hypercube vertex 0 is not the empty subset")
     lhat, _ = reduce_matrix(lap, 0, 0)
     labels = g.labels[1:]
     vs = _claim_variables(g, WeightScheme.CUBE_LAURENT)

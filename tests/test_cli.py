@@ -247,6 +247,10 @@ def test_cube_null_names_the_fault(capsys):
     rc, out, err = run(capsys, "verify", "cube-null", "--n", "3", "--set", "2")
     assert rc == 2 and out == ""
     assert err == "error: need a direction subset of size at least 2\n"
+    # a bad dimension is named before any direction is checked against it
+    rc, out, err = run(capsys, "verify", "cube-null", "--n", "-2", "--set", "1,2")
+    assert rc == 2 and out == ""
+    assert err == "error: hypercube dimension n=-2 must be at least 1\n"
 
 
 def test_decoupled_null_names_the_fault(capsys):
@@ -288,6 +292,16 @@ def test_conjecture_scan_text_and_json(capsys):
 def test_cap_exceeded_exits_three(capsys):
     rc, _, err = run(capsys, "enumerate", "--brute", "--cap", "100", "K6")
     assert rc == 3 and "error" in err
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "enumerate", "--brute", "--cap", "-1", "K3")
+    assert rc == 2 and out == ""
+    assert err.endswith("error: argument --cap: a tree cap cannot be negative: -1\n")
+    rc, out, err = run(capsys, "enumerate", "--brute", "--cap", "abc", "K3")
+    assert rc == 2 and err.endswith("error: argument --cap: invalid int value: 'abc'\n")
+    rc, out, _ = run(capsys, "enumerate", "--brute", "--cap", "3", "K3")
+    assert rc == 0 and out
 
 
 def test_spec_errors_exit_two(capsys):

@@ -209,7 +209,7 @@ def test_determinant_3x3_permutation_oracle():
             for i in range(3):
                 term = term * rows[i][perm[i]]
             expected = expected + (term if inv % 2 == 0 else -term)
-        assert laplacian._cofactor_det(m.rows) == expected
+        assert laplacian._minors_det(m.rows) == expected
         assert laplacian._bareiss_det(m.rows) == expected
 
 
@@ -233,7 +233,7 @@ def test_determinant_methods_agree_on_random_matrices():
     for _ in range(60):
         n = rng.randrange(1, 5)
         m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-        assert laplacian._bareiss_det(m.rows) == laplacian._cofactor_det(m.rows)
+        assert laplacian._bareiss_det(m.rows) == laplacian._minors_det(m.rows)
 
 
 def test_determinant_methods_agree_on_reduced_laplacians():
@@ -246,7 +246,7 @@ def test_determinant_methods_agree_on_reduced_laplacians():
     for g, scheme in cases:
         lap = weighted_laplacian(g, scheme)
         minor, _ = reduce_matrix(lap, g.n - 1, g.n - 1)
-        assert laplacian._bareiss_det(minor.rows) == laplacian._cofactor_det(minor.rows)
+        assert laplacian._bareiss_det(minor.rows) == laplacian._minors_det(minor.rows)
 
 
 def test_full_laplacian_is_singular():
@@ -293,7 +293,7 @@ def test_bareiss_divides_exactly_over_laurent_entries():
     for n in (5, 6):
         for _ in range(4):
             m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-            assert laplacian._bareiss_det(m.rows) == laplacian._cofactor_det(m.rows)
+            assert laplacian._bareiss_det(m.rows) == laplacian._minors_det(m.rows)
 
 
 def _pinned_enumerator_cases():
@@ -326,10 +326,9 @@ def test_enumerator_outputs_are_pinned():
 
 
 def test_determinant_takes_each_path_where_intended(monkeypatch):
-    # both elimination paths must stay in use: the Kronecker image for the
-    # small dense direction products, polynomial Bareiss for wide images
-    from treefactor import laplacian
-
+    # all three paths must stay in use: the Kronecker image for the small
+    # dense direction products, minors for wide images with few column
+    # sets, polynomial Bareiss past the column-set bound
     calls = []
 
     def counted(name, original):
@@ -338,18 +337,49 @@ def test_determinant_takes_each_path_where_intended(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_kronecker_det", "_bareiss_det", "_cofactor_det"):
+    for name in ("_kronecker_det", "_minors_det"):
         monkeypatch.setattr(laplacian, name, counted(name, getattr(laplacian, name)))
+    # the Bareiss case takes seconds, so a stub stands in for it
+    monkeypatch.setattr(laplacian, "_bareiss_det", lambda rows: calls.append("_bareiss_det") or Polynomial.zero())
 
     def path(g, scheme):
         calls.clear()
         tree_enumerator_det(g, scheme)
         return calls[0]
 
+    def product(dims):
+        return cartesian_product([complete_graph(d) for d in dims])
+
     S = WeightScheme
     for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 3, 3)]:
-        assert path(cartesian_product([complete_graph(d) for d in dims]), S.DIRECTION) == "_kronecker_det", dims
-    assert path(complete_graph(7), S.CAYLEY_PRUFER) == "_bareiss_det"
-    assert path(threshold_graph((5, 5, 5, 5, 5, 5)), S.THRESHOLD_IN_OUT) == "_bareiss_det"
-    assert path(cartesian_product([complete_graph(2), complete_graph(3)]), S.DECOUPLED) == "_bareiss_det"
-    assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_cofactor_det"
+        assert path(product(dims), S.DIRECTION) == "_kronecker_det", dims
+    assert path(complete_graph(7), S.CAYLEY_PRUFER) == "_minors_det"
+    assert path(threshold_graph((5, 5, 5, 5, 5, 5)), S.THRESHOLD_IN_OUT) == "_minors_det"
+    assert path(product((2, 3)), S.DECOUPLED) == "_minors_det"
+    assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_minors_det"
+    # a wide image whose zero pattern leaves 24,006 column sets
+    assert path(product((2, 2, 2, 2)), S.DIRECTION) == "_bareiss_det"
+
+
+def test_determinant_of_empty_matrix_is_one():
+    assert laplacian.determinant(PolyMatrix([])) == 1
+    assert laplacian._minors_det(()) == 1
+
+
+def test_minor_states_stops_past_the_bound_without_polynomials(monkeypatch):
+    # K40's reduced Laplacian is dense, with 2**39 - 1 column sets; the
+    # count must stop within a row of passing the bound, reading only
+    # which entries are zero
+    from treefactor import polyring
+
+    rows = reduce_matrix(weighted_laplacian(complete_graph(40), WeightScheme.CAYLEY_PRUFER), 39, 39)[0].rows
+
+    def no_polynomials(*args):
+        raise AssertionError("a polynomial was built")
+
+    for module, name in ((polyring, "_new"), (laplacian, "_new"), (laplacian, "_dot")):
+        monkeypatch.setattr(module, name, no_polynomials)
+    count = laplacian._minor_states(rows)
+    assert laplacian._MINOR_STATES < count <= laplacian._MINOR_STATES + 39
+    # zero entries add no column sets: a diagonal pattern has one per row
+    assert laplacian._minor_states([[int(i == j) for j in range(39)] for i in range(39)]) == 39

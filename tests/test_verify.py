@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -149,6 +152,27 @@ def test_cube_nullvectors():
     assert v.ok and v.claim_id == "cube-null:n=2:A={1,2}"
     assert verify_cube_nullvector(3, (1, 3)).ok
     assert verify_cube_nullvector(3, (1, 2, 3)).ok
+
+
+def test_cube_nullvector_label_check_survives_optimize():
+    # python -O strips assert statements; the check that the struck vertex
+    # is the empty subset must still raise there
+    import treefactor
+
+    code = """
+import dataclasses
+import treefactor.verify as verify
+real = verify.hypercube
+verify.hypercube = lambda n: dataclasses.replace(real(n), labels=real(n).labels[::-1])
+try:
+    verify.verify_cube_nullvector(2, (1, 2))
+except AssertionError as exc:
+    print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(treefactor.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "hypercube vertex 0 is not the empty subset\n", proc.stderr
 
 
 def test_cube_nullvector_residue_sign_is_pinned(monkeypatch):
