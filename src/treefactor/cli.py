@@ -6,8 +6,8 @@ invocations; verification timings are therefore zeroed in CLI JSON output
 (the library report keeps real timings).
 
 Exit codes: 0 success or all claims Verified, 1 any claim Refuted,
-2 usage or graph-spec error or an exponent too large to pack, 3 tree cap
-exceeded.
+2 usage or graph-spec error, an exponent too large to pack or a verify run
+with no claim to check, 3 tree cap exceeded.
 """
 
 from __future__ import annotations
@@ -224,6 +224,8 @@ def _verdict_row(v: Verdict) -> dict:
 
 def _cmd_verify(args) -> int:
     verdicts = sorted(args.check(args), key=lambda v: v.claim_id)
+    if not verdicts:
+        raise ValueError("nothing to check: the input gives no claim")
     if args.json:
         payload = json.dumps([_verdict_row(v) for v in verdicts], indent=2)
     else:

@@ -4,6 +4,11 @@ Every formula here is an independent route to a quantity the Laplacian
 determinant and the brute-force enumeration also compute; the test suite
 derives its confidence from the three routes agreeing.  All divisions are
 exact integer-coefficient divisions performed after full expansion.
+
+One factor list per family: `_threshold_factors`, `_cube_factors` and
+`_decoupled_factors` write each factor and its multiplicity once, on the
+layout of the family's Laplacian key table; the factored closed forms are
+their products, and `verify` takes its nullvector divisors from them.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .graphs import (
@@ -74,9 +80,7 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     kept = _clean_dims(dims)
     if not kept:
         return Polynomial.one()
-    total = 1
-    for _, d in kept:
-        total *= d
+    total = prod(d for _, d in kept)
     qs = dict(zip((i for i, _ in kept), _variable_polys([q(i) for i, _ in kept])))
 
     # the kept factors' spectrum on their own direction variables: each
@@ -165,6 +169,20 @@ def count_from_spectrum(spectrum: Spectrum, n: int) -> Polynomial:
     return div_exact(prod, n)
 
 
+def _decoupled_factors(dims: Sequence[int]) -> list[tuple[Polynomial, int]]:
+    """The decoupled sum's factor list over its weights' layout: for each
+    direction i with n_i >= 2, q_i to the n_i - 1, then x(i,j) to the N/n_i,
+    then x(i,1) + ... + x(i,n_i) to the n_i - 2, listed even at 0."""
+    kept = [(i, d) for i, d in enumerate(dims, start=1) if d >= 2]
+    polys = iter(_variable_polys([*(q(i) for i, _ in kept),
+                                  *(xd(i, j) for i, d in enumerate(dims, start=1) for j in range(1, d + 1))]))
+    factors = [(next(polys), d - 1) for _, d in kept]
+    coords = [[next(polys) for _ in range(d)] for d in dims]
+    factors += [(xij, prod(dims) // d) for i, d in kept for xij in coords[i - 1]]
+    factors += [(poly_sum(coords[i - 1]), d - 2) for i, d in kept]
+    return factors
+
+
 def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, int]]:
     """Claimed factor list of the decoupled tree sum of a product.
 
@@ -173,47 +191,48 @@ def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, 
     coordinate sum over direction i to the n_i - 2.  Zero exponents are
     omitted.
     """
-    kept = _clean_dims(dims)
-    total = 1
-    for _, d in kept:
-        total *= d
-    polys = iter(_variable_polys([*(q(i) for i, _ in kept),
-                                  *(xd(i, j) for i, d in kept for j in range(1, d + 1))]))
-    factors = [(next(polys), d - 1) for _, d in kept]
-    coords = [[next(polys) for _ in range(d)] for _, d in kept]
-    factors += [(xij, total // d) for (_, d), xs in zip(kept, coords) for xij in xs]
-    factors += [(poly_sum(xs), d - 2) for (_, d), xs in zip(kept, coords) if d > 2]
-    return factors
+    _clean_dims(dims)
+    return [(base, m) for base, m in _decoupled_factors(dims) if m]
 
 
 def coordinate_sum(i: int, size: int) -> Polynomial:
-    """x(i,1) + ... + x(i,size): the divisor tied to direction i."""
-    return poly_sum(_variable_polys([xd(i, j) for j in range(1, size + 1)]))
+    """x(i,1) + ... + x(i,size): the divisor tied to direction i, of size at least 2."""
+    if i < 1 or size < 2:
+        raise InvalidSize(f"direction {i} of size {size}: need i >= 1 and size >= 2")
+    return _decoupled_factors([1] * (i - 1) + [size])[-1][0]
 
 
-def _cube_variables(members: Sequence[int]) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
-    """q_i and x_i for each direction i of `members`, keyed over their one layout."""
+@lru_cache(maxsize=64)
+def _cube_variables(members: tuple[int, ...]) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """q_i and q_i (x_i^-1 + x_i) for each direction i of `members`, over their
+    q_i and x_i; the subset factor f_A sums the latter over A."""
     polys = _variable_polys([*map(q, members), *map(x, members)])
-    return dict(zip(members, polys)), dict(zip(members, polys[len(members):]))
-
-
-def _subset_factor(subset: Sequence[int], qs: dict[int, Polynomial], xs: dict[int, Polynomial]) -> Polynomial:
-    return poly_sum(qs[i] * (xs[i] ** -1 + xs[i]) for i in subset)
+    qs, xs = polys[:len(members)], polys[len(members):]
+    return tuple(qs), tuple(qi * (xi ** -1 + xi) for qi, xi in zip(qs, xs))
 
 
 def cube_subset_factor(subset: Sequence[int]) -> Polynomial:
     """sum_{i in A} q_i (x_i^-1 + x_i) for a direction subset A."""
-    return _subset_factor(subset, *_cube_variables(sorted(set(subset))))
+    return poly_sum(_cube_variables(tuple(sorted(set(subset))))[1])
+
+
+def _cube_subsets(n: int) -> list[tuple[int, ...]]:
+    """The direction subsets A with |A| >= 2, in the order of `_cube_factors`."""
+    return [a for r in range(2, n + 1) for a in combinations(range(1, n + 1), r)]
+
+
+def _cube_factors(n: int) -> list[tuple[Polynomial, int]]:
+    """The n-cube's factor list over q1..qn, x1..xn, the layout of its Laurent
+    weights: q1..qn, then f_A for each A of `_cube_subsets(n)`, all to the 1."""
+    qs, terms = _cube_variables(tuple(range(1, n + 1)))
+    return [*((qi, 1) for qi in qs), *((poly_sum(terms[i - 1] for i in a), 1) for a in _cube_subsets(n))]
 
 
 def cube_rhs(n: int) -> Polynomial:
     """q1...qn times the product of subset factors over |A| >= 2."""
     if n < 1:
         raise InvalidSize("cube dimension must be at least 1")
-    members = list(range(1, n + 1))
-    qs, xs = _cube_variables(members)
-    factors = [_subset_factor(subset, qs, xs) for r in range(2, n + 1) for subset in combinations(members, r)]
-    return poly_product([*qs.values(), *factors])
+    return poly_product(base ** m for base, m in _cube_factors(n))
 
 
 def _validated_connected(lam: PartitionLike) -> Partition:
@@ -228,12 +247,7 @@ def merris_count(lam: PartitionLike) -> int:
     """Spanning tree count of a connected threshold graph: the product of
     the conjugate parts 2 through n-1."""
     lam = _validated_connected(lam)
-    n = len(lam)
-    conj = conjugate(lam)
-    out = 1
-    for r in range(2, n):
-        out *= conj[r - 1]
-    return out
+    return prod(conjugate(lam)[1:len(lam) - 1])
 
 
 @lru_cache(maxsize=64)
@@ -263,17 +277,11 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
 
 
 def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
-    """The y=x specialization: x1...xn * prod_{r=2}^{n-1} (x1+...+x_conj_r)."""
+    """The y=x specialization of each listed factor: x1...xn * prod_{r=2}^{n-1} (x1+...+x_conj_r)."""
     lam = _validated_connected(lam)
     n = len(lam)
-    if n == 1:
-        return Polynomial.one()
-    conj = conjugate(lam)
-    xs = _variable_polys([x(i) for i in range(1, n + 1)])
-    out = poly_product(xs)
-    for r in range(2, n):
-        out = out * poly_sum(xs[:conj[r - 1]])
-    return out
+    to_x = dict(zip(map(y, range(2, n + 1)), _variable_polys([x(i) for i in range(2, n + 1)])))
+    return poly_product(base.substitute(to_x) ** m for base, m in _threshold_factors(lam))
 
 
 def _check_row(lam: Partition, r: int) -> None:
@@ -283,11 +291,7 @@ def _check_row(lam: Partition, r: int) -> None:
 
 def threshold_f_factor(lam: Partition, r: int) -> Polynomial:
     """y_r*(x_1+..+x_r) + x_r*(y_{r+1}+..+y_{1+lam_r}): the row-r divisor
-    for rows inside the staircase, 2 <= r <= n.
-
-    Keyed over the layout of the in/out weights on the threshold graph, so
-    its nullvector check divides by it as it is.
-    """
+    for rows inside the staircase, 2 <= r <= n, over the in/out weights' layout."""
     _check_row(lam, r)
     xs, ys = _in_out_variables(max(len(lam), r + 1, lam[r - 1] + 1))
     return ys[r] * poly_sum(xs[1:r + 1]) + xs[r] * poly_sum(ys[r + 1:lam[r - 1] + 2])
@@ -302,26 +306,40 @@ def threshold_g_factor(lam: Partition, r: int) -> Polynomial:
     return poly_sum(xs[1:bound + 1])
 
 
+def _threshold_blocks(lam: Partition) -> list[tuple[int, int, int]]:
+    """Maximal runs (a, b, height) of equal conjugate values past the square.
+
+    Rows s+1 .. n-1 split into runs with constant conjugate part, its
+    height; conjugate parts never increase, so each value is one run.
+    """
+    s = durfee(lam)
+    heights = conjugate(lam)[s:len(lam) - 1]  # conj_r for r = s+1..n-1
+    return [(s + 1 + heights.index(h), heights.count(h), h) for h in dict.fromkeys(heights)]
+
+
+def _threshold_factors(lam: Partition) -> list[tuple[Polynomial, int]]:
+    """The threshold sum's factor list over `_in_out_variables(n)`, the in/out
+    weights' layout: x1, f_2..f_s (s the Durfee side), for each block (a, b, h)
+    x_1 + ... + x_h (g_r of each of its rows) to the b, then y_{s+1}..y_n."""
+    n = len(lam)
+    if n == 1:
+        return []
+    s = durfee(lam)
+    xs, ys = _in_out_variables(n)
+    return [(xs[1], 1), *((threshold_f_factor(lam, r), 1) for r in range(2, s + 1)),
+            *((threshold_g_factor(lam, a), b) for a, b, _ in _threshold_blocks(lam)),
+            *((ys[r], 1) for r in range(s + 1, n + 1))]
+
+
 def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
     """Factored rewrite split at the staircase corner; must equal threshold_rhs.
 
     x1 * prod_{r=2}^{s} f_r * prod_{r=s+1}^{n-1} g_r * prod_{r=s+1}^{n} y_r
-    with s the side of the largest square in the partition diagram.
+    with s the side of the largest square in the partition diagram: the
+    product of `_threshold_factors`.
     """
     lam = _validated_connected(lam)
-    n = len(lam)
-    if n == 1:
-        return Polynomial.one()
-    s = durfee(lam)
-    xs, ys = _in_out_variables(n)
-    out = xs[1]
-    for r in range(2, s + 1):
-        out = out * threshold_f_factor(lam, r)
-    for r in range(s + 1, n):
-        out = out * threshold_g_factor(lam, r)
-    for r in range(s + 1, n + 1):
-        out = out * ys[r]
-    direct = threshold_rhs(lam)
-    if out != direct:
+    out = poly_product(base ** m for base, m in _threshold_factors(lam))
+    if out != threshold_rhs(lam):
         raise FormMismatch("staircase rewrite disagrees with the direct product")
     return out

@@ -30,9 +30,9 @@ many polynomials on one layout up front.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
 parse and JSON.  The weight key tables of `laplacian`, the nullvector
 operands and divisors, and every closed form and factor list of `formulas`
-build each Variable once per layout (`_variable_polys`) and no Monomial;
-`treebrute` sums the weight tables' keys along its tree walk, the part
-of it that stays independent of the determinant.
+build each Variable once per layout (`_variable_polys`) and no Monomial
+outside `substitute`; `treebrute` sums the weight tables' keys along its
+tree walk, the part of it that stays independent of the determinant.
 Division is decided in the Laurent ring, testing whether a leading term
 divides with one guard bit per digit of the keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).

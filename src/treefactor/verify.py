@@ -17,20 +17,21 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .formulas import (
-    coordinate_sum,
+    _cube_factors,
+    _cube_subsets,
+    _decoupled_factors,
+    _threshold_blocks,
+    _threshold_factors,
     cube_rhs,
-    cube_subset_factor,
     cayley_prufer_rhs,
     decoupled_enumerator_factors,
     directions_rhs,
-    threshold_f_factor,
     threshold_rhs,
 )
 from .graphs import (
     Disconnected,
     Graph,
     InvalidSize,
-    Partition,
     PartitionLike,
     _coerce_partition,
     cartesian_product,
@@ -164,12 +165,11 @@ def conjecture_scan(dims: Sequence[int]) -> tuple[Verdict, Polynomial]:
     not the scan passes, so the CLI can print findings for open cases.
     """
     t0 = time.perf_counter()
+    claim = f"nonneg:dims={_dims_id(dims)}"
     verdicts, quotient = verify_divisibility(dims)
     for v in verdicts:
         if not v.ok:
-            return Verdict(f"nonneg:dims={_dims_id(dims)}", "Refuted", v.witness,
-                           (time.perf_counter() - t0) * 1000.0), quotient
-    claim = f"nonneg:dims={_dims_id(dims)}"
+            return Verdict(claim, "Refuted", v.witness, (time.perf_counter() - t0) * 1000.0), quotient
     if quotient.is_zero:
         return Verdict(claim, "Verified", "quotient is 0", (time.perf_counter() - t0) * 1000.0), quotient
     # ties go to the graded-lex largest term
@@ -271,7 +271,8 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
 
     vec = {col: squared(aset) + squared(aset - s) if len(aset & s) % 2 else squared(aset) - squared(aset - s)
            for col, s in enumerate(labels)}
-    (f_a, (entries,), bad), = _residues(lhat, [([vec], cube_subset_factor(sorted(aset)))])
+    f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
+    (f_a, (entries,), bad), = _residues(lhat, [([vec], f_a)])
     # the closed residue is f_A times x_t^(+1 or -1) as t is in R u A or not
     f_scaled = f_a * poly_product(xs[1:]) ** -1
 
@@ -320,16 +321,19 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     coords = [label[i - 1] for label in g.labels]
     vs = _claim_variables(g, WeightScheme.DECOUPLED)
     xs = [None, *(vs[Family.XD, i, j] for j in range(1, ni + 1))]  # xs[j] is x(i,j)
+    # the list ends with one coordinate sum per direction of size >= 2
+    c_i, mult = _decoupled_factors(dims)[-sum(d >= 2 for d in dims[i - 1:])]
     # the rank check's random point, x(i,j) at point[j]
     rng = random.Random(20260817)
     point = [0] + [rng.randrange(2, 10 ** 6) for _ in range(ni)]
     vectors: list[dict[int, Polynomial]] = []
     numeric: list[list[int]] = []
-    for k in range(2, ni + 1):
+    # a cofactor of L has c_i to the mult, so L itself owes one vector more
+    for k in range(2, mult + 3):
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
         numeric.append([u[c][1] if c in u else 0 for c in coords])
-    (_, products, bad), = _residues(lap, [(vectors, coordinate_sum(i, ni))])
+    (_, products, bad), = _residues(lap, [(vectors, c_i)])
     if bad is not None:
         k, r = bad
         return finish("Refuted", f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}")
@@ -337,28 +341,6 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if determinant(gram).is_zero:
         return finish("Refuted", "nullvectors are linearly dependent at a random point")
     return finish("Verified", None)
-
-
-def _threshold_blocks(lam: Partition) -> list[tuple[int, int, int]]:
-    """Maximal runs (a, b, height) of equal conjugate values past the square.
-
-    Rows s+1 .. n-1 split into runs with constant conjugate part; the run
-    height is that common value.  Runs never straddle the square corner:
-    conjugate parts are > s on one side and <= s on the other.
-    """
-    n = len(lam)
-    s = durfee(lam)
-    conj = conjugate(lam)
-    blocks = []
-    r = s + 1
-    while r <= n - 1:
-        h = conj[r - 1]
-        b = 1
-        while r + b <= n - 1 and conj[r + b - 1] == h:
-            b += 1
-        blocks.append((r, b, h))
-        r += b
-    return blocks
 
 
 def _g_case_tag(k: int, h: int, a: int, b: int, n: int) -> str:
@@ -403,9 +385,6 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     vs = _claim_variables(g, WeightScheme.THRESHOLD_IN_OUT)
     xs = [None, *(vs[Family.X, i] for i in range(1, n))]  # xs[i] is x_i
     ys = [None, None, *(vs[Family.Y, i] for i in range(2, n + 1))]  # ys[i] is y_i
-    x_sums = [Polynomial.zero()]  # x_sums[i] is x_1 + ... + x_i
-    for xi in xs[1:]:
-        x_sums.append(x_sums[-1] + xi)
     claims: list[tuple[str, partial]] = []
     checks: list[_Check] = []
 
@@ -414,22 +393,22 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
         claims.append((claim, case_tag))
         checks.append(([{label - 2: val for label, val in vec.items()}], divisor))
 
-    for r in range(2, s + 1):
-        vec = {r: x_sums[r]}
-        for i2 in range(r + 1, conj[r - 1] + 1):
-            vec[i2] = xs[r]
-        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, threshold_f_factor(lam, r),
-              partial(_f_case_tag, r=r, edges=edge_set))
+    # x1, the f_r for r = 2..s, then one g factor per block: each f_r owes
+    # one vector, a block's g as many as its multiplicity b
+    factors = _threshold_factors(lam)
+    for r, (f_r, _) in zip(range(2, s + 1), factors[1:]):
+        vec = {r: poly_sum(xs[1:r + 1]), **{i2: xs[r] for i2 in range(r + 1, conj[r - 1] + 1)}}
+        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, f_r, partial(_f_case_tag, r=r, edges=edge_set))
 
-    for a, b, h in _threshold_blocks(lam):
+    for (a, b, h), (g_a, mult) in zip(_threshold_blocks(lam), factors[s:]):
         g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
-        for k in range(1, b):
+        for k in range(1, mult):
             vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
-            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, x_sums[h], g_tag)
+            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_a, g_tag)
 
         vec = {i: ys[a + b] for i in range(1 + h, a + 1)}
         vec[a + b] = -poly_sum(ys[1 + h:a + 1])
-        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, x_sums[h], g_tag)
+        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, g_a, g_tag)
 
     verdicts: list[Verdict] = []
     t0 = time.perf_counter()

@@ -239,6 +239,16 @@ def test_verify_usage_errors(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_verify_with_no_claim_exits_two(capsys):
+    # a run that checks nothing says so instead of exiting 0 without a verdict
+    empty = "error: nothing to check: the input gives no claim\n"
+    for lam in ("0", "1,1"):
+        assert run(capsys, "verify", "threshold-null", "--lam", lam) == (2, "", empty), lam
+    for dims in ("1", "1,1"):
+        with pytest.warns(UserWarning, match="size-1 factors"):
+            assert run(capsys, "verify", "divisibility", "--json", "--dims", dims) == (2, "", empty), dims
+
+
 def test_cube_null_names_the_fault(capsys):
     # an out-of-range direction is named with the range; a short subset by its size
     rc, out, err = run(capsys, "verify", "cube-null", "--n", "3", "--set", "1,5")

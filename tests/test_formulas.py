@@ -208,6 +208,11 @@ def test_decoupled_factors_divide_enumerator():
 
 def test_coordinate_sum():
     assert coordinate_sum(2, 3) == P("x(2,1) + x(2,2) + x(2,3)")
+    # listed at multiplicity 0, which decoupled_enumerator_factors omits
+    assert coordinate_sum(1, 2) == P("x(1,1) + x(1,2)")
+    for i, size in [(0, 3), (1, 1), (2, 0)]:
+        with pytest.raises(InvalidSize):
+            coordinate_sum(i, size)
 
 
 def test_cube_subset_factor():

@@ -305,10 +305,24 @@ def test_min_exponents_and_coefficient():
     assert p.min_exponents() == {x(1): -2, x(2): 1}
     assert p.coefficient(Monomial.of({x(1): 1, x(2): 3})) == 1
     assert p.coefficient(Monomial.of({x(1): 5})) == 0
+    # x3 is outside p's layout
+    assert p.coefficient(Monomial.of({x(1): 1, x(3): 1})) == 0
+
+
+def test_equality_with_an_int():
+    assert Polynomial.integer(3) == 3 and not Polynomial.integer(3) != 3
+    assert Polynomial.zero() == 0 and Polynomial.integer(-2) != 2
+    assert P("x1") != 1 and not P("x1") == 0
+    assert Polynomial.one() != 0 and not Polynomial.zero() == 1
+
+
+def test_variable_to_the_zero_is_one():
+    assert Polynomial.variable(x(1), 0) == Polynomial.one()
 
 
 def test_as_int_only_for_constants():
     assert Polynomial.integer(-12).as_int() == -12
+    assert Polynomial.zero().as_int() == 0
     with pytest.raises(ValueError):
         P("x1").as_int()
 

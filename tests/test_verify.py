@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from treefactor import (
     Polynomial,
     PolyMatrix,
+    Verdict,
     WeightScheme,
     cayley_prufer_rhs,
     complete_graph,
@@ -249,12 +251,18 @@ def test_nullvector_witnesses_with_perturbed_diagonal(monkeypatch, index):
     assert _refuted_nullvector_witnesses((4, 4, 2, 2, 2)) == _DIAGONAL_WITNESSES[index]
 
 
-def test_nullvector_witnesses_with_perturbed_divisors(monkeypatch):
+def _perturb_factor_lists(monkeypatch):
+    # every base of each family's factor list plus 1, so every divisor the
+    # nullvector checks read from those lists is perturbed
     import treefactor.verify as verify
 
-    for name in ("threshold_f_factor", "cube_subset_factor", "coordinate_sum"):
+    for name in ("_threshold_factors", "_cube_factors", "_decoupled_factors"):
         real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, real=real: real(*args) + 1)
+        monkeypatch.setattr(verify, name, lambda *args, real=real: [(base + 1, m) for base, m in real(*args)])
+
+
+def test_nullvector_witnesses_with_perturbed_divisors(monkeypatch):
+    _perturb_factor_lists(monkeypatch)
     assert _refuted_nullvector_witnesses((4, 4, 4, 4, 4)) == {
         "threshold-null:lam=4,4,4,4,4:f:r=2":
             "case (ii), row 2: x1^2*y2 + x1*x2*y2 + x1*x2*y3 + x1*x2*y4 + x1*x2*y5",
@@ -312,6 +320,94 @@ def test_threshold_nullvectors():
     assert all(v.ok for v in vs)
 
 
+def test_report_json_text_is_pinned():
+    verdicts = [Verdict("b:second", "Verified", None, 0.5), Verdict("a:first", "Refuted", "x1", 1.23456)]
+    assert report_json(verdicts) == """[
+  {
+    "claim_id": "a:first",
+    "status": "Refuted",
+    "witness": "x1",
+    "elapsed_ms": 1.235
+  },
+  {
+    "claim_id": "b:second",
+    "status": "Verified",
+    "witness": null,
+    "elapsed_ms": 0.5
+  }
+]"""
+
+
+def test_every_check_reports_a_time_within_its_call():
+    checks = [lambda: [verify_identity("check", P("x1"), P("x1"))],
+              lambda: verify_divisibility((2, 2))[0],
+              lambda: [conjecture_scan((2, 2))[0]],
+              lambda: [verify_cube_nullvector(3, (1, 2))],
+              lambda: [verify_decoupled_nullvectors((2, 3), 2)],
+              lambda: verify_threshold_nullvectors((3, 3, 2, 2))]
+    for check in checks:
+        t0 = time.perf_counter()
+        verdicts = check()
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        assert verdicts and all(0.0 <= v.elapsed_ms <= wall_ms for v in verdicts), verdicts
+
+
+def test_cube_nullvector_refutes_a_trivial_vector(monkeypatch):
+    # L-hat is nonsingular, so the residue check pins L-hat v, and with it v,
+    # which f_A does not divide; only a division test that accepts every
+    # division, as a unit divisor's would, lets a vector reach this check
+    import treefactor.verify as verify
+
+    monkeypatch.setattr(verify, "_divides", lambda divisor, p: True)
+    v = verify_cube_nullvector(3, (1, 2))
+    assert (v.status, v.witness) == ("Refuted", "every entry of v is divisible by f_A; v is trivial")
+
+
+def _threshold_witness_with_entry_bumped(monkeypatch, lam, row, col, claim_id):
+    # x1 added to one off-diagonal entry of the full Laplacian (0-based)
+    import treefactor.verify as verify
+
+    real = verify.weighted_laplacian
+
+    def bumped(g, scheme):
+        rows = [list(r) for r in real(g, scheme).rows]
+        rows[row][col] = rows[row][col] + P("x1")
+        return PolyMatrix(rows)
+
+    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    (verdict,) = [v for v in verify_threshold_nullvectors(lam) if v.claim_id == claim_id]
+    assert verdict.status == "Refuted"
+    return verdict.witness
+
+
+def test_g_witness_case_i(monkeypatch):
+    # rows 2..h of L v are exactly 0 for a g vector, whatever the divisor;
+    # a bump in row 2 on the vector's support (entry 3 of (3,3,2,2)'s block
+    # a = 3, h = 2) makes row 2 the first bad one
+    witness = _threshold_witness_with_entry_bumped(monkeypatch, (3, 3, 2, 2), 1, 2,
+                                                   "threshold-null:lam=3,3,2,2:g:a=3:extra")
+    assert witness == "case (i), row 2: x1*y4"
+
+
+def test_g_witness_outside_the_cases(monkeypatch):
+    # row n falls in no case of a block that ends before it: the first of
+    # (4,3,2,2,1)'s blocks is a = 3, b = 1, h = 2, and its vector's entry 4
+    # meets the bump in row 5
+    witness = _threshold_witness_with_entry_bumped(monkeypatch, (4, 3, 2, 2, 1), 4, 3,
+                                                   "threshold-null:lam=4,3,2,2,1:g:a=3:extra")
+    assert witness == "case outside-cases, row 5: -x1*y3"
+
+
+def test_conjecture_scan_of_a_zero_quotient(monkeypatch):
+    # a zero enumerator: every factor divides it and the quotient is 0
+    import treefactor.verify as verify
+
+    monkeypatch.setattr(verify, "decoupled_enumerator", lambda dims: Polynomial.zero())
+    verdict, quotient = conjecture_scan((2, 3))
+    assert (verdict.claim_id, verdict.status, verdict.witness) == ("nonneg:dims=2x3", "Verified", "quotient is 0")
+    assert quotient.is_zero
+
+
 def test_report_json_sorted_and_shaped():
     v1 = verify_identity("b:second", P("x1"), P("x1"))
     v2 = verify_identity("a:first", P("x1"), P("x2"))
@@ -356,16 +452,16 @@ def _verdicts_digest():
 def test_nullvector_verdicts_are_pinned(monkeypatch):
     # threshold n = 5..8, cube n = 3, 4 with every subset of size >= 2 and
     # decoupled (2,3), (3,3), (2,3,4) in every direction: as they are, with
-    # the three divisor builders plus 1, and with x1 on diagonal entry 1
+    # every factor-list base plus 1 (each claim then Refuted), and with x1 on
+    # diagonal entry 1
     import treefactor.verify as verify
 
     assert _verdicts_digest() == "2f9471594086eef3bc6ce9820ee0e133d7bbef998dfa81fc0af19370e87c8510"
 
     with monkeypatch.context() as patched:
-        for name in ("threshold_f_factor", "cube_subset_factor", "coordinate_sum"):
-            real = getattr(verify, name)
-            patched.setattr(verify, name, lambda *args, real=real: real(*args) + 1)
-        assert _verdicts_digest() == "46a83a1b4951013c468309fd93a5b41da4024631e217f9ddcce41a3579ec7a0a"
+        _perturb_factor_lists(patched)
+        assert not any(v.ok for v in _nullvector_verdicts())
+        assert _verdicts_digest() == "fd47fb1cfba699010848347ecc4468501d09c423229a1b2a0cc0df974fc98b0f"
 
     real = verify.weighted_laplacian
 
@@ -380,8 +476,9 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
 
 def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
     # one warm call of each check: the Laplacian's layout variables are built
-    # once for its key table and once for the claim's operands, and only a
-    # divisor its public builder keys over a smaller layout re-keys, once
+    # once for its key table, once for the claim's operands and, in the
+    # decoupled check, once for the factor list (the threshold and cube
+    # lists' variables are cached); all share one layout, so nothing re-keys
     import treefactor.polyring as polyring
 
     counts = {"variables": 0, "rekeys": 0}
@@ -406,7 +503,7 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
         assert all(v.ok for v in (verdicts if isinstance(verdicts, list) else [verdicts]))
         return counts["variables"], counts["rekeys"]
 
-    # layouts: x1..x8, y2..y9; q1..q5, x1..x5 (+ q, x of A); q1..q3 and 9 x(i,j) (+ x(2,1..3))
+    # layouts: x1..x8, y2..y9; q1..q5, x1..x5; q1..q3 and 9 x(i,j)
     assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (2 * 16, 0)
-    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (2 * 10 + 6, 1)
-    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (2 * 12 + 3, 1)
+    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (2 * 10, 0)
+    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (3 * 12, 0)
