@@ -8,7 +8,9 @@ exact integer-coefficient divisions performed after full expansion.
 One factor list per family: `_threshold_factors`, `_cube_factors` and
 `_decoupled_factors` write each factor and its multiplicity once, on the
 layout of the family's Laplacian key table; the factored closed forms are
-their products, and `verify` takes its nullvector divisors from them.
+their products.  `verify` takes its nullvector divisors from them and its
+variables from the cached ones they are built on (`_in_out_variables`,
+`_cube_variables`, `_decoupled_variables`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .graphs import (
     Disconnected,
+    Graph,
     InvalidSize,
     Partition,
     PartitionLike,
@@ -56,15 +59,15 @@ def cayley_prufer_rhs(n: int) -> Polynomial:
     return poly_product(xs) * poly_sum(xs) ** (n - 2)
 
 
-def _clean_dims(dims: Sequence[int]) -> list[tuple[int, int]]:
-    """(direction index, size) pairs with size-1 factors stripped."""
+def _clean_dims(dims: Sequence[int], fate: str) -> list[tuple[int, int]]:
+    """(direction index, size) pairs with size-1 factors stripped; a warning gives their fate."""
     if not dims:
         raise InvalidSize("need at least one factor")
     if any(d < 1 for d in dims):
         raise InvalidSize("factor sizes are positive")
     kept = [(i, d) for i, d in enumerate(dims, start=1) if d >= 2]
     if len(kept) != len(dims):
-        warnings.warn("size-1 factors contribute nothing and were stripped", stacklevel=3)
+        warnings.warn(f"size-1 factors {fate}", stacklevel=3)
     return kept
 
 
@@ -77,7 +80,7 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     direction subsets of size >= 2 with the single-direction part pulled
     out front.
     """
-    kept = _clean_dims(dims)
+    kept = _clean_dims(dims, "contribute nothing and were stripped")
     if not kept:
         return Polynomial.one()
     total = prod(d for _, d in kept)
@@ -88,15 +91,9 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     spectrum = product_spectrum([d for _, d in kept], qs=list(qs.values()))
     form1 = count_from_spectrum(spectrum, total)
 
-    form2 = Polynomial.one()
-    for i, d in kept:
-        form2 = form2 * qs[i] ** (d - 1) * (d ** (d - 2))
-    for r in range(2, len(kept) + 1):
-        for subset in combinations(kept, r):
-            mult = 1
-            for _, d in subset:
-                mult *= d - 1
-            form2 = form2 * poly_sum(qs[i] * d for i, d in subset) ** mult
+    form2 = poly_product([*(qs[i] ** (d - 1) * (d ** (d - 2)) for i, d in kept),
+                          *(poly_sum(qs[i] * d for i, d in subset) ** prod(d - 1 for _, d in subset)
+                            for r in range(2, len(kept) + 1) for subset in combinations(kept, r))])
 
     if form1 != form2:
         raise FormMismatch("the two direction-count expansions disagree")
@@ -137,16 +134,8 @@ def product_spectrum(dims: Sequence[int], qs: Optional[Sequence[Union[int, Polyn
     elif len(qs) != r:
         raise ValueError(f"qs has {len(qs)} values for {r} factors")
     values = [_coerce_poly(base) * d for base, d in zip(qs, dims)]
-    pairs: list[tuple[Polynomial, int]] = []
-    for mask in range(1 << r):
-        eig = Polynomial.zero()
-        mult = 1
-        for i in range(r):
-            if mask >> i & 1:
-                eig = eig + values[i]
-                mult *= dims[i] - 1
-        pairs.append((eig, mult))
-    return Spectrum(pairs)
+    subsets = ([i for i in range(r) if mask >> i & 1] for mask in range(1 << r))
+    return Spectrum([(poly_sum(values[i] for i in a), prod(dims[i] - 1 for i in a)) for a in subsets])
 
 
 class NotDivisibleCount(ArithmeticError):
@@ -162,36 +151,46 @@ def count_from_spectrum(spectrum: Spectrum, n: int) -> Polynomial:
     zero_mult = sum(m for eig, m in spectrum if eig.is_zero)
     if zero_mult != 1:
         raise NotDivisibleCount(f"zero eigenvalue has multiplicity {zero_mult}, not 1")
-    prod = Polynomial.one()
-    for eig, m in spectrum:
-        if not eig.is_zero:
-            prod = prod * eig ** m
-    return div_exact(prod, n)
+    return div_exact(poly_product(eig ** m for eig, m in spectrum if not eig.is_zero), n)
+
+
+@lru_cache(maxsize=64)
+def _decoupled_variables(dims: tuple[int, ...]) -> tuple[tuple[Polynomial, ...], tuple[tuple[Polynomial, ...], ...]]:
+    """q_i for each direction i with n_i >= 2, and x(i,1)..x(i,n_i) for every
+    direction i, keyed over their one layout, the layout of the decoupled
+    weights; coords[i - 1][j - 1] is x(i,j)."""
+    kept = [i for i, d in enumerate(dims, start=1) if d >= 2]
+    polys = iter(_variable_polys([*map(q, kept), *(xd(i, j) for i, d in enumerate(dims, start=1)
+                                                   for j in range(1, d + 1))]))
+    qs = tuple(next(polys) for _ in kept)
+    return qs, tuple(tuple(next(polys) for _ in range(d)) for d in dims)
 
 
 def _decoupled_factors(dims: Sequence[int]) -> list[tuple[Polynomial, int]]:
-    """The decoupled sum's factor list over its weights' layout: for each
-    direction i with n_i >= 2, q_i to the n_i - 1, then x(i,j) to the N/n_i,
-    then x(i,1) + ... + x(i,n_i) to the n_i - 2, listed even at 0."""
+    """The decoupled sum's factor list over its weights' layout, N being the
+    vertex count: for each direction i with n_i >= 2, q_i to the n_i - 1, then
+    x(i,j) to the N/n_i; x(i,1) to the 2(N - 1) for each direction of size 1,
+    whose one coordinate every vertex carries; then x(i,1) + ... + x(i,n_i) to
+    the n_i - 2 for each n_i >= 2, listed even at 0."""
+    dims = tuple(dims)
+    qs, coords = _decoupled_variables(dims)
+    n = prod(dims)
     kept = [(i, d) for i, d in enumerate(dims, start=1) if d >= 2]
-    polys = iter(_variable_polys([*(q(i) for i, _ in kept),
-                                  *(xd(i, j) for i, d in enumerate(dims, start=1) for j in range(1, d + 1))]))
-    factors = [(next(polys), d - 1) for _, d in kept]
-    coords = [[next(polys) for _ in range(d)] for d in dims]
-    factors += [(xij, prod(dims) // d) for i, d in kept for xij in coords[i - 1]]
-    factors += [(poly_sum(coords[i - 1]), d - 2) for i, d in kept]
-    return factors
+    return [*((qi, d - 1) for qi, (_, d) in zip(qs, kept)),
+            *((xij, n // d) for i, d in kept for xij in coords[i - 1]),
+            *((xs[0], 2 * (n - 1)) for xs in coords if len(xs) == 1),
+            *((poly_sum(coords[i - 1]), d - 2) for i, d in kept)]
 
 
 def decoupled_enumerator_factors(dims: Sequence[int]) -> list[tuple[Polynomial, int]]:
     """Claimed factor list of the decoupled tree sum of a product.
 
-    Per direction i of size n_i (with N the vertex count): q_i to the
+    Per direction i of size n_i >= 2 (with N the vertex count): q_i to the
     n_i - 1, each coordinate variable x(i,j) to the N/n_i, and the
-    coordinate sum over direction i to the n_i - 2.  Zero exponents are
-    omitted.
+    coordinate sum over direction i to the n_i - 2; per direction of size
+    1, x(i,1) to the 2(N - 1).  Zero exponents are omitted.
     """
-    _clean_dims(dims)
+    _clean_dims(dims, "add no edges; each one's x(i,1) is listed to the 2(N - 1), N the vertex count")
     return [(base, m) for base, m in _decoupled_factors(dims) if m]
 
 
@@ -203,17 +202,17 @@ def coordinate_sum(i: int, size: int) -> Polynomial:
 
 
 @lru_cache(maxsize=64)
-def _cube_variables(members: tuple[int, ...]) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    """q_i and q_i (x_i^-1 + x_i) for each direction i of `members`, over their
-    q_i and x_i; the subset factor f_A sums the latter over A."""
+def _cube_variables(members: tuple[int, ...]) -> tuple[tuple[Polynomial, ...], ...]:
+    """q_i, x_i and q_i (x_i^-1 + x_i) for each direction i of `members`, over
+    their q_i and x_i; the subset factor f_A sums the last over A."""
     polys = _variable_polys([*map(q, members), *map(x, members)])
-    qs, xs = polys[:len(members)], polys[len(members):]
-    return tuple(qs), tuple(qi * (xi ** -1 + xi) for qi, xi in zip(qs, xs))
+    qs, xs = tuple(polys[:len(members)]), tuple(polys[len(members):])
+    return qs, xs, tuple(qi * (xi ** -1 + xi) for qi, xi in zip(qs, xs))
 
 
 def cube_subset_factor(subset: Sequence[int]) -> Polynomial:
     """sum_{i in A} q_i (x_i^-1 + x_i) for a direction subset A."""
-    return poly_sum(_cube_variables(tuple(sorted(set(subset))))[1])
+    return poly_sum(_cube_variables(tuple(sorted(set(subset))))[2])
 
 
 def _cube_subsets(n: int) -> list[tuple[int, ...]]:
@@ -224,7 +223,7 @@ def _cube_subsets(n: int) -> list[tuple[int, ...]]:
 def _cube_factors(n: int) -> list[tuple[Polynomial, int]]:
     """The n-cube's factor list over q1..qn, x1..xn, the layout of its Laurent
     weights: q1..qn, then f_A for each A of `_cube_subsets(n)`, all to the 1."""
-    qs, terms = _cube_variables(tuple(range(1, n + 1)))
+    qs, _, terms = _cube_variables(tuple(range(1, n + 1)))
     return [*((qi, 1) for qi in qs), *((poly_sum(terms[i - 1] for i in a), 1) for a in _cube_subsets(n))]
 
 
@@ -235,18 +234,19 @@ def cube_rhs(n: int) -> Polynomial:
     return poly_product(base ** m for base, m in _cube_factors(n))
 
 
-def _validated_connected(lam: PartitionLike) -> Partition:
+def _validated_connected(lam: PartitionLike) -> tuple[Partition, Graph]:
+    """The partition and its threshold graph, which must be connected."""
     lam = _coerce_partition(lam)
     g = threshold_graph(lam)  # raises NotThresholdSequence when invalid
     if not is_connected(g):
         raise Disconnected("threshold graph is disconnected; it has no spanning trees")
-    return lam
+    return lam, g
 
 
 def merris_count(lam: PartitionLike) -> int:
     """Spanning tree count of a connected threshold graph: the product of
     the conjugate parts 2 through n-1."""
-    lam = _validated_connected(lam)
+    lam, _ = _validated_connected(lam)
     return prod(conjugate(lam)[1:len(lam) - 1])
 
 
@@ -264,7 +264,7 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
     x1 * yn * prod_{r=2}^{n-1} sum_{i=1}^{conj_r} x_min(i,r) * y_max(i,r);
     the one-vertex graph has the empty tree alone, so its sum is 1.
     """
-    lam = _validated_connected(lam)
+    lam, _ = _validated_connected(lam)
     n = len(lam)
     if n == 1:
         return Polynomial.one()
@@ -278,7 +278,7 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
 
 def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     """The y=x specialization of each listed factor: x1...xn * prod_{r=2}^{n-1} (x1+...+x_conj_r)."""
-    lam = _validated_connected(lam)
+    lam, _ = _validated_connected(lam)
     n = len(lam)
     to_x = dict(zip(map(y, range(2, n + 1)), _variable_polys([x(i) for i in range(2, n + 1)])))
     return poly_product(base.substitute(to_x) ** m for base, m in _threshold_factors(lam))
@@ -338,7 +338,7 @@ def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
     with s the side of the largest square in the partition diagram: the
     product of `_threshold_factors`.
     """
-    lam = _validated_connected(lam)
+    lam, _ = _validated_connected(lam)
     out = poly_product(base ** m for base, m in _threshold_factors(lam))
     if out != threshold_rhs(lam):
         raise FormMismatch("staircase rewrite disagrees with the direct product")

@@ -51,6 +51,7 @@ from .polyring import (
     _new,
     div_exact,
     evar,
+    poly_sum,
     q,
     share_layout,
     x,
@@ -165,13 +166,7 @@ class PolyMatrix:
         return self.rows[i][j]
 
     def row_sums(self) -> list[Polynomial]:
-        out = []
-        for row in self.rows:
-            s = Polynomial.zero()
-            for p in row:
-                s = s + p
-            out.append(s)
-        return out
+        return [poly_sum(row) for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -28,11 +28,13 @@ graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
-parse and JSON.  The weight key tables of `laplacian`, the nullvector
-operands and divisors, and every closed form and factor list of `formulas`
-build each Variable once per layout (`_variable_polys`) and no Monomial
-outside `substitute`; `treebrute` sums the weight tables' keys along its
-tree walk, the part of it that stays independent of the determinant.
+parse and JSON.  The weight key tables of `laplacian` and every closed
+form and factor list of `formulas` build each Variable once per layout
+(`_variable_polys`) and no Monomial outside `substitute`; the nullvector
+operands and divisors of `verify` build none, taking the cached variables
+and factor lists of `formulas`, on the Laplacian's layout.  `treebrute`
+sums the weight tables' keys along its tree walk, the part of it that
+stays independent of the determinant.
 Division is decided in the Laurent ring, testing whether a leading term
 divides with one guard bit per digit of the keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).

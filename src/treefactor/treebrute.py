@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .graphs import Disconnected, Graph, SpanningTree, is_connected
+from .graphs import Disconnected, Graph, SpanningTree
 from .laplacian import SchemeMismatch, WeightScheme, _divide_int, _eliminate, _weight_table, check_scheme
 from .polyring import Monomial, Polynomial, _Layout, _new
 
@@ -74,12 +74,10 @@ def spanning_tree_count(g: Graph) -> int:
 
 
 def _predicted_count(g: Graph, cap: int) -> int:
-    """Kirchhoff's tree count, once the graph is known connected and under the cap."""
-    if g.n == 1:
-        return 1
-    if not is_connected(g):
-        raise Disconnected("graph has no spanning trees")
+    """Kirchhoff's tree count, once it is known nonzero (the graph connected) and under the cap."""
     predicted = spanning_tree_count(g)
+    if not predicted:
+        raise Disconnected("graph has no spanning trees")
     if predicted > cap:
         raise CapExceeded(f"{predicted} spanning trees exceed cap {cap}")
     return predicted
@@ -133,7 +131,7 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
             tally[key] = tally.get(key, 0) + 1
             return
         # a copy is left: every call keeps "the copies from pos onward can
-        # join the forest" (the root by _predicted_count's connectivity test,
+        # join the forest" (the root by _predicted_count's nonzero tree count,
         # exclusion by still_connected; a cycle copy or a contraction keeps
         # it), and a forest of several components needs one more copy
         u, v = ends[pos]

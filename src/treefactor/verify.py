@@ -19,9 +19,13 @@ from typing import Iterator, Optional, Sequence, Union
 from .formulas import (
     _cube_factors,
     _cube_subsets,
+    _cube_variables,
     _decoupled_factors,
+    _decoupled_variables,
+    _in_out_variables,
     _threshold_blocks,
     _threshold_factors,
+    _validated_connected,
     cube_rhs,
     cayley_prufer_rhs,
     decoupled_enumerator_factors,
@@ -29,8 +33,6 @@ from .formulas import (
     threshold_rhs,
 )
 from .graphs import (
-    Disconnected,
-    Graph,
     InvalidSize,
     PartitionLike,
     _coerce_partition,
@@ -39,25 +41,21 @@ from .graphs import (
     conjugate,
     durfee,
     hypercube,
-    is_connected,
     threshold_graph,
 )
 from .laplacian import (
     PolyMatrix,
     WeightScheme,
-    _weight_table,
     determinant,
     reduce_matrix,
     tree_enumerator_det,
     weighted_laplacian,
 )
 from .polyring import (
-    Family,
     Monomial,
     NotDivisible,
     Polynomial,
     _dot,
-    _variable_polys,
     div_exact,
     poly_product,
     poly_sum,
@@ -191,16 +189,6 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
     return True
 
 
-def _claim_variables(g: Graph, scheme: WeightScheme) -> dict[tuple, Polynomial]:
-    """Each variable of the layout `weighted_laplacian` keys g over, by (family, *indices).
-
-    Each is a polynomial on that layout, so operands built from them share
-    the Laplacian's layout and no product or division among them re-keys.
-    """
-    lay, _ = _weight_table(g, scheme, ())
-    return {(v.family, *v.indices): p for v, p in zip(lay.vars, _variable_polys(lay.vars))}
-
-
 _Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
 
 
@@ -262,8 +250,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
         raise AssertionError("hypercube vertex 0 is not the empty subset")
     lhat, _ = reduce_matrix(lap, 0, 0)
     labels = g.labels[1:]
-    vs = _claim_variables(g, WeightScheme.CUBE_LAURENT)
-    xs = [None, *(vs[Family.X, t] for t in range(1, n + 1))]  # xs[t] is x_t
+    xs = (None, *_cube_variables(tuple(range(1, n + 1)))[1])  # xs[t] is x_t
 
     @cache
     def squared(members: frozenset) -> Polynomial:
@@ -319,8 +306,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
         return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
 
     coords = [label[i - 1] for label in g.labels]
-    vs = _claim_variables(g, WeightScheme.DECOUPLED)
-    xs = [None, *(vs[Family.XD, i, j] for j in range(1, ni + 1))]  # xs[j] is x(i,j)
+    xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
     c_i, mult = _decoupled_factors(dims)[-sum(d >= 2 for d in dims[i - 1:])]
     # the rank check's random point, x(i,j) at point[j]
@@ -372,19 +358,14 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     block, all of which must land in multiples of the block's g factor.
     Refutations carry the row index and its case tag.
     """
-    lam = _coerce_partition(lam)
-    g = threshold_graph(lam)
-    if not is_connected(g):
-        raise Disconnected("nullvector claims concern connected threshold graphs")
+    lam, g = _validated_connected(lam)
     n = g.n
     s = durfee(lam)
     conj = conjugate(lam)
     lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
     lhat, _ = reduce_matrix(lap, 0, 0)
     edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
-    vs = _claim_variables(g, WeightScheme.THRESHOLD_IN_OUT)
-    xs = [None, *(vs[Family.X, i] for i in range(1, n))]  # xs[i] is x_i
-    ys = [None, None, *(vs[Family.Y, i] for i in range(2, n + 1))]  # ys[i] is y_i
+    xs, ys = _in_out_variables(n)  # xs[i] is x_i, ys[i] is y_i
     claims: list[tuple[str, partial]] = []
     checks: list[_Check] = []
 

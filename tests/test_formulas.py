@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from math import prod
 
 import pytest
 
@@ -27,7 +28,9 @@ from treefactor import (
     enumerate_sum,
     hypercube,
     merris_count,
+    poly_product,
     product_spectrum,
+    q,
     spanning_tree_count,
     threshold_degree_rhs,
     threshold_f_factor,
@@ -37,6 +40,7 @@ from treefactor import (
     threshold_rhs,
     tree_enumerator_det,
     x,
+    xd,
     y,
 )
 from treefactor.formulas import InvalidSize
@@ -111,7 +115,7 @@ def test_direction_forms_digest():
             digest.update(f"{dims}\n{rhs.render()}\n{rhs.to_json()}\n".encode())
             for base, e in decoupled_enumerator_factors(dims):
                 digest.update(f"{base.render()}\t{base.to_json()}\t{e}\n".encode())
-    assert digest.hexdigest() == "6f49bfa286a7ee34c0b25db1f613f3da5777131f0bbafd37048e9370e879d017"
+    assert digest.hexdigest() == "c7e2cd996ffe1a3c0bae7bc7ae5b18b8719db46a8679dc3ac2ddf370d15d91af"
 
 
 def test_directions_self_check_compares_against_the_spectrum(monkeypatch):
@@ -204,6 +208,24 @@ def test_decoupled_factors_divide_enumerator():
         quotient = div_exact(enum, prod)
         assert prod * quotient == enum, dims
         assert not quotient.is_zero
+
+
+def test_decoupled_factors_list_size_one_directions():
+    # every vertex carries x(i,1) of a size-1 direction, so each tree has it
+    # to the 2(N - 1); the rest of the enumerator is that of the product
+    # without the direction, renamed onto the kept directions
+    for dims, rest in [((1, 3), (3,)), ((2, 1, 2), (2, 2))]:
+        with pytest.warns(UserWarning, match="size-1 factors"):
+            factors = decoupled_enumerator_factors(dims)
+        for i in (i for i, d in enumerate(dims, start=1) if d == 1):
+            assert (Polynomial.variable(xd(i, 1)), 2 * (prod(dims) - 1)) in factors, dims
+        kept = [i for i, d in enumerate(dims, start=1) if d > 1]
+        rename = {q(k): q(i) for k, i in enumerate(kept, start=1)}
+        rename.update({xd(k, j): xd(i, j) for k, i in enumerate(kept, start=1) for j in range(1, dims[i - 1] + 1)})
+        rest_enum = tree_enumerator_det(cartesian_product([complete_graph(d) for d in rest]), WeightScheme.DECOUPLED)
+        quotient = div_exact(rest_enum, poly_product(b ** e for b, e in decoupled_enumerator_factors(rest)))
+        enum = tree_enumerator_det(cartesian_product([complete_graph(d) for d in dims]), WeightScheme.DECOUPLED)
+        assert poly_product(b ** e for b, e in factors) * quotient.substitute(rename) == enum, dims
 
 
 def test_coordinate_sum():

@@ -83,6 +83,13 @@ def test_cap_and_disconnected_guards():
         all_spanning_trees(complete_graph(6), cap=100)
     with pytest.raises(DisconnectedGraph):
         all_spanning_trees(threshold_graph((1, 1, 0)))
+    # K4 has 16 spanning trees: a cap of 16 lets the walk run, 15 does not
+    k4 = complete_graph(4)
+    assert len(all_spanning_trees(k4, cap=16)) == 16
+    assert enumerate_sum(k4, TreeStatistic.DEGREE, cap=16) == enumerate_sum(k4, TreeStatistic.DEGREE)
+    for run in (all_spanning_trees, lambda g, cap: enumerate_sum(g, TreeStatistic.DEGREE, cap=cap)):
+        with pytest.raises(CapExceeded):
+            run(k4, cap=15)
 
 
 def test_statistic_monomial_examples():

@@ -364,7 +364,7 @@ def test_cube_nullvector_refutes_a_trivial_vector(monkeypatch):
 
 
 def _threshold_witness_with_entry_bumped(monkeypatch, lam, row, col, claim_id):
-    # x1 added to one off-diagonal entry of the full Laplacian (0-based)
+    # x1 added to one entry of the full Laplacian (0-based)
     import treefactor.verify as verify
 
     real = verify.weighted_laplacian
@@ -396,6 +396,15 @@ def test_g_witness_outside_the_cases(monkeypatch):
     witness = _threshold_witness_with_entry_bumped(monkeypatch, (4, 3, 2, 2, 1), 4, 3,
                                                    "threshold-null:lam=4,3,2,2,1:g:a=3:extra")
     assert witness == "case outside-cases, row 5: -x1*y3"
+
+
+def test_g_witness_case_iv_at_the_block_end(monkeypatch):
+    # row a + b is case (iv) even where it is also a row a + 1..n - 1 of case
+    # (iii): (4,3,2,2,1)'s first block is a = 3, b = 1, so row 4 is both,
+    # and x1 on vertex 4's diagonal entry meets the extra vector there
+    witness = _threshold_witness_with_entry_bumped(monkeypatch, (4, 3, 2, 2, 1), 3, 3,
+                                                   "threshold-null:lam=4,3,2,2,1:g:a=3:extra")
+    assert witness == "case (iv), row 4: -x1*y3*y4 - x2*y3*y4 - x1*y3"
 
 
 def test_conjecture_scan_of_a_zero_quotient(monkeypatch):
@@ -476,9 +485,8 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
 
 def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
     # one warm call of each check: the Laplacian's layout variables are built
-    # once for its key table, once for the claim's operands and, in the
-    # decoupled check, once for the factor list (the threshold and cube
-    # lists' variables are cached); all share one layout, so nothing re-keys
+    # once, for its key table; the claim's operands and factor list take the
+    # cached variables of `formulas` on that layout, so nothing re-keys
     import treefactor.polyring as polyring
 
     counts = {"variables": 0, "rekeys": 0}
@@ -504,6 +512,6 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
         return counts["variables"], counts["rekeys"]
 
     # layouts: x1..x8, y2..y9; q1..q5, x1..x5; q1..q3 and 9 x(i,j)
-    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (2 * 16, 0)
-    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (2 * 10, 0)
-    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (3 * 12, 0)
+    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (16, 0)
+    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (10, 0)
+    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (12, 0)
