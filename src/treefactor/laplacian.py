@@ -23,12 +23,13 @@ Determinants are computed exactly, by one of three paths:
 The expansion (`_minors_det`) only multiplies an entry by a minor and
 never divides, which suits a Laplacian's sparse monomial entries.
 phi divides each row by its monomial content, then evaluates each variable
-at a power of 2**(8w).  It is a ring homomorphism, so det phi(M) =
+at a power of 2**b.  It is a ring homomorphism, so det phi(M) =
 phi(det M).  Two bounds keep det M inside a box that phi maps one-to-one:
 the exponent of each variable is at most the sum over rows of the row's
-largest exponent of it, and every coefficient is at most the product over
-rows of the row's summed absolute coefficients, which fixes the slot width
-w.  Inside the box phi(det M) decodes back to det M (see
+largest exponent of it, and every coefficient is at most Hadamard's bound,
+the square root of the product over rows of the summed squares of the
+entries' absolute coefficient sums, which fixes the slot width of b bits.
+Inside the box phi(det M) decodes back to det M (see
 `polyring._KroneckerImage`).  Both Bareiss paths run one elimination loop.
 Every interior Bareiss division is exact over an integral domain, and a
 decoded image always fits its box, so a failure there is an implementation
@@ -229,9 +230,10 @@ def determinant(m: PolyMatrix) -> Polynomial:
 
     Expansion by minors up to 4x4.  Above that, the bounds are taken before
     anything is packed: an image phi(M) of at most 2**15 bits (slots times
-    8w) is eliminated over the integers and decoded once.  A wider one is
-    expanded by minors when the zero pattern leaves at most 2**12 column
-    sets, and goes to Bareiss over the polynomials otherwise.  The path
+    b, b - 1 the bits of Hadamard's bound on a coefficient) is eliminated
+    over the integers and decoded once.  A wider one is expanded by minors
+    when the zero pattern leaves at most 2**12 column sets, and goes to
+    Bareiss over the polynomials otherwise.  The path
     follows from the matrix alone; `_minors_det` and `_bareiss_det` take the
     rows directly.
     """

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from itertools import compress
+from math import isqrt
 from operator import attrgetter, mul, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -355,16 +356,21 @@ class _KroneckerImage:
     holds det M:
       - each term of det M takes one entry from every row, so the exponent
         of v is at most D_v, the sum over rows of the row's largest one;
-      - |coefficient| <= ||det M||_1 <= prod_i sum_j ||a_ij||_1 = B.
+      - |coefficient| <= H = isqrt(prod_i sum_j ||a_ij||_1**2), Hadamard's
+        bound for polynomial matrices (Goldstein and Graham, SIAM Review 16,
+        1974): a coefficient is at most max |det M(z)| over the unit torus,
+        and there |a_ij(z)| <= ||a_ij||_1, so Hadamard's inequality bounds
+        |det M(z)| by the product of the rows' 2-norms.  A coefficient is an
+        integer, so the square root may be rounded down.
     When every row has one total degree (a key's top digit), so does det M
     (the sum of the rows'), and the last variable is set to 1: its
     exponent is that degree minus the others'.
 
-    phi sends each packed variable v_i to X**s_i with X = 2**(8w), 8w - 1
-    >= the bits of B and s_i = prod_{j>i}(D_j + 1).  phi is a ring
-    homomorphism, so det phi(M) = phi(det M).  Inside the box distinct
-    exponent vectors land on distinct slots, and every coefficient is one
-    balanced base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
+    phi sends each packed variable v_i to X**s_i with X = 2**b, b - 1 = the
+    bits of H and s_i = prod_{j>i}(D_j + 1).  phi is a ring homomorphism,
+    so det phi(M) = phi(det M).  Inside the box distinct exponent vectors
+    land on distinct slots of b bits, and every coefficient is one balanced
+    base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
     """
 
     __slots__ = ("bits", "_lay", "_entries", "_shift", "_units", "_radix", "_width")
@@ -389,7 +395,7 @@ class _KroneckerImage:
             entries = [[(exponents(k - content), c) for k, c in p._terms.items()] for p in row]
             for v, column in enumerate(zip(*(e for entry in entries for e, _ in entry))):
                 high[v] += max(column)
-            bound *= sum(abs(c) for p in row for c in p._terms.values())
+            bound *= sum(sum(map(abs, p._terms.values())) ** 2 for p in row)
             self._entries.append(entries)
         units = list(lay.unit)
         if homogeneous and units:  # the last variable is set to 1
@@ -401,13 +407,13 @@ class _KroneckerImage:
             units = [u - last for u in units]
         self._shift, self._units = shift, units
         self._radix = [d + 1 for d in high]
-        self._width = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
-        self.bits = reduce(mul, self._radix, 8 * self._width)
+        self._width = isqrt(bound).bit_length() + 1  # bits per slot, with a sign bit
+        self.bits = reduce(mul, self._radix, self._width)
 
     def matrix(self) -> list[list[int]]:
         """phi(M): entry sum_e c_e * X**(sum_i e_i * s_i) over the packed variables."""
         shifts = [0] * (len(self._radix) + 1)  # in bits; the variable set to 1 shifts by 0
-        step = 8 * self._width
+        step = self._width
         for i in reversed(range(len(self._radix))):
             shifts[i] = step
             step *= self._radix[i]
@@ -417,22 +423,23 @@ class _KroneckerImage:
     def polynomial(self, value: int) -> Polynomial:
         """det M from value = phi(det M); AssertionError if it leaves the box."""
         w = self._width
-        nbytes = self.bits // 8
-        bias = int.from_bytes((bytes(w - 1) + b"\x80") * (nbytes // w), "little")  # X/2 per slot
-        try:  # offset digits, then each one's top bit flipped: two's complement slots
-            raw = ((value + bias) ^ bias).to_bytes(nbytes, "little")
-        except OverflowError:
-            raise AssertionError("the determinant's Kronecker image does not fit its box") from None
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        bias = half * (((1 << self.bits) - 1) // mask)  # X/2 in every slot
+        raw = value + bias
+        if raw >> self.bits:  # -1 below the box, > 0 above it
+            raise AssertionError("the determinant's Kronecker image does not fit its box")
         radix, units = self._radix[::-1], self._units[::-1]
         terms: dict[int, int] = {}
-        for slot in range(nbytes // w):
-            c = int.from_bytes(raw[slot * w:(slot + 1) * w], "little", signed=True)
-            if c:
-                key, rest = self._shift, slot
-                for r, unit in zip(radix, units):
-                    rest, e = divmod(rest, r)
-                    key += e * unit
-                terms[key] = c
+        live = raw ^ bias  # nonzero in exactly the slots of nonzero coefficients
+        while live:  # lowest slot first, skipping the empty ones
+            at = (live & -live).bit_length() - 1
+            at -= at % w
+            live &= ~(mask << at)
+            key, rest = self._shift, at // w
+            for r, unit in zip(radix, units):
+                rest, e = divmod(rest, r)
+                key += e * unit
+            terms[key] = ((raw >> at) & mask) - half
         self._lay.check_range(terms)
         return _new(self._lay, terms)
 

@@ -270,6 +270,22 @@ def test_kronecker_determinant_matches_bareiss_and_minors():
     assert {key[4] for key in seen} == {False, True}
 
 
+def test_kronecker_slot_holds_a_coefficient_equal_to_the_hadamard_bound():
+    # entry (i, j) = H_ij * q1^i * x1^j with H the 8x8 Sylvester-Hadamard
+    # matrix: every entry has one unit term, so the bound is sqrt(8**8) =
+    # 4096, and det M is one term whose coefficient is +-det H = +-8**4
+    h = [[Polynomial({Monomial.of({q(1): i, x(1): j}): (-1) ** (i & j).bit_count()}) for j in range(8)]
+         for i in range(8)]
+    signs = set()
+    for rows in (h, [[-p for p in h[0]], *h[1:]]):
+        image = _KroneckerImage(rows)
+        assert image._width == 14  # 4096 takes 13 bits, and one more for the sign
+        det = laplacian._kronecker_det(image)
+        assert det == laplacian._minors_det(rows)
+        signs.update(c for _, c in det.terms())
+    assert signs == {4096, -4096}
+
+
 def test_kronecker_image_rejects_a_value_outside_its_box():
     rows = random_matrix(random.Random(7006), 3, [q(1), x(1)])
     image = _KroneckerImage(rows)
@@ -277,6 +293,17 @@ def test_kronecker_image_rejects_a_value_outside_its_box():
         image.polynomial(1 << image.bits)
     with pytest.raises(AssertionError):
         image.polynomial(-(1 << image.bits))
+    # the balanced digits of the top slot run over [-X/2, X/2); that matrix
+    # has a zero row, so its slot is one bit; this one has 6-bit slots
+    wide = _KroneckerImage([[Polynomial.parse(t) for t in row] for row in [("2*q1 + x1", "-3"), ("x1^2", "q1 - 5*x1")]])
+    assert (image._width, wide._width) == (1, 6)
+    for im in (image, wide):
+        top, half = im.bits - im._width, 1 << (im._width - 1)
+        assert top > 0
+        for digit in (half - 1, -half):
+            assert im.polynomial(digit << top) == -digit * im.polynomial(-1 << top)
+        with pytest.raises(AssertionError):
+            im.polynomial(half << top)
     with pytest.raises(AssertionError):
         laplacian._divide_int(7, 2)
 

@@ -31,6 +31,7 @@ from treefactor import (
     y,
 )
 from treefactor import laplacian
+from treefactor.polyring import _KroneckerImage
 
 P = Polynomial.parse
 
@@ -359,6 +360,16 @@ def test_determinant_takes_each_path_where_intended(monkeypatch):
     assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_minors_det"
     # a wide image whose zero pattern leaves 24,006 column sets
     assert path(product((2, 2, 2, 2)), S.DIRECTION) == "_bareiss_det"
+
+
+def test_direction_kronecker_images_are_sized_by_hadamards_bound():
+    # the identity-det direction images, in bits: their slots hold Hadamard's
+    # bound on a coefficient and a sign bit, and nothing more
+    sizes = {(2, 3): 60, (3, 3): 171, (2, 2, 2): 896, (2, 2, 3): 3600, (4, 4): 672, (2, 3, 3): 13932}
+    for dims, bits in sizes.items():
+        g = cartesian_product([complete_graph(d) for d in dims])
+        reduced, _ = reduce_matrix(weighted_laplacian(g, WeightScheme.DIRECTION), g.n - 1, g.n - 1)
+        assert _KroneckerImage(reduced.rows).bits == bits, dims
 
 
 def test_determinant_of_empty_matrix_is_one():
