@@ -152,12 +152,9 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = parse_spec(args.spec)
     if args.brute and args.weights:
-        print("error: --brute enumerates a statistic; --weights picks the determinant scheme",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--brute enumerates a statistic; --weights picks the determinant scheme")
     if args.brute and args.reduce is not None:
-        print("error: --reduce applies to the determinant route", file=sys.stderr)
-        return 2
+        raise ValueError("--reduce applies to the determinant route")
     stat = TreeStatistic(args.stat) if args.stat else _DEFAULT_STAT[g.kind]
     if args.brute:
         try:

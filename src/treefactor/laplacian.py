@@ -41,7 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .graphs import Edge, Graph, is_connected
+from .graphs import Edge, Graph
 from .polyring import (
     NotDivisible,
     Polynomial,
@@ -262,16 +262,17 @@ def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if not n:
         return Polynomial.one()
     flat = share_layout(p for row in rows for p in row)
-    level = {1 << j: p for j, p in enumerate(flat[:n]) if p}
+    lay = flat[0]._lay
+    level = {1 << j: p._terms for j, p in enumerate(flat[:n]) if p}
     for r in range(1, n):
-        row = [(j, 1 << j, p, -p) for j, p in enumerate(flat[r * n:(r + 1) * n]) if p]
+        row = [(j, 1 << j, p._terms, (-p)._terms) for j, p in enumerate(flat[r * n:(r + 1) * n]) if p]
         pairs: dict[int, list] = {}
         for t, minor in level.items():
             for j, bit, plus, minus in row:
                 if not t & bit:
                     pairs.setdefault(t | bit, []).append((minus if (t >> j).bit_count() & 1 else plus, minor))
-        level = {s: d for s, terms in pairs.items() if (d := _dot(terms))}
-    return level.popitem()[1] if level else Polynomial.zero()
+        level = {s: d for s, terms in pairs.items() if (d := _dot(lay, terms))}
+    return _new(lay, level.popitem()[1] if level else {})
 
 
 def _minor_states(rows: Sequence[Sequence[Polynomial]]) -> int:
@@ -358,13 +359,8 @@ def tree_enumerator_det(
     Defaults to striking the last row and column.  Disconnected graphs
     enumerate no trees and return 0.
     """
-    if not is_connected(g):
-        return Polynomial.zero()
-    lap = weighted_laplacian(g, scheme)
-    if g.n == 1:
-        return Polynomial.one()
     if remove is None:
         remove = (g.n - 1, g.n - 1)
-    reduced, sign = reduce_matrix(lap, remove[0], remove[1])
+    reduced, sign = reduce_matrix(weighted_laplacian(g, scheme), remove[0], remove[1])
     det = determinant(reduced)
     return det if sign > 0 else -det

@@ -26,7 +26,11 @@ adding keys, and exponent zero has key 0 in every layout.  With every
 exponent in [-2**28, 2**28) K is one-to-one and integer order is
 graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
-many polynomials on one layout up front.  Variable and Monomial objects
+many polynomials on one layout up front.  One kernel, `_dot`, multiplies
+term dicts: the sum of a*b over pairs its caller has put on one layout
+(`_aligned` or `share_layout`).  It serves `*` (which shifts the keys
+itself when an operand has one term), `poly_sum` (each item times 1),
+`laplacian._minors_det` and `verify._residues`.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(),
 parse and JSON.  The weight key tables of `laplacian` and every closed
 form and factor list of `formulas` build each Variable once per layout
@@ -581,7 +585,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         lay, a, b = _aligned(self, other)
-        out = _pmul(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) != 1:
+            return _new(lay, _dot(lay, ((a, b),)))
+        (ka, ca), = a.items()  # one term: shift the other's keys
+        out = {ka + kb: ca * cb for kb, cb in b.items()}
         lay.check_range(out)
         return _new(lay, out)
 
@@ -765,20 +774,19 @@ def _parse_term(chunk: str) -> tuple[Monomial, int]:
 # ---------------------------------------------------------------------------
 
 
-def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        (ka, ca), = a.items()
-        return {ka + kb: ca * cb for kb, cb in b.items()}
+def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
+    """The sum of a*b over pairs of term dicts keyed over `lay`, as one key-sum."""
     out: dict[int, int] = {}
     get = out.get
-    bi = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in bi:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+    for a, b in pairs:
+        bt = b.items()
+        for ka, ca in a.items():
+            for kb, cb in bt:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    out = {k: c for k, c in out.items() if c}
+    lay.check_range(out)
+    return out
 
 
 def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dict[int, int]:
@@ -842,33 +850,10 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
     return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))
 
 
-def _dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """The sum of a*b over pairs keyed over one layout (see share_layout), as one key-sum."""
-    out: dict[int, int] = {}
-    get = out.get
-    lay = None
-    for a, b in pairs:
-        if lay is None:
-            lay = a._lay
-        if a._lay is not lay or b._lay is not lay:
-            raise ValueError("_dot takes operands keyed over one layout")
-        bt = b._terms.items()
-        for ka, ca in a._terms.items():
-            for kb, cb in bt:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    if lay is None:
-        return Polynomial.zero()
-    out = {k: c for k, c in out.items() if c}
-    lay.check_range(out)
-    return _new(lay, out)
-
-
 def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
-    total = Polynomial.zero()
-    for item in share_layout(items):
-        total = total + item
-    return total
+    items = share_layout(items)
+    lay = items[0]._lay if items else _EMPTY
+    return _new(lay, _dot(lay, (({0: 1}, p._terms) for p in items)))
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:

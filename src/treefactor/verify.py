@@ -56,6 +56,7 @@ from .polyring import (
     NotDivisible,
     Polynomial,
     _dot,
+    _new,
     div_exact,
     poly_product,
     poly_sum,
@@ -206,17 +207,18 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
     size = matrix.size
     shared = iter(share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
                                 *(val for vectors, _ in checks for v in vectors for val in v.values())]))
-    rows = [[next(shared) for _ in range(size)] for _ in range(size)]
+    rows = [[next(shared)._terms for _ in range(size)] for _ in range(size)]
     divisors = [next(shared) for _ in checks]
     for (vectors, _), divisor in zip(checks, divisors):
-        walks = [[(col, val) for col, val in zip(v, shared) if val] for v in vectors]
+        lay = divisor._lay
+        walks = [[(col, val._terms) for col, val in zip(v, shared) if val] for v in vectors]
         products: list[list[Polynomial]] = []
         bad = None
         for k, walk in enumerate(walks):
             entries: list[Polynomial] = []
             products.append(entries)
             for r, row in enumerate(rows):
-                entries.append(_dot((row[col], val) for col, val in walk if row[col]))
+                entries.append(_new(lay, _dot(lay, ((row[col], val) for col, val in walk if row[col]))))
                 if not _divides(divisor, entries[-1]):
                     bad = (k, r)
                     break

@@ -377,6 +377,37 @@ def test_determinant_of_empty_matrix_is_one():
     assert laplacian._minors_det(()) == 1
 
 
+def test_one_vertex_and_disconnected_graphs_check_their_indices():
+    # no shortcut answers before the struck row and column are checked
+    k1, split = complete_graph(1), threshold_graph((1, 1, 0))
+    with pytest.raises(IndexOutOfRange):
+        tree_enumerator_det(k1, WeightScheme.GENERIC, remove=(3, 3))
+    with pytest.raises(IndexOutOfRange):
+        tree_enumerator_det(split, WeightScheme.THRESHOLD_IN_OUT, remove=(7, -2))
+    # K1's 0x0 reduced matrix has determinant 1; a disconnected graph's is 0 for every strike
+    assert tree_enumerator_det(k1, WeightScheme.GENERIC) == 1
+    assert all(tree_enumerator_det(split, WeightScheme.THRESHOLD_IN_OUT, remove=(r, s)) == 0
+               for r in range(3) for s in range(3))
+
+
+def test_minors_det_keeps_the_column_sets_minor_states_counts(monkeypatch):
+    # one key-sum per column set below the first row, exactly as many as
+    # `_minor_states` counts from the zero pattern, which the gate relies on
+    g = hypercube(3)
+    rows = reduce_matrix(weighted_laplacian(g, WeightScheme.GENERIC), 7, 7)[0].rows
+    expected = tree_enumerator_det(g, WeightScheme.GENERIC)
+    calls = []
+    dot = laplacian._dot
+    monkeypatch.setattr(laplacian, "_dot", lambda lay, pairs: calls.append(lay) or dot(lay, pairs))
+    assert laplacian._minors_det(rows) == expected
+    assert len(calls) == laplacian._minor_states(rows) - sum(1 for p in rows[0] if p)
+    # rows 0 and 1 equal: their three minors cancel and are dropped, so row 2 expands nothing
+    calls.clear()
+    a, b = P("x1 + x2"), P("x2")
+    assert laplacian._minors_det([[a, b, a], [a, b, a], [b, a, b]]) == 0
+    assert len(calls) == 3
+
+
 def test_minor_states_stops_past_the_bound_without_polynomials(monkeypatch):
     # K40's reduced Laplacian is dense, with 2**39 - 1 column sets; the
     # count must stop within a row of passing the bound, reading only

@@ -14,11 +14,14 @@ from treefactor.polyring import (
     NotDivisible,
     Polynomial,
     Variable,
+    _dot,
+    _new,
     div_exact,
     evar,
     poly_product,
     poly_sum,
     q,
+    share_layout,
     x,
     xd,
     y,
@@ -298,6 +301,76 @@ def test_poly_sum_and_product_helpers():
     parts = [P("x1"), P("x2"), P("x1 - x2")]
     assert poly_sum(parts) == P("2*x1")
     assert poly_product(parts) == P("x1^2*x2 - x1*x2^2")
+
+
+def _reference_terms(p):
+    """{Monomial: coefficient} of a polynomial or an int, read through terms()."""
+    if isinstance(p, int):
+        return {Monomial(): p} if p else {}
+    return dict(p.terms())
+
+
+def _reference_product(f, g):
+    """Two {Monomial: coefficient} dicts multiplied term by term with Monomial.__mul__."""
+    out = {}
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            m = ma * mb
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_sum(dicts):
+    out = {}
+    for d in dicts:
+        for m, c in d.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_product_kernel_against_monomial_reference():
+    # each operand holds its own random subset of variables, so operands
+    # meet on different layouts; one-term operands take __mul__'s key shift
+    rng = random.Random(90059)
+    for _ in range(300):
+        items = [rand_poly(rng, max_terms=rng.choice((1, 1, 3, 6))) for _ in range(rng.randrange(0, 5))]
+        items += [rng.randrange(-3, 4) for _ in range(rng.randrange(0, 2))]
+        rng.shuffle(items)
+        if items and rng.random() < 0.3:  # a sum that cancels to 0
+            items += [-p for p in items]
+        refs = [_reference_terms(p) for p in items]
+        polys = [p for p in items if isinstance(p, Polynomial)]
+        for a, b in zip(polys, polys[1:]):
+            assert _reference_terms(a * b) == _reference_product(_reference_terms(a), _reference_terms(b))
+        assert _reference_terms(poly_sum(items)) == _reference_sum(refs)
+        product = {Monomial(): 1}
+        for ref in refs:
+            product = _reference_product(product, ref)
+        assert _reference_terms(poly_product(items)) == product
+        # a sum of products: consecutive items paired, on one layout
+        zero, *shared = share_layout([0, *items])
+        pairs = list(zip(shared[::2], shared[1::2]))
+        got = _new(zero._lay, _dot(zero._lay, ((a._terms, b._terms) for a, b in pairs)))
+        want = _reference_sum(_reference_product(_reference_terms(a), _reference_terms(b)) for a, b in pairs)
+        assert _reference_terms(got) == want
+    assert poly_sum([]) == 0 and poly_product([]) == 1
+    lay = P("x1")._lay
+    assert _dot(lay, []) == {}
+    # pairs that cancel to 0 leave no zero coefficient behind
+    a, b = share_layout([P("x1 - x1^-1"), P("2*x1 + 3")])
+    assert _dot(a._lay, [(a._terms, b._terms), ((-a)._terms, b._terms)]) == {}
+
+
+def test_one_term_operand_shifts_keys_without_the_kernel(monkeypatch):
+    import treefactor.polyring as polyring
+
+    def no_kernel(*args):
+        raise AssertionError("the sum-of-products kernel ran")
+
+    monkeypatch.setattr(polyring, "_dot", no_kernel)
+    one, many = P("-3*x1^-1*y3"), P("x1 + 2*x2 - q1")
+    assert one * many == many * one == P("-3*y3 - 6*x1^-1*x2*y3 + 3*q1*x1^-1*y3")
+    assert (one * one).render() == "9*x1^-2*y3^2"
 
 
 def test_min_exponents_and_coefficient():
