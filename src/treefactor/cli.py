@@ -5,9 +5,9 @@ canonical polynomial text or JSON and is byte-identical across repeated
 invocations; verification timings are therefore zeroed in CLI JSON output
 (the library report keeps real timings).
 
-Exit codes: 0 success or all claims Verified, 1 any claim Refuted,
-2 usage or graph-spec error, an exponent too large to pack or a verify run
-with no claim to check, 3 tree cap exceeded.
+Exit codes: 0 success or all claims Verified, 1 any claim Refuted, 2 usage
+or graph-spec error, an exponent too large to pack, a verify run with no
+claim to check or an --out file that cannot be written, 3 tree cap exceeded.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexOutOfRange, argparse.ArgumentTypeError, ExponentOverflow) as exc:
+    except (ValueError, IndexOutOfRange, argparse.ArgumentTypeError, ExponentOverflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FormMismatch, NotDivisibleCount) as exc:

@@ -132,10 +132,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise InvalidSize("complete graph needs at least one vertex")
-    edges = tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n))
-    return Graph(kind="plain", labels=tuple(range(1, n + 1)), edges=edges)
+    return multigraph_kn(n, 1)
 
 
 def multigraph_kn(n: int, q: int) -> Graph:

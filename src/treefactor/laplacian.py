@@ -143,6 +143,8 @@ def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tupl
 def edge_weight(g: Graph, edge: Edge, scheme: WeightScheme) -> Polynomial:
     """Weight monomial of one edge of g (multiplicity not included), from the scheme's key table."""
     check_scheme(g, scheme)
+    if edge[:3] not in {e[:3] for e in g.edges}:
+        raise ValueError(f"(u, v, direction) = {edge[:3]} is not an edge of the graph")
     lay, (key,) = _weight_table(g, scheme, (edge,))
     return _new(lay, {key: 1})
 

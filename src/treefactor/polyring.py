@@ -31,19 +31,20 @@ term dicts: the sum of a*b over pairs its caller has put on one layout
 (`_aligned` or `share_layout`).  It serves `*` (which shifts the keys
 itself when an operand has one term), `poly_sum` (each item times 1),
 `laplacian._minors_det` and `verify._residues`.  Variable and Monomial objects
-are built only at the edge: Polynomial(dict), terms(), coefficient(),
-parse and JSON.  The weight key tables of `laplacian` and every closed
-form and factor list of `formulas` build each Variable once per layout
-(`_variable_polys`) and no Monomial outside `substitute`; the nullvector
-operands and divisors of `verify` build none, taking the cached variables
-and factor lists of `formulas`, on the Laplacian's layout.  `treebrute`
-sums the weight tables' keys along its tree walk, the part of it that
-stays independent of the determinant.
+are built only at the edge: Polynomial(dict), terms(), coefficient(), a
+witness, parse and JSON; `substitute` strips the bound digits off each key.
+The weight key tables of `laplacian` and every closed form and factor list
+of `formulas` build each Variable once per layout (`_variable_polys`); the
+nullvector operands and divisors of `verify` build none, taking the cached
+variables and factor lists of `formulas`, on the Laplacian's layout.
+`treebrute` sums the weight tables' keys along its tree walk, the part of
+it that stays independent of the determinant.
 Division is decided in the Laurent ring, testing whether a leading term
 divides with one guard bit per digit of the keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
 `_KroneckerImage` packs a square matrix of polynomials into integers and
-decodes its determinant's image, for `laplacian.determinant`.
+decodes its determinant's image, for `laplacian.determinant`; it sizes its
+box from the keys alone, and only `matrix()` unpacks a term.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import compress
 from math import isqrt
-from operator import attrgetter, mul, or_
+from operator import add, attrgetter, mul, neg, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -188,10 +189,6 @@ class Monomial:
         return dict(self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.is_one:
-            return other
-        if other.is_one:
-            return self
         acc = dict(self.exps)
         for v, e in other.exps:
             ne = acc.get(v, 0) + e
@@ -269,16 +266,17 @@ class _Layout:
         return k
 
     def content(self, keys: Iterable[int]) -> int:
-        """Key of the per-variable minimum exponent over nonempty `keys` (absent = 0).
+        """Key of the per-variable minimum exponent over `keys` (absent = 0; 0 for no keys).
 
         Keeps a running minimum of the digits offset by 2**31 (as in
         `exponents`), all digits at once: two in-range digits differ by less
         than 2**29, so u - m + 2**30 has bit 30 set in a digit exactly when
-        u >= m there, and no digit borrows.  Nothing is decoded per key.
+        u >= m there, and no digit borrows.  Nothing is decoded per key.  The
+        same holds for negated keys, so -content(-keys) is the maximum's key.
         """
         g, vmask, ones = self.guard, self.vmask, self.guard >> (_BITS - 1)
         keys = iter(keys)
-        m = (next(keys) + g) & vmask
+        m = (next(keys, 0) + g) & vmask
         for k in keys:
             u = (k + g) & vmask
             keep = (((u - m + (ones << 30)) >> 30) & ones) * 0xFFFFFFFF
@@ -359,7 +357,8 @@ class _KroneckerImage:
     the end when it is decoded.  Every exponent is then >= 0, and two bounds fix a box that
     holds det M:
       - each term of det M takes one entry from every row, so the exponent
-        of v is at most D_v, the sum over rows of the row's largest one;
+        of v is at most D_v, the sum over rows of the row's largest one
+        (read off the keys: minus the content of the row's negated keys);
       - |coefficient| <= H = isqrt(prod_i sum_j ||a_ij||_1**2), Hadamard's
         bound for polynomial matrices (Goldstein and Graham, SIAM Review 16,
         1974): a coefficient is at most max |det M(z)| over the unit torus,
@@ -377,7 +376,7 @@ class _KroneckerImage:
     base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
     """
 
-    __slots__ = ("bits", "_lay", "_entries", "_shift", "_units", "_radix", "_width")
+    __slots__ = ("bits", "_lay", "_rows", "_shift", "_units", "_radix", "_width")
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]):
         n = len(rows)
@@ -387,20 +386,20 @@ class _KroneckerImage:
         high = [0] * len(lay.vars)
         shift = degree = 0
         homogeneous, bound = True, 1
-        self._entries = []
+        self._rows = []
         for i in range(n):
-            row = flat[i * n:(i + 1) * n]
-            keys = [k for p in row for k in p._terms]
-            content = lay.content(keys) if keys else 0
+            row = [p._terms for p in flat[i * n:(i + 1) * n]]
+            keys = [k for terms in row for k in terms]
+            content = lay.content(keys)
+            # the row's largest exponents are minus the content of its negated keys
+            high = list(map(add, high, exponents(-lay.content(map(neg, keys)) - content)))
+            # keys sort in graded-lex order, so the extreme keys hold the extreme degrees
+            low, top_degree = ((extreme(keys, default=content) - content) >> top for extreme in (min, max))
+            homogeneous = homogeneous and low == top_degree
+            degree += top_degree
             shift += content
-            degrees = {(k - content) >> top for k in keys}
-            homogeneous = homogeneous and len(degrees) <= 1
-            degree += max(degrees, default=0)
-            entries = [[(exponents(k - content), c) for k, c in p._terms.items()] for p in row]
-            for v, column in enumerate(zip(*(e for entry in entries for e, _ in entry))):
-                high[v] += max(column)
-            bound *= sum(sum(map(abs, p._terms.values())) ** 2 for p in row)
-            self._entries.append(entries)
+            bound *= sum(sum(map(abs, terms.values())) ** 2 for terms in row)
+            self._rows.append((content, row))
         units = list(lay.unit)
         if homogeneous and units:  # the last variable is set to 1
             high.pop()
@@ -421,8 +420,9 @@ class _KroneckerImage:
         for i in reversed(range(len(self._radix))):
             shifts[i] = step
             step *= self._radix[i]
-        return [[sum(c << sum(map(mul, e, shifts)) for e, c in entry) for entry in row]
-                for row in self._entries]
+        exponents = self._lay.exponents
+        return [[sum(c << sum(map(mul, exponents(k - content), shifts)) for k, c in terms.items()) for terms in row]
+                for content, row in self._rows]
 
     def polynomial(self, value: int) -> Polynomial:
         """det M from value = phi(det M); AssertionError if it leaves the box."""
@@ -544,10 +544,8 @@ class Polynomial:
 
     def is_nonneg(self) -> tuple[bool, Optional[tuple[Monomial, int]]]:
         """All coefficients >= 0?  Witness is the largest offending term."""
-        for m, c in self.canonical_terms():
-            if c < 0:
-                return (False, (m, c))
-        return (True, None)
+        k = max((k for k, c in self._terms.items() if c < 0), default=None)
+        return (True, None) if k is None else (False, (self._lay.monomial(k), self._terms[k]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -556,8 +554,6 @@ class Polynomial:
             return self._terms == ({0: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(self._terms) != len(other._terms):
-            return False
         _, a, b = _aligned(self, other)
         return a == b
 
@@ -579,9 +575,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            if other == 0:
-                return _new(self._lay, {})
-            return _new(self._lay, {k: c * other for k, c in self._terms.items()})
+            other = Polynomial.integer(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         lay, a, b = _aligned(self, other)
@@ -608,12 +602,8 @@ class Polynomial:
             return _new(lay, {scaled: c ** k if k >= 0 else (c if k % 2 else 1)})
         if k < 0:
             raise ValueError("negative power of a non-unit polynomial")
-        # repeated multiplication by the (sparse) base does fewer term
-        # products than squaring for the multinomial powers used here
-        result = Polynomial.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        # multiplying by the sparse base k times does fewer term products than squaring here
+        return poly_product([self] * k)
 
     # -- substitution ------------------------------------------------------
 
@@ -623,24 +613,27 @@ class Polynomial:
         A variable occurring with a negative exponent may only be bound to
         an invertible monomial (single term, coefficient +-1).
         """
-        coerced = {v: _coerce_poly(val) for v, val in bindings.items()}
-        powers: dict[tuple[Variable, int], Polynomial] = {}
-        total = Polynomial.zero()
-        for mono, coeff in self.terms():
-            term = Polynomial.monomial(Monomial(tuple((v, e) for v, e in mono.exps if v not in coerced)), coeff)
-            for v, e in mono.exps:
-                if v not in coerced:
-                    continue
-                if (v, e) not in powers:
-                    try:
-                        powers[v, e] = coerced[v] ** e
-                    except ValueError:  # a negative power of a non-unit
-                        raise NonInvertibleSubstitution(
-                            f"{v.render()} has negative exponent; binding must be a unit monomial"
-                        ) from None
-                term = term * powers[v, e]
-            total = total + term
-        return total
+        values = {v: _coerce_poly(val) for v, val in bindings.items()}
+        base, *shared = share_layout([self, *values.values()])
+        lay, shared = base._lay, dict(zip(values, shared))
+        held = [v in shared for v in lay.vars]
+        bound, units = list(compress(lay.vars, held)), list(compress(lay.unit, held))
+        # the terms grouped by their bound exponents, keyed with those digits removed
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for k, c in base._terms.items():
+            pattern = tuple(compress(lay.exponents(k), held))
+            groups.setdefault(pattern, {})[k - sum(map(mul, pattern, units))] = c
+
+        @cache
+        def power(v: Variable, e: int) -> Polynomial:
+            try:
+                return shared[v] ** e
+            except ValueError:  # a negative power of a non-unit
+                raise NonInvertibleSubstitution(
+                    f"{v.render()} has negative exponent; binding must be a unit monomial") from None
+
+        return poly_sum(_new(lay, rest) * poly_product(power(v, e) for v, e in zip(bound, pattern) if e)
+                        for pattern, rest in groups.items())
 
     # -- serialization -----------------------------------------------------
 
@@ -857,7 +850,4 @@ def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
-    total = Polynomial.one()
-    for item in share_layout(items):
-        total = total * item
-    return total
+    return reduce(mul, share_layout(items), Polynomial.one())

@@ -287,9 +287,9 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     u_k = x(i,k+1) e_1 - x(i,1) e_(k+1) kills the row vector of coordinate
     variables exactly, so 1 x ... x u_k x ... x 1 must send every row of the
     full Laplacian into multiples of the coordinate sum for that direction.
-    The n_i - 1 vectors are independent if their values at a seeded random
-    integer point are: real vectors are independent exactly when their
-    Gram matrix has a nonzero determinant.
+    Independence modulo c_i is checked at a seeded random integer point on
+    c_i = 0 (x(i,1) is minus the drawn others): real vectors are
+    independent exactly when their Gram matrix has a nonzero determinant.
     """
     t0 = time.perf_counter()
     dims = [int(d) for d in dims]
@@ -311,9 +311,10 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
     c_i, mult = _decoupled_factors(dims)[-sum(d >= 2 for d in dims[i - 1:])]
-    # the rank check's random point, x(i,j) at point[j]
+    # the rank check's random point on c_i = 0, x(i,j) at point[j]
     rng = random.Random(20260817)
-    point = [0] + [rng.randrange(2, 10 ** 6) for _ in range(ni)]
+    point = [0, 0] + [rng.randrange(2, 10 ** 6) for _ in range(ni - 1)]
+    point[1] = -sum(point)
     vectors: list[dict[int, Polynomial]] = []
     numeric: list[list[int]] = []
     # a cofactor of L has c_i to the mult, so L itself owes one vector more

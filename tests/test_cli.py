@@ -345,6 +345,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text() == "16\n"
 
 
+def test_out_that_cannot_be_written_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "x.txt"
+    rc, out, err = run(capsys, "count", "K4", "--out", str(missing))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "No such file or directory" in err and str(missing) in err
+    rc, out, err = run(capsys, "verify", "cayley", "--n", "4", "--out", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "treefactor", "count", "K4"],

@@ -15,11 +15,13 @@ from treefactor import (
     Edge,
     Graph,
     Monomial,
+    NonInvertibleSubstitution,
     NotDivisible,
     Polynomial,
     SCHEME_FOR_STATISTIC,
     SchemeMismatch,
     TreeStatistic,
+    Variable,
     WeightScheme,
     all_spanning_trees,
     cartesian_product,
@@ -308,6 +310,56 @@ def test_kronecker_image_rejects_a_value_outside_its_box():
         laplacian._divide_int(7, 2)
 
 
+def test_kronecker_box_is_read_off_the_keys():
+    # each radix is one more than the sum over rows of the row's largest
+    # exponent less its smallest, as unpacking every term finds it; the ends
+    # of the exponent range put the widest digits into the negated keys
+    rng = random.Random(7007)
+    ends = (-2 ** 28, 2 ** 28 - 1)
+    variables = [q(1), x(1), x(2)]
+    kinds = set()
+    for trial in range(200):
+        n, homogeneous = rng.randrange(1, 5), trial % 2
+        rows = []
+        for _ in range(n):
+            degree, row = rng.randrange(-3, 4), []
+            for _ in range(n):
+                terms = {}
+                for _ in range(rng.randrange(0, 4)):
+                    e = [rng.choice(ends) if rng.random() < 0.2 else rng.randrange(-3, 4) for _ in variables]
+                    if homogeneous:
+                        e[-1] = degree - e[0] - e[1]
+                    if -2 ** 28 <= e[-1] < 2 ** 28:
+                        terms[Monomial.of(zip(variables, e))] = rng.choice((-2, -1, 1, 3))
+                row.append(Polynomial(terms))
+            rows.append(row)
+        image = _KroneckerImage(rows)
+        lay = image._lay
+        high = dict.fromkeys(lay.vars, 0)
+        shift = degree = 0
+        one_degree = True
+        for row in rows:
+            monos = [m.as_dict() for p in row for m, _ in p.terms()]
+            if not monos:
+                continue
+            low = {v: min(m.get(v, 0) for m in monos) for v in lay.vars}
+            for v in lay.vars:
+                high[v] += max(m.get(v, 0) for m in monos) - low[v]
+                kinds.add(max(m.get(v, 0) for m in monos) - low[v] == 2 ** 29 - 1)
+            shift += lay.key(low.items())
+            degrees = {sum(m.values()) - sum(low.values()) for m in monos}
+            one_degree = one_degree and len(degrees) == 1
+            degree += max(degrees)
+        radix = [high[v] + 1 for v in lay.vars]
+        if one_degree and radix:  # the last variable is set to 1
+            radix.pop()
+            shift += degree * lay.unit[-1]
+        assert (image._radix, image._shift) == (radix, shift), trial
+        kinds.add(("dropped", len(radix) < len(lay.vars)))
+    # rows spanning the whole range, and images with and without a variable set to 1
+    assert kinds >= {True, False, ("dropped", True), ("dropped", False)}
+
+
 # -- arithmetic against a dict-of-Monomial reference ------------------------
 
 VARS = [q(1), q(3), x(1), x(2), x(7), y(2), xd(1, 2), xd(2, 1), evar(1, 3), evar(2, 4)]
@@ -352,6 +404,74 @@ def test_multiply_and_add_match_reference():
         assert as_ref(pa + pb) == ref_add(a, b)
         assert as_ref(pa * pb - pc) == ref_add(ref_mul(a, b), {m: -k for m, k in c.items()})
         assert as_ref(pa * 3) == {m: 3 * k for m, k in a.items()}
+
+
+def test_int_operands_multiply_on_either_side():
+    rng = random.Random(7008)
+    for _ in range(200):
+        a = random_terms(rng)
+        pa = Polynomial(a)
+        for c in (0, 1, -1, 7, -12, -(2 ** 70)):
+            want = {m: c * k for m, k in a.items()} if c else {}
+            assert as_ref(pa * c) == as_ref(c * pa) == want
+    assert Polynomial.zero() * 5 == 0 and 0 * Polynomial.one() == 0 and -3 * Polynomial.integer(4) == -12
+
+
+def ref_value(val) -> dict:
+    """A binding of `substitute` as a reference dict."""
+    if isinstance(val, Polynomial):
+        return as_ref(val)
+    if isinstance(val, int):
+        return {Monomial(): val} if val else {}
+    if isinstance(val, Variable):
+        return {Monomial.of({val: 1}): 1}
+    return {val: 1}
+
+
+def ref_power(ref: dict, e: int) -> dict:
+    if e < 0:  # ref is one term with coefficient +-1
+        (m, c), = ref.items()
+        ref, e = {Monomial.of({v: -k for v, k in m.exps}): c}, -e
+    out = {Monomial(): 1}
+    for _ in range(e):
+        out = ref_mul(out, ref)
+    return out
+
+
+def test_substitute_matches_reference():
+    rng = random.Random(7009)
+    seen = set()
+    for _ in range(300):
+        terms = random_terms(rng, max_exp=3)
+        present = {v for m in terms for v, _ in m.exps}
+        bindings = {}
+        for v in rng.sample(VARS, rng.randrange(0, 4)):
+            kind = rng.randrange(5)
+            seen.add(("kind", kind))
+            seen.add(("absent", v not in present))
+            bindings[v] = [
+                lambda: Polynomial(random_terms(rng, max_terms=3, max_exp=2)),
+                lambda: rng.randrange(-2, 3),
+                lambda: rng.choice(VARS),
+                lambda: Monomial.of({rng.choice(VARS): rng.choice((-2, -1, 1, 2))}),
+                lambda: -Polynomial.variable(rng.choice(VARS)),  # a unit of coefficient -1
+            ][kind]()
+        refs = {v: ref_value(val) for v, val in bindings.items()}
+        units = {v for v, r in refs.items() if len(r) == 1 and abs(next(iter(r.values()))) == 1}
+        if any(e < 0 and v in refs and v not in units for m in terms for v, e in m.exps):
+            with pytest.raises(NonInvertibleSubstitution):
+                Polynomial(terms).substitute(bindings)
+            seen.add("refused")
+            continue
+        want: dict = {}
+        for m, c in terms.items():
+            term = {Monomial.of([(v, e) for v, e in m.exps if v not in refs]): c}
+            for v, e in m.exps:
+                if v in refs:
+                    term = ref_mul(term, ref_power(refs[v], e))
+            want = ref_add(want, term)
+        assert as_ref(Polynomial(terms).substitute(bindings)) == want
+    assert seen >= {*(("kind", k) for k in range(5)), ("absent", True), ("absent", False), "refused"}
 
 
 def test_div_exact_matches_reference():

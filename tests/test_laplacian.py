@@ -52,6 +52,25 @@ def test_edge_weight_examples():
     )
 
 
+def test_edge_weight_rejects_an_edge_the_graph_lacks():
+    cube = hypercube(2)
+    prod = cartesian_product([complete_graph(2), complete_graph(3)])
+    for g, edge, scheme in [
+        (cube, Edge(0, 1, 0), WeightScheme.CUBE_LAURENT),  # direction 0 would read the last q
+        (cube, Edge(0, 3, 1), WeightScheme.CUBE_LAURENT),  # the ends differ in two coordinates
+        (cube, Edge(0, 1, 1), WeightScheme.CUBE_LAURENT),  # 0 and 1 are joined in direction 2
+        (prod, Edge(0, 1, 7), WeightScheme.DIRECTION),
+        (prod, Edge(0, 1, 7), WeightScheme.DECOUPLED),
+        (complete_graph(3), Edge(0, 3), WeightScheme.GENERIC),
+        (threshold_graph((2, 1, 1)), Edge(1, 2), WeightScheme.THRESHOLD_IN_OUT),
+    ]:
+        named = rf"\(u, v, direction\) = \({edge.u}, {edge.v}, {edge.direction}\) is not an edge"
+        with pytest.raises(ValueError, match=named):
+            edge_weight(g, edge, scheme)
+    # the multiplicity is not part of the weight
+    assert edge_weight(cube, Edge(0, 1, 2, 5), WeightScheme.CUBE_LAURENT) == P("q2*x1^-1")
+
+
 def test_cube_weights_depend_on_lower_endpoint():
     g = hypercube(2)
     w = {(e.u, e.v): edge_weight(g, e, WeightScheme.CUBE_LAURENT) for e in g.edges}

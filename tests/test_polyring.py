@@ -146,6 +146,8 @@ def test_is_nonneg_and_witness():
     assert not ok
     assert mono == Monomial.of({x(2): 1})
     assert coeff == -1
+    # the witness is the first negative term in descending graded-lex order
+    assert P("x1^4 - 2*x1^-1*x2^3 + x2^2 - 5*x1 - 1").is_nonneg() == (False, (Monomial.of({x(1): -1, x(2): 3}), -2))
 
 
 def test_render_canonical_example():

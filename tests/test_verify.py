@@ -306,6 +306,32 @@ def test_decoupled_rank_check_refutes_dependent_vectors(monkeypatch):
         assert (v.status, v.witness) == ("Refuted", "nullvectors are linearly dependent at a random point")
 
 
+def test_decoupled_rank_check_takes_its_point_on_the_coordinate_sums_zero_set(monkeypatch):
+    # draws 5 and 7 become x(2,2) and x(2,3), and x(2,1) = -(5 + 7), so the
+    # point lies on c_2 = x(2,1) + x(2,2) + x(2,3) = 0
+    import treefactor.verify as verify
+
+    class Draws:
+        def __init__(self, seed):
+            self.values = iter((5, 7, 11))
+
+        def randrange(self, start, stop):
+            return next(self.values)
+
+    grams = []
+
+    def capture(m):
+        grams.append([[p.as_int() for p in row] for row in m.rows])
+        return determinant(m)
+
+    monkeypatch.setattr(verify.random, "Random", Draws)
+    monkeypatch.setattr(verify, "determinant", capture)
+    assert verify_decoupled_nullvectors((2, 3), 2).ok
+    # u_2 = (5, 12, 0) and u_3 = (7, 0, 12) on each of the two copies of K3
+    x1 = -(5 + 7)
+    assert grams == [[[2 * (5 * 5 + x1 * x1), 2 * 5 * 7], [2 * 5 * 7, 2 * (7 * 7 + x1 * x1)]]]
+
+
 def test_threshold_nullvectors():
     vs = verify_threshold_nullvectors((3, 3, 2, 2))
     assert vs and all(v.ok for v in vs)
