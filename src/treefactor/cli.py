@@ -7,7 +7,7 @@ invocations; verification timings are therefore zeroed in CLI JSON output
 
 Exit codes: 0 success or all claims Verified, 1 any claim Refuted, 2 usage
 or graph-spec error, an exponent too large to pack, a verify run with no
-claim to check or an --out file that cannot be written, 3 tree cap exceeded.
+claim to check or an --out file that cannot be written, 3 a predicted size past its cap.
 """
 
 from __future__ import annotations

@@ -12,14 +12,15 @@ each edge's key, times its multiplicity, into the four cells it touches, and
 `edge_weight` reads its key from the same table, so each scheme's weight is
 written once and no polynomial is built per edge.
 
-Determinants are computed exactly, by one of three paths:
+Determinants are computed exactly over one integral domain, by one of two
+paths:
   - expansion by minors, for orders up to 4, and above that for matrices
     whose Kronecker image is too wide but whose zero pattern leaves at most
-    `_MINOR_STATES` (2**12) column sets to expand over;
+    `_MINOR_STATES` (2**15) column sets to expand over;
   - fraction-free Bareiss elimination over the integers, after one
-    Kronecker substitution phi, when phi's image has at most
-    `_KRONECKER_BITS` (2**15) bits;
-  - Bareiss elimination over the Laurent polynomials otherwise.
+    Kronecker substitution phi, for every other matrix.  Past `_CAP_BITS`
+    (2**20) bits of image the determinant is refused with `CapExceeded`
+    before the image is unpacked.
 The expansion (`_minors_det`) only multiplies an entry by a minor and
 never divides, which suits a Laplacian's sparse monomial entries.
 phi divides each row by its monomial content, then evaluates each variable
@@ -30,27 +31,24 @@ largest exponent of it, and every coefficient is at most Hadamard's bound,
 the square root of the product over rows of the summed squares of the
 entries' absolute coefficient sums, which fixes the slot width of b bits.
 Inside the box phi(det M) decodes back to det M (see
-`polyring._KroneckerImage`).  Both Bareiss paths run one elimination loop.
-Every interior Bareiss division is exact over an integral domain, and a
-decoded image always fits its box, so a failure there is an implementation
-bug, not an input condition.
+`polyring._KroneckerImage`).  Every interior Bareiss division is exact
+over the integers, and a decoded image always fits its box, so a failure
+there is an implementation bug, not an input condition.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import Edge, Graph
 from .polyring import (
-    NotDivisible,
     Polynomial,
     _KroneckerImage,
     _Layout,
     _dot,
     _layout,
     _new,
-    div_exact,
     evar,
     poly_sum,
     q,
@@ -67,6 +65,10 @@ class SchemeMismatch(ValueError):
 
 class IndexOutOfRange(IndexError):
     """Row or column index outside the matrix."""
+
+
+class CapExceeded(RuntimeError):
+    """A predicted size exceeds its cap: an enumeration's tree count, or a determinant's image bits."""
 
 
 class WeightScheme(Enum):
@@ -218,13 +220,21 @@ def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
     return PolyMatrix(rows), sign
 
 
-# Images above this many bits leave integer Bareiss: CPython's long
-# division is quadratic, and past it the integer elimination loses.
+# Images above this many bits go by minors where the column sets allow:
+# CPython's long division is quadratic, and past it the integer
+# elimination loses.
 _KRONECKER_BITS = 1 << 15
-# Wide images with more column sets than this go to polynomial Bareiss: each
-# level of the expansion by minors holds all its minors at once (decoupled
-# K4xK4, at 29,887 sets, ran out of 6 GB).
-_MINOR_STATES = 1 << 12
+# Wide images with at most this many column sets are expanded by minors.
+# Measured, the inputs split here: Q4 and directions (2,2,2,2) (24,006
+# sets) and the 17-vertex threshold graphs near 4,100 sets finish by
+# minors several times faster than on their images, while directions
+# (3,3,3) and (2,2,2,3), far past the bound, finish only by integer
+# Bareiss on the image.  Decoupled K4xK4 (29,887) finishes on neither.
+_MINOR_STATES = 1 << 15
+# Wider images are refused: Q9's and K40's run past 10**51 bits, more than
+# an int can hold, while directions (2,2,2,3)'s 801,792 bits take minutes
+# to eliminate but finish.
+_CAP_BITS = 1 << 20
 
 
 def determinant(m: PolyMatrix) -> Polynomial:
@@ -234,20 +244,21 @@ def determinant(m: PolyMatrix) -> Polynomial:
     anything is packed: an image phi(M) of at most 2**15 bits (slots times
     b, b - 1 the bits of Hadamard's bound on a coefficient) is eliminated
     over the integers and decoded once.  A wider one is expanded by minors
-    when the zero pattern leaves at most 2**12 column sets, and goes to
-    Bareiss over the polynomials otherwise.  The path
-    follows from the matrix alone; `_minors_det` and `_bareiss_det` take the
-    rows directly.
+    when the zero pattern leaves at most 2**15 column sets, and is
+    eliminated as an image otherwise, unless it passes 2**20 bits, when
+    `CapExceeded` is raised before the image is unpacked.  The path follows
+    from the matrix alone.
     """
     rows = m.rows
     if m.size <= 4:
         return _minors_det(rows)
     image = _KroneckerImage(rows)
-    if image.bits <= _KRONECKER_BITS:
-        return _kronecker_det(image)
-    if _minor_states(rows) <= _MINOR_STATES:
+    if image.bits > _KRONECKER_BITS and _minor_states(rows) <= _MINOR_STATES:
         return _minors_det(rows)
-    return _bareiss_det(rows)
+    if image.bits > _CAP_BITS:
+        raise CapExceeded(f"the {m.size}x{m.size} determinant's Kronecker image needs {image.bits} bits,"
+                          f" past the bound of {_CAP_BITS}")
+    return _kronecker_det(image)
 
 
 def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -295,21 +306,19 @@ def _minor_states(rows: Sequence[Sequence[Polynomial]]) -> int:
     return count
 
 
-def _eliminate(a: list[list], zero, divide: Callable):
-    """Fraction-free Bareiss elimination of the nonempty square `a`, in place.
+def _eliminate(a: list[list[int]]) -> int:
+    """Fraction-free Bareiss elimination of the nonempty square integer matrix `a`, in place.
 
-    Works over any integral domain whose exact division is `divide`: every
-    interior quotient is a minor of the matrix (Sylvester's identity), so
-    `divide` raising means the arithmetic is broken, not the input.
+    Every interior quotient is a minor of the matrix (Sylvester's identity),
+    so a remainder means the arithmetic is broken, not the input.
     """
     n = len(a)
-    sign = 1
-    prev = None
+    sign = prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot_row is None:
-                return zero
+                return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot, row_k = a[k][k], a[k]
@@ -317,38 +326,18 @@ def _eliminate(a: list[list], zero, divide: Callable):
             row_i = a[i]
             lead = row_i[k]
             for j in range(k + 1, n):
-                elt = pivot * row_i[j] - lead * row_k[j]
-                row_i[j] = elt if prev is None else divide(elt, prev)
-            row_i[k] = zero  # frees the entry; column k is never read again
+                row_i[j], remainder = divmod(pivot * row_i[j] - lead * row_k[j], prev)
+                if remainder:  # impossible over the integers
+                    raise AssertionError("Bareiss interior division left a remainder; integer arithmetic is broken")
+            row_i[k] = 0  # frees the entry; column k is never read again
         prev = pivot
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def _bareiss_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    # one layout for every entry: the elimination does no layout work
-    flat = share_layout(p for row in rows for p in row)
-    return _eliminate([flat[i * n:(i + 1) * n] for i in range(n)], Polynomial.zero(), _divide_poly)
-
-
-def _divide_poly(a: Polynomial, b: Polynomial) -> Polynomial:
-    try:
-        return div_exact(a, b)
-    except NotDivisible as stuck:  # impossible over a domain
-        raise AssertionError("Bareiss interior division failed; matrix arithmetic is broken") from stuck
-
-
 def _kronecker_det(image: _KroneckerImage) -> Polynomial:
     """det M = phi^-1(det phi(M)): integer Bareiss on the packed matrix, one unpack."""
-    return image.polynomial(_eliminate(image.matrix(), 0, _divide_int))
-
-
-def _divide_int(a: int, b: int) -> int:
-    quotient, remainder = divmod(a, b)
-    if remainder:  # impossible over the integers
-        raise AssertionError("Bareiss interior division left a remainder; integer arithmetic is broken")
-    return quotient
+    return image.polynomial(_eliminate(image.matrix()))
 
 
 def tree_enumerator_det(

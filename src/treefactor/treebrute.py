@@ -26,14 +26,10 @@ from __future__ import annotations
 from enum import Enum
 
 from .graphs import Disconnected, Graph, SpanningTree
-from .laplacian import SchemeMismatch, WeightScheme, _divide_int, _eliminate, _weight_table, check_scheme
+from .laplacian import CapExceeded, SchemeMismatch, WeightScheme, _eliminate, _weight_table, check_scheme
 from .polyring import Monomial, Polynomial, _Layout, _new
 
 DEFAULT_CAP = 10_000_000
-
-
-class CapExceeded(RuntimeError):
-    """Predicted spanning tree count exceeds the enumeration cap."""
 
 
 DisconnectedGraph = Disconnected  # the same class as graphs.Disconnected
@@ -70,7 +66,7 @@ def spanning_tree_count(g: Graph) -> int:
         lap[e.u][e.v] -= m
         lap[e.v][e.u] -= m
     reduced = [row[:-1] for row in lap[:-1]]
-    return _eliminate(reduced, 0, _divide_int)
+    return _eliminate(reduced)
 
 
 def _predicted_count(g: Graph, cap: int) -> int:

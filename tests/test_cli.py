@@ -304,6 +304,14 @@ def test_cap_exceeded_exits_three(capsys):
     assert rc == 3 and "error" in err
 
 
+def test_determinant_past_its_image_cap_exits_three(capsys):
+    # K40's determinant is refused from the image's size, before any elimination
+    rc, out, err = run(capsys, "enumerate", "K40")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: the 39x39 determinant's Kronecker image needs ")
+    assert err.endswith(" bits, past the bound of 1048576\n")
+
+
 def test_negative_cap_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "enumerate", "--brute", "--cap", "-1", "K3")
     assert rc == 2 and out == ""

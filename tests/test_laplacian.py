@@ -7,6 +7,7 @@ import random
 import pytest
 
 from treefactor import (
+    CapExceeded,
     Edge,
     IndexOutOfRange,
     Monomial,
@@ -230,7 +231,7 @@ def test_determinant_3x3_permutation_oracle():
                 term = term * rows[i][perm[i]]
             expected = expected + (term if inv % 2 == 0 else -term)
         assert laplacian._minors_det(m.rows) == expected
-        assert laplacian._bareiss_det(m.rows) == expected
+        assert laplacian._kronecker_det(_KroneckerImage(m.rows)) == expected
 
 
 def _rand_poly(rng, vars_, laurent=True):
@@ -253,7 +254,7 @@ def test_determinant_methods_agree_on_random_matrices():
     for _ in range(60):
         n = rng.randrange(1, 5)
         m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-        assert laplacian._bareiss_det(m.rows) == laplacian._minors_det(m.rows)
+        assert laplacian._kronecker_det(_KroneckerImage(m.rows)) == laplacian._minors_det(m.rows)
 
 
 def test_determinant_methods_agree_on_reduced_laplacians():
@@ -266,7 +267,7 @@ def test_determinant_methods_agree_on_reduced_laplacians():
     for g, scheme in cases:
         lap = weighted_laplacian(g, scheme)
         minor, _ = reduce_matrix(lap, g.n - 1, g.n - 1)
-        assert laplacian._bareiss_det(minor.rows) == laplacian._minors_det(minor.rows)
+        assert laplacian._kronecker_det(_KroneckerImage(minor.rows)) == laplacian._minors_det(minor.rows)
 
 
 def test_full_laplacian_is_singular():
@@ -276,7 +277,8 @@ def test_full_laplacian_is_singular():
         (cartesian_product([complete_graph(3), complete_graph(3)]), WeightScheme.DIRECTION),
     ]:
         lap = weighted_laplacian(g, scheme)
-        assert laplacian._bareiss_det(lap.rows).is_zero
+        assert laplacian._kronecker_det(_KroneckerImage(lap.rows)).is_zero
+        assert laplacian._minors_det(lap.rows).is_zero
 
 
 def test_enumerator_independent_of_removal_choice():
@@ -306,14 +308,14 @@ def test_enumerator_counts_at_unit_weights():
 
 
 def test_bareiss_divides_exactly_over_laurent_entries():
-    # negative exponents go straight into the elimination; every interior
-    # division must still be exact in the Laurent ring
+    # negative exponents are shifted out row by row before the image is
+    # eliminated; every interior division must still be exact
     rng = random.Random(52033)
     vars_ = [q(1), x(1), x(2)]
     for n in (5, 6):
         for _ in range(4):
             m = PolyMatrix([[_rand_poly(rng, vars_) for _ in range(n)] for _ in range(n)])
-            assert laplacian._bareiss_det(m.rows) == laplacian._minors_det(m.rows)
+            assert laplacian._kronecker_det(_KroneckerImage(m.rows)) == laplacian._minors_det(m.rows)
 
 
 def _pinned_enumerator_cases():
@@ -346,26 +348,18 @@ def test_enumerator_outputs_are_pinned():
 
 
 def test_determinant_takes_each_path_where_intended(monkeypatch):
-    # all three paths must stay in use: the Kronecker image for the small
-    # dense direction products, minors for wide images with few column
-    # sets, polynomial Bareiss past the column-set bound
+    # both paths must stay in use: the Kronecker image for the small dense
+    # direction products and past the column-set bound, minors for wide
+    # images with few column sets; stubs stand in for the seconds-long cases
     calls = []
-
-    def counted(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
-
-    for name in ("_kronecker_det", "_minors_det"):
-        monkeypatch.setattr(laplacian, name, counted(name, getattr(laplacian, name)))
-    # the Bareiss case takes seconds, so a stub stands in for it
-    monkeypatch.setattr(laplacian, "_bareiss_det", lambda rows: calls.append("_bareiss_det") or Polynomial.zero())
+    monkeypatch.setattr(laplacian, "_minors_det", lambda rows: calls.append(("_minors_det", None)) or Polynomial.zero())
+    monkeypatch.setattr(laplacian, "_kronecker_det",
+                        lambda image: calls.append(("_kronecker_det", image.bits)) or Polynomial.zero())
 
     def path(g, scheme):
         calls.clear()
         tree_enumerator_det(g, scheme)
-        return calls[0]
+        return calls[0][0]
 
     def product(dims):
         return cartesian_product([complete_graph(d) for d in dims])
@@ -377,8 +371,23 @@ def test_determinant_takes_each_path_where_intended(monkeypatch):
     assert path(threshold_graph((5, 5, 5, 5, 5, 5)), S.THRESHOLD_IN_OUT) == "_minors_det"
     assert path(product((2, 3)), S.DECOUPLED) == "_minors_det"
     assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_minors_det"
-    # a wide image whose zero pattern leaves 24,006 column sets
-    assert path(product((2, 2, 2, 2)), S.DIRECTION) == "_bareiss_det"
+    # wide images whose zero pattern leaves 24,006 column sets
+    assert path(product((2, 2, 2, 2)), S.DIRECTION) == "_minors_det"
+    assert path(hypercube(4), S.DIRECTION) == "_minors_det"
+    # a wide image past the column-set bound: 55,155,206 sets
+    assert path(product((3, 3, 3)), S.DIRECTION) == "_kronecker_det"
+    assert calls[0][1] > laplacian._KRONECKER_BITS
+
+
+def test_determinant_refuses_an_image_past_the_bit_cap(monkeypatch):
+    # K40's image would run past 10**64 bits; the refusal reads only its
+    # size and never unpacks it
+    def no_matrix(self):
+        raise AssertionError("the image was unpacked")
+
+    monkeypatch.setattr(_KroneckerImage, "matrix", no_matrix)
+    with pytest.raises(CapExceeded, match=r"Kronecker image needs \d+ bits, past the bound of 1048576$"):
+        tree_enumerator_det(complete_graph(40), WeightScheme.CAYLEY_PRUFER)
 
 
 def test_direction_kronecker_images_are_sized_by_hadamards_bound():
