@@ -533,7 +533,8 @@ class Polynomial:
     def leading_term(self) -> tuple[Monomial, int]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.canonical_terms()[0]
+        k = max(self._terms)
+        return self._lay.monomial(k), self._terms[k]
 
     def as_int(self) -> int:
         if not self._terms:

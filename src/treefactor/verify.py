@@ -105,15 +105,17 @@ def _lam_id(lam: PartitionLike) -> str:
     return ",".join(str(p) for p in lam)
 
 
+def _verdict(claim_id: str, ok: bool, witness: Optional[str], t0: float) -> Verdict:
+    """The verdict of a check that started at perf_counter() time t0."""
+    return Verdict(claim_id, "Verified" if ok else "Refuted", witness, (time.perf_counter() - t0) * 1000.0)
+
+
 def verify_identity(claim_id: str, lhs: Polynomial, rhs: Union[Polynomial, int]) -> Verdict:
     """Exact equality check; the witness is the leading term of the difference."""
     t0 = time.perf_counter()
     diff = lhs - rhs
-    ms = (time.perf_counter() - t0) * 1000.0
-    if diff.is_zero:
-        return Verdict(claim_id, "Verified", None, ms)
-    m, c = diff.leading_term()
-    return Verdict(claim_id, "Refuted", _term_text(m, c), ms)
+    witness = None if diff.is_zero else _term_text(*diff.leading_term())
+    return _verdict(claim_id, witness is None, witness, t0)
 
 
 @cache
@@ -145,15 +147,15 @@ def verify_divisibility(dims: Sequence[int]) -> tuple[list[Verdict], Polynomial]
         base_text = base.render() if base.n_terms == 1 else f"({base.render()})"
         claim = f"divides:dims={_dims_id(dims)}:factor={base_text}^{exp}"
         t0 = time.perf_counter()
+        witness = None
         try:
             piece = quotient
             for _ in range(exp):
                 piece = div_exact(piece, base)
             quotient = piece
-            verdicts.append(Verdict(claim, "Verified", None, (time.perf_counter() - t0) * 1000.0))
         except NotDivisible as err:
-            wit = _term_text(*err.witness)
-            verdicts.append(Verdict(claim, "Refuted", wit, (time.perf_counter() - t0) * 1000.0))
+            witness = _term_text(*err.witness)
+        verdicts.append(_verdict(claim, witness is None, witness, t0))
     return verdicts, quotient
 
 
@@ -168,14 +170,13 @@ def conjecture_scan(dims: Sequence[int]) -> tuple[Verdict, Polynomial]:
     verdicts, quotient = verify_divisibility(dims)
     for v in verdicts:
         if not v.ok:
-            return Verdict(claim, "Refuted", v.witness, (time.perf_counter() - t0) * 1000.0), quotient
+            return _verdict(claim, False, v.witness, t0), quotient
     if quotient.is_zero:
-        return Verdict(claim, "Verified", "quotient is 0", (time.perf_counter() - t0) * 1000.0), quotient
-    # ties go to the graded-lex largest term
-    mono, coeff = min(quotient.canonical_terms(), key=lambda mc: mc[1])
-    wit = f"min coefficient {coeff} at {_term_text(mono, 1)}"
-    ms = (time.perf_counter() - t0) * 1000.0
-    return Verdict(claim, "Verified" if coeff >= 0 else "Refuted", wit, ms), quotient
+        return _verdict(claim, True, "quotient is 0", t0), quotient
+    # ties go to the graded-lex largest term; only the witness is decoded
+    key, coeff = min(quotient._terms.items(), key=lambda kc: (kc[1], -kc[0]))
+    wit = f"min coefficient {coeff} at {_new(quotient._lay, {key: 1}).render()}"
+    return _verdict(claim, coeff >= 0, wit, t0), quotient
 
 
 def _subset_id(a: Sequence[int]) -> str:
@@ -193,16 +194,14 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
 _Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
 
 
-def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
-              ) -> Iterator[tuple[Polynomial, list[list[Polynomial]], Optional[tuple[int, int]]]]:
-    """L v for each vector v of each check, up to the first row the check's divisor does not divide.
+def _residues(matrix: PolyMatrix, checks: Sequence[_Check]) -> Iterator[tuple[Polynomial, list[list[Polynomial]]]]:
+    """Every row of L v for each vector v of each check; the checks apply their own tests.
 
     A check is a list of vectors, each mapping column indices to entries,
     and a divisor.  L, every vector and every divisor go onto one layout
     once, so no product or division re-keys; each row of L v is one key-sum
     over the vector's nonzero entries.  Yields, per check, the divisor on
-    that layout, the rows of L v computed for each vector, and the (vector,
-    row) index of the row the divisor does not divide, or None.
+    that layout and the rows of L v for each vector.  Nothing is divided.
     """
     size = matrix.size
     shared = iter(share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
@@ -212,28 +211,24 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]
     for (vectors, _), divisor in zip(checks, divisors):
         lay = divisor._lay
         walks = [[(col, val._terms) for col, val in zip(v, shared) if val] for v in vectors]
-        products: list[list[Polynomial]] = []
-        bad = None
-        for k, walk in enumerate(walks):
-            entries: list[Polynomial] = []
-            products.append(entries)
-            for r, row in enumerate(rows):
-                entries.append(_new(lay, _dot(lay, ((row[col], val) for col, val in walk if row[col]))))
-                if not _divides(divisor, entries[-1]):
-                    bad = (k, r)
-                    break
-            if bad:
-                break
-        yield divisor, products, bad
+        yield divisor, [[_new(lay, _dot(lay, ((row[col], val) for col, val in walk if row[col]))) for row in rows]
+                        for walk in walks]
+
+
+def _first_undivided(divisor: Polynomial, products: list[list[Polynomial]]) -> Optional[tuple[int, int]]:
+    """The (vector, row) index of the first row of L v that divisor does not divide, or None."""
+    return next(((k, r) for k, entries in enumerate(products) for r, p in enumerate(entries)
+                 if not _divides(divisor, p)), None)
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     """The palindromic nullvector of the reduced hypercube Laplacian.
 
     v_S = x_A^2 - (-1)^(|A n S|) x_(A\\S)^2 over nonempty S; each entry of
-    L-hat v must be divisible by f_A, must equal the closed residue
-    -(-1)^(|A n R|) (x_R x_(A\\R))^2 / x_[n] f_A, and v itself must have an
-    entry not divisible by f_A (so it is nonzero in the quotient).
+    L-hat v must equal the closed residue
+    -(-1)^(|A n R|) (x_R x_(A\\R))^2 / x_[n] f_A, which is f_A times a unit,
+    so the equality alone proves that f_A divides it.  v itself must have
+    an entry not divisible by f_A (so it is nonzero in the quotient).
     """
     t0 = time.perf_counter()
     aset = frozenset(int(i) for i in a_set)
@@ -261,24 +256,18 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     vec = {col: squared(aset) + squared(aset - s) if len(aset & s) % 2 else squared(aset) - squared(aset - s)
            for col, s in enumerate(labels)}
     f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
-    (f_a, (entries,), bad), = _residues(lhat, [([vec], f_a)])
+    (f_a, (entries,)), = _residues(lhat, [([vec], f_a)])
     # the closed residue is f_A times x_t^(+1 or -1) as t is in R u A or not
     f_scaled = f_a * poly_product(xs[1:]) ** -1
-
-    def finish(status: str, witness: Optional[str]) -> Verdict:
-        return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
-
-    for r_idx, (r, entry) in enumerate(zip(labels, entries)):
-        if bad == (0, r_idx):
-            return finish("Refuted", f"entry R={_subset_id(r)}: {entry.render()}")
+    for r, entry in zip(labels, entries):
         # its sign is fixed by the parity of |A n R|
         expected = squared(aset | r) * f_scaled
         if entry != (expected if len(aset & r) % 2 else -expected):
-            return finish("Refuted", f"residue mismatch at R={_subset_id(r)}: {entry.render()}")
+            return _verdict(claim, False, f"residue mismatch at R={_subset_id(r)}: {entry.render()}", t0)
 
     if all(_divides(f_a, val) for val in vec.values()):
-        return finish("Refuted", "every entry of v is divisible by f_A; v is trivial")
-    return finish("Verified", None)
+        return _verdict(claim, False, "every entry of v is divisible by f_A; v is trivial", t0)
+    return _verdict(claim, True, None, t0)
 
 
 def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict:
@@ -303,10 +292,6 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
 
     g = cartesian_product([complete_graph(d) for d in dims])
     lap = weighted_laplacian(g, WeightScheme.DECOUPLED)
-
-    def finish(status: str, witness: Optional[str]) -> Verdict:
-        return Verdict(claim, status, witness, (time.perf_counter() - t0) * 1000.0)
-
     coords = [label[i - 1] for label in g.labels]
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
@@ -322,14 +307,15 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
         numeric.append([u[c][1] if c in u else 0 for c in coords])
-    (_, products, bad), = _residues(lap, [(vectors, c_i)])
+    (c_i, products), = _residues(lap, [(vectors, c_i)])
+    bad = _first_undivided(c_i, products)
     if bad is not None:
         k, r = bad
-        return finish("Refuted", f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}")
+        return _verdict(claim, False, f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}", t0)
     gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
     if determinant(gram).is_zero:
-        return finish("Refuted", "nullvectors are linearly dependent at a random point")
-    return finish("Verified", None)
+        return _verdict(claim, False, "nullvectors are linearly dependent at a random point", t0)
+    return _verdict(claim, True, None, t0)
 
 
 def _g_case_tag(k: int, h: int, a: int, b: int, n: int) -> str:
@@ -396,14 +382,14 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
 
     verdicts: list[Verdict] = []
     t0 = time.perf_counter()
-    for (claim, case_tag), (_, (rows,), bad) in zip(claims, _residues(lhat, checks)):
+    for (claim, case_tag), (divisor, products) in zip(claims, _residues(lhat, checks)):
         witness = None
+        bad = _first_undivided(divisor, products)
         if bad is not None:
             label = bad[1] + 2
-            witness = f"case {case_tag(label)}, row {label}: {rows[bad[1]].render()}"
-        t1 = time.perf_counter()
-        verdicts.append(Verdict(claim, "Refuted" if witness else "Verified", witness, (t1 - t0) * 1000.0))
-        t0 = t1
+            witness = f"case {case_tag(label)}, row {label}: {products[0][bad[1]].render()}"
+        verdicts.append(_verdict(claim, witness is None, witness, t0))
+        t0 = time.perf_counter()
     return verdicts
 
 

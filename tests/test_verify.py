@@ -209,7 +209,8 @@ _DIAGONAL_WITNESSES = {
         "threshold-null:lam=4,4,2,2,2:f:r=2": "case (iii), row 3: x1*x2",
         "threshold-null:lam=4,4,2,2,2:g:a=3:extra": "case (ii), row 3: x1*y3*y5 + x2*y3*y5 + x1*y5",
         "cube-null:n=3:A={1,2}":
-            "entry R={2}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1^3 + q1*x2*x3^-1 + q2*x1*x3^-1",
+            "residue mismatch at R={2}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1^3"
+            " + q1*x2*x3^-1 + q2*x1*x3^-1",
         "decoupled-null:dims=2x3:dir=2":
             "k=2, row (1, 3): -q2*x(1,1)^2*x(2,1)^2*x(2,3) - q2*x(1,1)^2*x(2,1)*x(2,2)*x(2,3)"
             " - q2*x(1,1)^2*x(2,1)*x(2,3)^2 - x1*x(2,1)",
@@ -218,7 +219,7 @@ _DIAGONAL_WITNESSES = {
         "threshold-null:lam=4,4,2,2,2:f:r=2": "case (iii), row 4: x1*x2",
         "threshold-null:lam=4,4,2,2,2:g:a=3:inblock:k=1": "case (iii), row 4: x1*y4*y5 + x2*y4*y5 + x1*y5",
         "cube-null:n=3:A={1,2}":
-            "entry R={2,3}: q1*x1^2*x2*x3 + q2*x1*x2^2*x3 + x1^3*x2^2 + q1*x2*x3 + q2*x1*x3 + x1^3",
+            "residue mismatch at R={2,3}: q1*x1^2*x2*x3 + q2*x1*x2^2*x3 + x1^3*x2^2 + q1*x2*x3 + q2*x1*x3 + x1^3",
         "decoupled-null:dims=2x3:dir=2":
             "k=1, row (2, 1): q2*x(1,2)^2*x(2,1)^2*x(2,2) + q2*x(1,2)^2*x(2,1)*x(2,2)^2"
             " + q2*x(1,2)^2*x(2,1)*x(2,2)*x(2,3) + x1*x(2,2)",
@@ -228,7 +229,8 @@ _DIAGONAL_WITNESSES = {
         "threshold-null:lam=4,4,2,2,2:g:a=3:inblock:k=1": "case (iv), row 5: -x1*y4*y5 - x2*y4*y5 - x1*y4",
         "threshold-null:lam=4,4,2,2,2:g:a=3:extra": "case (iv), row 5: -x1*y3*y5 - x2*y3*y5 - x1*y3",
         "cube-null:n=3:A={1,2}":
-            "entry R={1}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1*x2^2 + q1*x2*x3^-1 + q2*x1*x3^-1",
+            "residue mismatch at R={1}: x1^3*x2^2 + q1*x1^2*x2*x3^-1 + q2*x1*x2^2*x3^-1 + x1*x2^2"
+            " + q1*x2*x3^-1 + q2*x1*x3^-1",
         "decoupled-null:dims=2x3:dir=2":
             "k=1, row (2, 2): -q2*x(1,2)^2*x(2,1)^2*x(2,2) - q2*x(1,2)^2*x(2,1)*x(2,2)^2"
             " - q2*x(1,2)^2*x(2,1)*x(2,2)*x(2,3) - x1*x(2,1)",
@@ -270,7 +272,8 @@ def test_nullvector_witnesses_with_perturbed_divisors(monkeypatch):
             "case (i), row 2: -x1*x2*y3 - x2^2*y3 - x2*x3*y3 - x2*x3*y4 - x2*x3*y5",
         "threshold-null:lam=4,4,4,4,4:f:r=4":
             "case (i), row 2: -x1*x2*y4 - x2^2*y4 - x2*x3*y4 - x2*x4*y4 - x2*x4*y5",
-        "cube-null:n=3:A={1,2}": "entry R={3}: -q1*x1^2*x2*x3 - q2*x1*x2^2*x3 - q1*x2*x3 - q2*x1*x3",
+        "cube-null:n=3:A={1,2}":
+            "residue mismatch at R={3}: -q1*x1^2*x2*x3 - q2*x1*x2^2*x3 - q1*x2*x3 - q2*x1*x3",
         "decoupled-null:dims=2x3:dir=2":
             "k=1, row (1, 1): q2*x(1,1)^2*x(2,1)^2*x(2,2) + q2*x(1,1)^2*x(2,1)*x(2,2)^2"
             " + q2*x(1,1)^2*x(2,1)*x(2,2)*x(2,3)",
@@ -379,14 +382,28 @@ def test_every_check_reports_a_time_within_its_call():
 
 
 def test_cube_nullvector_refutes_a_trivial_vector(monkeypatch):
-    # L-hat is nonsingular, so the residue check pins L-hat v, and with it v,
-    # which f_A does not divide; only a division test that accepts every
-    # division, as a unit divisor's would, lets a vector reach this check
+    # every vector whose rows match their closed residues reaches this check;
+    # L-hat is nonsingular, so that pins v, which f_A does not divide, and
+    # only a division test that accepts every division, as a unit divisor's
+    # would, makes it refute
     import treefactor.verify as verify
 
     monkeypatch.setattr(verify, "_divides", lambda divisor, p: True)
     v = verify_cube_nullvector(3, (1, 2))
     assert (v.status, v.witness) == ("Refuted", "every entry of v is divisible by f_A; v is trivial")
+
+
+def test_cube_nullvector_divides_only_to_show_v_is_nontrivial(monkeypatch):
+    # each row of L-hat v is tested once, by equality with its closed
+    # residue, f_A times a unit; only the test that v is nonzero modulo f_A
+    # divides, so Q4 with A = {1,2} makes fewer divisions than L-hat's 15 rows
+    import treefactor.verify as verify
+
+    calls = []
+    real = verify._divides
+    monkeypatch.setattr(verify, "_divides", lambda divisor, p: calls.append(p) or real(divisor, p))
+    assert verify_cube_nullvector(4, (1, 2)).ok
+    assert 0 < len(calls) < 15
 
 
 def _threshold_witness_with_entry_bumped(monkeypatch, lam, row, col, claim_id):
@@ -496,7 +513,7 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
     with monkeypatch.context() as patched:
         _perturb_factor_lists(patched)
         assert not any(v.ok for v in _nullvector_verdicts())
-        assert _verdicts_digest() == "fd47fb1cfba699010848347ecc4468501d09c423229a1b2a0cc0df974fc98b0f"
+        assert _verdicts_digest() == "0e736a1ed19a669cd6f138fdbf69b15a5f4b3e185ce7e8dad6aa1078bb9e2cab"
 
     real = verify.weighted_laplacian
 
@@ -506,7 +523,7 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
         return PolyMatrix(rows)
 
     monkeypatch.setattr(verify, "weighted_laplacian", bumped)
-    assert _verdicts_digest() == "d3ded63e6ae9359477c26bbd36468f4c1f6025865f1e30e929a590e2f32127ba"
+    assert _verdicts_digest() == "0d3a79d22927d6e706b04e230fca8f67aa836a65d163de9d91318c5aa4a1b732"
 
 
 def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
