@@ -8,6 +8,7 @@ invocations; verification timings are therefore zeroed in CLI JSON output
 Exit codes: 0 success or all claims Verified, 1 any claim Refuted, 2 usage
 or graph-spec error, an exponent too large to pack, a verify run with no
 claim to check or an --out file that cannot be written, 3 a predicted size past its cap.
+Each warning the library raises is one `warning: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .formulas import (
@@ -311,23 +313,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, IndexOutOfRange, argparse.ArgumentTypeError, ExponentOverflow, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormMismatch, NotDivisibleCount) as exc:
-        print(f"refuted: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.fn(args)
+        except CapExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, IndexOutOfRange, argparse.ArgumentTypeError, ExponentOverflow, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (FormMismatch, NotDivisibleCount) as exc:
+            print(f"refuted: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -26,11 +26,11 @@ adding keys, and exponent zero has key 0 in every layout.  With every
 exponent in [-2**28, 2**28) K is one-to-one and integer order is
 graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
-many polynomials on one layout up front.  One kernel, `_dot`, multiplies
-term dicts: the sum of a*b over pairs its caller has put on one layout
-(`_aligned` or `share_layout`).  It serves `*` (which shifts the keys
-itself when an operand has one term), `poly_sum` (each item times 1),
-`laplacian._minors_det` and `verify._residues`.  Variable and Monomial objects
+many polynomials on one layout up front.  `poly_sum` is the one sum loop
+(`+` and `-` call it); `_dot` is the one product kernel: the sum of a*b
+over pairs of term dicts its caller has put on one layout (`_aligned` or
+`share_layout`), for `*` (which shifts the keys itself when an operand has
+one term), `laplacian._minors_det` and `verify._residues`.  Variable and Monomial objects
 are built only at the edge: Polynomial(dict), terms(), coefficient(), a
 witness, parse and JSON; `substitute` strips the bound digits off each key.
 The weight key tables of `laplacian` and every closed form and factor list
@@ -339,7 +339,8 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     Arithmetic among them then does no layout work at all.
     """
     polys = [_coerce_poly(p) for p in polys]
-    lay = reduce(_union, dict.fromkeys(p._lay for p in polys), _EMPTY)
+    layouts = {p._lay for p in polys}
+    lay = layouts.pop() if len(layouts) == 1 else reduce(_union, layouts, _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
@@ -561,7 +562,7 @@ class Polynomial:
     __hash__ = None  # mutable-dict backed; equality is structural
 
     def __add__(self, other) -> "Polynomial":
-        return _combine(self, other, 1)
+        return poly_sum((self, other)) if isinstance(other, (int, Polynomial)) else NotImplemented
 
     __radd__ = __add__
 
@@ -569,7 +570,7 @@ class Polynomial:
         return _new(self._lay, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return _combine(self, other, -1)
+        return self + -other if isinstance(other, (int, Polynomial)) else NotImplemented
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -707,23 +708,6 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _combine(p: Polynomial, other, sign: int) -> Polynomial:
-    """p + sign * other."""
-    if isinstance(other, int):
-        other = Polynomial.integer(other)
-    if not isinstance(other, Polynomial):
-        return NotImplemented
-    lay, a, b = _aligned(p, other)
-    acc = dict(a)
-    for k, c in b.items():
-        nc = acc.get(k, 0) + sign * c
-        if nc:
-            acc[k] = nc
-        else:
-            del acc[k]
-    return _new(lay, acc)
-
-
 def _coerce_poly(val) -> Polynomial:
     if isinstance(val, Polynomial):
         return val
@@ -845,9 +829,14 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
 
 
 def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
-    items = share_layout(items)
-    lay = items[0]._lay if items else _EMPTY
-    return _new(lay, _dot(lay, (({0: 1}, p._terms) for p in items)))
+    """The items added in order on one layout; a sum's keys are its items', already in range."""
+    first, *rest = share_layout(items) or [Polynomial.zero()]
+    out = dict(first._terms)
+    get = out.get
+    for p in rest:
+        for k, c in p._terms.items():
+            out[k] = get(k, 0) + c
+    return _new(first._lay, {k: c for k, c in out.items() if c} if 0 in out.values() else out)
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:

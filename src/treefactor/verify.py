@@ -1,9 +1,10 @@
 """Mechanical checks of the factorization identities and nullvector claims.
 
 Every check is exact: two polynomials are compared term by term, or a
-division is performed and must leave no remainder.  Results are Verdict
-records; a Refuted verdict always carries a concrete witness (the term or
-matrix entry that broke the claim), never just a boolean.
+division is performed and must leave no remainder and a quotient with no
+negative exponent.  Results are Verdict records; a Refuted verdict always
+carries a concrete witness (the term or matrix entry that broke the
+claim), never just a boolean.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def _verdict(claim_id: str, ok: bool, witness: Optional[str], t0: float) -> Verd
 def verify_identity(claim_id: str, lhs: Polynomial, rhs: Union[Polynomial, int]) -> Verdict:
     """Exact equality check; the witness is the leading term of the difference."""
     t0 = time.perf_counter()
-    diff = lhs - rhs
-    witness = None if diff.is_zero else _term_text(*diff.leading_term())
+    witness = None if lhs == rhs else _term_text(*(lhs - rhs).leading_term())
     return _verdict(claim_id, witness is None, witness, t0)
 
 
@@ -134,25 +134,23 @@ def decoupled_enumerator(dims: Sequence[int]) -> Polynomial:
 
 
 def verify_divisibility(dims: Sequence[int]) -> tuple[list[Verdict], Polynomial]:
-    """Each claimed factor divides the product-graph tree sum exactly.
+    """Each claimed factor power divides the product-graph tree sum exactly.
 
     Returns one verdict per factor plus the final quotient after dividing
-    by all of them; a failed division refutes that factor's claim and
-    leaves the quotient at its last good value.
+    by all of them, one division per claimed power; a failed division
+    refutes that factor's claim and leaves the quotient at its last good
+    value.
     """
-    f = decoupled_enumerator(dims)
+    quotient = decoupled_enumerator(dims)
     verdicts: list[Verdict] = []
-    quotient = f
     for base, exp in decoupled_enumerator_factors(dims):
         base_text = base.render() if base.n_terms == 1 else f"({base.render()})"
         claim = f"divides:dims={_dims_id(dims)}:factor={base_text}^{exp}"
         t0 = time.perf_counter()
         witness = None
+        divisor, dividend = share_layout([base ** exp, quotient])
         try:
-            piece = quotient
-            for _ in range(exp):
-                piece = div_exact(piece, base)
-            quotient = piece
+            quotient = _divide(dividend, divisor, divisor._lay.content(divisor._terms))
         except NotDivisible as err:
             witness = _term_text(*err.witness)
         verdicts.append(_verdict(claim, witness is None, witness, t0))
@@ -183,12 +181,28 @@ def _subset_id(a: Sequence[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(a)) + "}"
 
 
+def _divide(p: Polynomial, divisor: Polynomial, floor: int) -> Polynomial:
+    """p / divisor with no negative exponent in the quotient; NotDivisible otherwise.
+
+    `div_exact` divides in the Laurent ring, where a monomial is a unit and
+    divides everything.  Here p and divisor share a layout and floor is the
+    divisor's content, the key of its least exponent per variable: the
+    quotient has no negative exponent exactly when every term of p has at
+    least floor's exponents, and a shortfall's witness is p's graded-lex
+    largest term that falls short.  No dividend here has a negative
+    exponent, so a floor of 0 holds already.
+    """
+    if floor:
+        guard, terms = p._lay.guard, p._terms
+        short = max((k for k in terms if (k - floor) & guard), default=None)
+        if short is not None:
+            raise NotDivisible("a quotient exponent is negative", witness=(p._lay.monomial(short), terms[short]))
+    return div_exact(p, divisor)
+
+
 def _divides(divisor: Polynomial, p: Polynomial) -> bool:
-    try:
-        div_exact(p, divisor)
-    except NotDivisible:
-        return False
-    return True
+    divisor, p = share_layout([divisor, p])
+    return _first_undivided(divisor, [[p]]) is None
 
 
 _Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
@@ -216,9 +230,18 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]) -> Iterator[tuple[Po
 
 
 def _first_undivided(divisor: Polynomial, products: list[list[Polynomial]]) -> Optional[tuple[int, int]]:
-    """The (vector, row) index of the first row of L v that divisor does not divide, or None."""
-    return next(((k, r) for k, entries in enumerate(products) for r, p in enumerate(entries)
-                 if not _divides(divisor, p)), None)
+    """The (vector, row) index of the first row of L v that divisor does not divide, or None.
+
+    Every row shares the divisor's layout; the divisor's content is taken once.
+    """
+    floor = divisor._lay.content(divisor._terms)
+    for k, entries in enumerate(products):
+        for r, p in enumerate(entries):
+            try:
+                _divide(p, divisor, floor)
+            except NotDivisible:
+                return k, r
+    return None
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:

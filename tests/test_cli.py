@@ -239,14 +239,29 @@ def test_verify_usage_errors(capsys):
     assert rc == 2 and "error" in err
 
 
+_SIZE_1_LISTED = "size-1 factors add no edges; each one's x(i,1) is listed to the 2(N - 1), N the vertex count"
+
+
 def test_verify_with_no_claim_exits_two(capsys):
     # a run that checks nothing says so instead of exiting 0 without a verdict
     empty = "error: nothing to check: the input gives no claim\n"
     for lam in ("0", "1,1"):
         assert run(capsys, "verify", "threshold-null", "--lam", lam) == (2, "", empty), lam
+    warned = f"warning: {_SIZE_1_LISTED}\n"
     for dims in ("1", "1,1"):
-        with pytest.warns(UserWarning, match="size-1 factors"):
-            assert run(capsys, "verify", "divisibility", "--json", "--dims", dims) == (2, "", empty), dims
+        assert run(capsys, "verify", "divisibility", "--json", "--dims", dims) == (2, "", warned + empty), dims
+
+
+def test_library_warnings_print_as_one_line_each(capsys):
+    # no source path or line of the library reaches the user; stdout and
+    # the exit code are those of a run without the warning
+    for argv, warning, last in [
+            (("verify", "divisibility", "--dims", "1,3"), _SIZE_1_LISTED, "divides:dims=1x3:factor=x(2,3)^1: Verified"),
+            (("conjecture-scan", "--dims", "1,3"), _SIZE_1_LISTED, "nonneg:dims=1x3: Verified -- min coefficient 1 at 1"),
+            (("verify", "directions", "--dims", "1,3"), "size-1 factors contribute nothing and were stripped",
+             "directions:dims=1x3: Verified")]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out.splitlines()[-1], err) == (0, last, f"warning: {warning}\n"), argv
 
 
 def test_cube_null_names_the_fault(capsys):
@@ -283,7 +298,7 @@ def test_verify_divisibility_refuted_exits_one(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "divisibility", "--dims", "2,3")
     assert rc == 1 and err == ""
     assert out.split("\n")[0] == (
-        "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^2: Refuted -- -q1^2*x(1,1)^4*x(2,2)^2*x(2,3)")
+        "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^2: Refuted -- -q1^2*x(1,1)^4*x(2,1)*x(2,2)^2*x(2,3)")
 
 
 def test_conjecture_scan_text_and_json(capsys):

@@ -375,6 +375,30 @@ def test_one_term_operand_shifts_keys_without_the_kernel(monkeypatch):
     assert (one * one).render() == "9*x1^-2*y3^2"
 
 
+def test_sums_run_neither_the_product_kernel_nor_a_range_check(monkeypatch):
+    # a sum's keys are its items' keys, which are in range already
+    import treefactor.polyring as polyring
+
+    def forbidden(*args):
+        raise AssertionError("a sum multiplied or checked the range")
+
+    monkeypatch.setattr(polyring, "_dot", forbidden)
+    monkeypatch.setattr(polyring._Layout, "check_range", forbidden)
+    a, b = P("x1 - 2*y3"), P("2*y3 + q1")
+    assert poly_sum([a, b, 3]) == a + b + 3 == 3 + b + a == P("q1 + x1 + 3")
+    assert a - b == -(b - a) == P("x1 - 4*y3 - q1")
+    assert 1 - a == P("1 - x1 + 2*y3") and a - 1 == -(1 - a)
+    assert (a - a).is_zero and poly_sum([]).is_zero
+
+
+def test_sums_take_only_ints_and_polynomials():
+    p = P("x1 + 1")
+    for bad in (lambda: p + "x", lambda: "x" + p, lambda: p - object(), lambda: object() - p,
+                lambda: p + x(1), lambda: x(1) - p):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_min_exponents_and_coefficient():
     p = P("x1^-2*x2 + x1*x2^3")
     assert p.min_exponents() == {x(1): -2, x(2): 1}

@@ -118,13 +118,54 @@ def _one_power_too_many(monkeypatch):
 
 def test_divisibility_refutes_with_the_stuck_term(monkeypatch):
     _one_power_too_many(monkeypatch)
-    witness = "-q1^2*x(1,1)^4*x(2,2)^2*x(2,3)"
+    witness = "-q1^2*x(1,1)^4*x(2,1)*x(2,2)^2*x(2,3)"
     verdicts, _ = verify_divisibility((2, 3))
     assert [v.ok for v in verdicts] == [True] * 7 + [False]
     assert (verdicts[-1].claim_id, verdicts[-1].witness) == (
         "divides:dims=2x3:factor=(x(2,1) + x(2,2) + x(2,3))^2", witness)
     verdict, _ = conjecture_scan((2, 3))
     assert (verdict.claim_id, verdict.status, verdict.witness) == ("nonneg:dims=2x3", "Refuted", witness)
+
+
+def test_divisibility_of_monomial_powers_is_read_in_the_polynomial_ring(monkeypatch):
+    # a monomial is a unit of the Laurent ring and divides everything there;
+    # a claimed power of one holds only where every term has that much of it,
+    # and one power too many is refuted at the largest term that falls short
+    import treefactor.verify as verify
+
+    real = verify.decoupled_enumerator_factors
+    monomials = [i for i, (base, _) in enumerate(real((2, 3))) if base.n_terms == 1]
+    assert len(monomials) == 7
+    for i in monomials:
+        def claimed(dims, i=i):
+            factors = list(real(dims))
+            base, exp = factors[i]
+            factors[i] = (base, exp + 1)
+            return factors
+
+        monkeypatch.setattr(verify, "decoupled_enumerator_factors", claimed)
+        verdicts, _ = verify_divisibility((2, 3))
+        assert [v.ok for v in verdicts] == [j != i for j in range(8)], i
+    monkeypatch.setattr(verify, "decoupled_enumerator_factors",
+                        lambda dims: [(real(dims)[0][0], 2), *real(dims)[1:]])
+    verdicts, _ = verify_divisibility((2, 3))
+    assert (verdicts[0].claim_id, verdicts[0].witness) == (
+        "divides:dims=2x3:factor=q1^2", "q1*q2^4*x(1,1)^5*x(1,2)^5*x(2,1)^6*x(2,2)^2*x(2,3)^2")
+
+
+def test_a_monomial_divisor_refutes_rows_without_it():
+    # the height-1 block of (6,4,4,4,4,1,1) has g = x1; y3 at vertex 2 is no
+    # nullvector, and row 2 of L-hat v holds terms without x1
+    import treefactor.verify as verify
+    from treefactor.formulas import _in_out_variables
+
+    lam = (6, 4, 4, 4, 4, 1, 1)
+    lhat, _ = reduce_matrix(weighted_laplacian(verify.threshold_graph(lam), WeightScheme.THRESHOLD_IN_OUT), 0, 0)
+    xs, ys = _in_out_variables(len(lam))
+    (divisor, products), = verify._residues(lhat, [([{0: ys[3]}], xs[1])])
+    assert products[0][0] == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
+    assert verify._first_undivided(divisor, products) == (0, 0)
+    assert all(v.ok for v in verify_threshold_nullvectors(lam))
 
 
 def test_conjecture_scan_reports_minimum_coefficient():
