@@ -220,11 +220,12 @@ def _cube_subsets(n: int) -> list[tuple[int, ...]]:
     return [a for r in range(2, n + 1) for a in combinations(range(1, n + 1), r)]
 
 
-def _cube_factors(n: int) -> list[tuple[Polynomial, int]]:
+@lru_cache(maxsize=64)
+def _cube_factors(n: int) -> tuple[tuple[Polynomial, int], ...]:
     """The n-cube's factor list over q1..qn, x1..xn, the layout of its Laurent
     weights: q1..qn, then f_A for each A of `_cube_subsets(n)`, all to the 1."""
     qs, _, terms = _cube_variables(tuple(range(1, n + 1)))
-    return [*((qi, 1) for qi in qs), *((poly_sum(terms[i - 1] for i in a), 1) for a in _cube_subsets(n))]
+    return (*((qi, 1) for qi in qs), *((poly_sum(terms[i - 1] for i in a), 1) for a in _cube_subsets(n)))
 
 
 def cube_rhs(n: int) -> Polynomial:
@@ -281,7 +282,8 @@ def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     lam, _ = _validated_connected(lam)
     n = len(lam)
     to_x = dict(zip(map(y, range(2, n + 1)), _variable_polys([x(i) for i in range(2, n + 1)])))
-    return poly_product(base.substitute(to_x) ** m for base, m in _threshold_factors(lam))
+    factors = _threshold_factors(lam, _threshold_blocks(lam, conjugate(lam)))
+    return poly_product(base.substitute(to_x) ** m for base, m in factors)
 
 
 def _check_row(lam: Partition, r: int) -> None:
@@ -306,28 +308,30 @@ def threshold_g_factor(lam: Partition, r: int) -> Polynomial:
     return poly_sum(xs[1:bound + 1])
 
 
-def _threshold_blocks(lam: Partition) -> list[tuple[int, int, int]]:
-    """Maximal runs (a, b, height) of equal conjugate values past the square.
+def _threshold_blocks(lam: Partition, conj: Partition) -> list[tuple[int, int, int]]:
+    """Maximal runs (a, b, height) of equal conjugate values past the square,
+    conj being lam's conjugate.
 
     Rows s+1 .. n-1 split into runs with constant conjugate part, its
     height; conjugate parts never increase, so each value is one run.
     """
     s = durfee(lam)
-    heights = conjugate(lam)[s:len(lam) - 1]  # conj_r for r = s+1..n-1
+    heights = conj[s:len(lam) - 1]  # conj_r for r = s+1..n-1
     return [(s + 1 + heights.index(h), heights.count(h), h) for h in dict.fromkeys(heights)]
 
 
-def _threshold_factors(lam: Partition) -> list[tuple[Polynomial, int]]:
+def _threshold_factors(lam: Partition, blocks: Sequence[tuple[int, int, int]]) -> list[tuple[Polynomial, int]]:
     """The threshold sum's factor list over `_in_out_variables(n)`, the in/out
     weights' layout: x1, f_2..f_s (s the Durfee side), for each block (a, b, h)
-    x_1 + ... + x_h (g_r of each of its rows) to the b, then y_{s+1}..y_n."""
+    of `_threshold_blocks` x_1 + ... + x_h (g_r of each of its rows) to the b,
+    then y_{s+1}..y_n."""
     n = len(lam)
     if n == 1:
         return []
     s = durfee(lam)
     xs, ys = _in_out_variables(n)
     return [(xs[1], 1), *((threshold_f_factor(lam, r), 1) for r in range(2, s + 1)),
-            *((threshold_g_factor(lam, a), b) for a, b, _ in _threshold_blocks(lam)),
+            *((threshold_g_factor(lam, a), b) for a, b, _ in blocks),
             *((ys[r], 1) for r in range(s + 1, n + 1))]
 
 
@@ -339,7 +343,8 @@ def threshold_rewrite_rhs(lam: PartitionLike) -> Polynomial:
     product of `_threshold_factors`.
     """
     lam, _ = _validated_connected(lam)
-    out = poly_product(base ** m for base, m in _threshold_factors(lam))
+    factors = _threshold_factors(lam, _threshold_blocks(lam, conjugate(lam)))
+    out = poly_product(base ** m for base, m in factors)
     if out != threshold_rhs(lam):
         raise FormMismatch("staircase rewrite disagrees with the direct product")
     return out

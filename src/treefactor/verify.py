@@ -5,6 +5,15 @@ division is performed and must leave no remainder and a quotient with no
 negative exponent.  Results are Verdict records; a Refuted verdict always
 carries a concrete witness (the term or matrix entry that broke the
 claim), never just a boolean.
+
+The cube and decoupled nullvector checks build their operands once per
+size, in bounded caches: `_cube_operands` (Q_n's subset labels and
+reduced Laurent Laplacian) is keyed on n, `_product_operands` (a product
+graph's labels and decoupled Laplacian) on the dims, and each also on the
+builders this module names, so a patched builder builds and keeps its
+own.  `formulas._cube_factors` is cached on n and read through this
+module's name; `_decoupled_enumerator` is cached on the dims.  No cache is
+keyed by a threshold sequence or holds a residue or a verdict.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -34,6 +43,7 @@ from .formulas import (
     threshold_rhs,
 )
 from .graphs import (
+    Graph,
     InvalidSize,
     PartitionLike,
     _coerce_partition,
@@ -56,9 +66,10 @@ from .polyring import (
     Monomial,
     NotDivisible,
     Polynomial,
+    _Layout,
     _dot,
     _new,
-    div_exact,
+    _pdiv,
     poly_product,
     poly_sum,
     share_layout,
@@ -150,7 +161,7 @@ def verify_divisibility(dims: Sequence[int]) -> tuple[list[Verdict], Polynomial]
         witness = None
         divisor, dividend = share_layout([base ** exp, quotient])
         try:
-            quotient = _divide(dividend, divisor, divisor._lay.content(divisor._terms))
+            quotient = _divide(dividend, divisor)
         except NotDivisible as err:
             witness = _term_text(*err.witness)
         verdicts.append(_verdict(claim, witness is None, witness, t0))
@@ -181,23 +192,31 @@ def _subset_id(a: Sequence[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(a)) + "}"
 
 
-def _divide(p: Polynomial, divisor: Polynomial, floor: int) -> Polynomial:
-    """p / divisor with no negative exponent in the quotient; NotDivisible otherwise.
+def _divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
+    """p / divisor in the polynomial ring: exact, with no negative exponent in the quotient.
 
     `div_exact` divides in the Laurent ring, where a monomial is a unit and
-    divides everything.  Here p and divisor share a layout and floor is the
-    divisor's content, the key of its least exponent per variable: the
-    quotient has no negative exponent exactly when every term of p has at
-    least floor's exponents, and a shortfall's witness is p's graded-lex
-    largest term that falls short.  No dividend here has a negative
-    exponent, so a floor of 0 holds already.
+    divides everything.  An exact quotient's content, the key of its least
+    exponent per variable, is p's less the divisor's, so the quotient has no
+    negative exponent exactly when p's content is at least the divisor's
+    in every digit; `_pdiv` with a floor of 0 tests both at once.  p and
+    divisor share a layout, and 0 is divisible by anything.  On failure,
+    NotDivisible's witness is p's graded-lex largest term short of the
+    divisor's content, or else the term where `div_exact`'s division stops.
     """
-    if floor:
-        guard, terms = p._lay.guard, p._terms
-        short = max((k for k in terms if (k - floor) & guard), default=None)
-        if short is not None:
-            raise NotDivisible("a quotient exponent is negative", witness=(p._lay.monomial(short), terms[short]))
-    return div_exact(p, divisor)
+    lay, terms, g = p._lay, p._terms, divisor._terms
+    if not terms:
+        return p
+    try:
+        return _new(lay, _pdiv(terms, g, 0, lay))
+    except NotDivisible:
+        pass
+    floor = lay.content(g)
+    low = lay.content(terms) - floor
+    if low & lay.guard:
+        short = max(k for k in terms if (k - floor) & lay.guard)
+        raise NotDivisible("a quotient exponent is negative", witness=(lay.monomial(short), terms[short]))
+    return _new(lay, _pdiv(terms, g, low, lay))  # raises: a quotient above low >= 0 passed above
 
 
 def _divides(divisor: Polynomial, p: Polynomial) -> bool:
@@ -214,34 +233,54 @@ def _residues(matrix: PolyMatrix, checks: Sequence[_Check]) -> Iterator[tuple[Po
     A check is a list of vectors, each mapping column indices to entries,
     and a divisor.  L, every vector and every divisor go onto one layout
     once, so no product or division re-keys; each row of L v is one key-sum
-    over the vector's nonzero entries.  Yields, per check, the divisor on
-    that layout and the rows of L v for each vector.  Nothing is divided.
+    over the vector's nonzero entries, and 0, with no product, where the
+    row meets none of them.  Yields, per check, the divisor on that layout
+    and the rows of L v for each vector.  Nothing is divided.
     """
+
+    def product(lay: _Layout, row: list[dict[int, int]], walk: list[tuple[int, dict[int, int]]]) -> Polynomial:
+        pairs = [(row[col], val) for col, val in walk if row[col]]
+        return _new(lay, _dot(lay, pairs) if pairs else {})
+
     size = matrix.size
     shared = iter(share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
                                 *(val for vectors, _ in checks for v in vectors for val in v.values())]))
     rows = [[next(shared)._terms for _ in range(size)] for _ in range(size)]
     divisors = [next(shared) for _ in checks]
     for (vectors, _), divisor in zip(checks, divisors):
-        lay = divisor._lay
         walks = [[(col, val._terms) for col, val in zip(v, shared) if val] for v in vectors]
-        yield divisor, [[_new(lay, _dot(lay, ((row[col], val) for col, val in walk if row[col]))) for row in rows]
-                        for walk in walks]
+        yield divisor, [[product(divisor._lay, row, walk) for row in rows] for walk in walks]
 
 
 def _first_undivided(divisor: Polynomial, products: list[list[Polynomial]]) -> Optional[tuple[int, int]]:
     """The (vector, row) index of the first row of L v that divisor does not divide, or None.
 
-    Every row shares the divisor's layout; the divisor's content is taken once.
+    Every row shares the divisor's layout.
     """
-    floor = divisor._lay.content(divisor._terms)
     for k, entries in enumerate(products):
         for r, p in enumerate(entries):
             try:
-                _divide(p, divisor, floor)
+                _divide(p, divisor)
             except NotDivisible:
                 return k, r
     return None
+
+
+@lru_cache(maxsize=64)
+def _cube_operands(n: int, graph_of, laplacian_of) -> tuple[tuple[frozenset, ...], PolyMatrix]:
+    """Q_n's nonempty subset labels and its Laurent Laplacian without the empty subset's row and column."""
+    g = graph_of(n)
+    if g.labels[0]:  # the row and column struck below must be the empty subset's
+        raise AssertionError("hypercube vertex 0 is not the empty subset")
+    lhat, _ = reduce_matrix(laplacian_of(g, WeightScheme.CUBE_LAURENT), 0, 0)
+    return g.labels[1:], lhat
+
+
+@lru_cache(maxsize=64)
+def _product_operands(dims: tuple[int, ...], product_of, complete_of, laplacian_of) -> tuple[tuple, PolyMatrix]:
+    """The labels of the product of complete graphs K_d over dims and its decoupled Laplacian."""
+    g = product_of([complete_of(d) for d in dims])
+    return g.labels, laplacian_of(g, WeightScheme.DECOUPLED)
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
@@ -264,12 +303,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     if len(aset) < 2:
         raise ValueError("need a direction subset of size at least 2")
 
-    g = hypercube(n)
-    lap = weighted_laplacian(g, WeightScheme.CUBE_LAURENT)
-    if g.labels[0]:  # the row and column struck below must be the empty subset's
-        raise AssertionError("hypercube vertex 0 is not the empty subset")
-    lhat, _ = reduce_matrix(lap, 0, 0)
-    labels = g.labels[1:]
+    labels, lhat = _cube_operands(n, hypercube, weighted_laplacian)
     xs = (None, *_cube_variables(tuple(range(1, n + 1)))[1])  # xs[t] is x_t
 
     @cache
@@ -313,9 +347,8 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if ni < 2:
         raise ValueError("direction needs at least two coordinate values")
 
-    g = cartesian_product([complete_graph(d) for d in dims])
-    lap = weighted_laplacian(g, WeightScheme.DECOUPLED)
-    coords = [label[i - 1] for label in g.labels]
+    labels, lap = _product_operands(tuple(dims), cartesian_product, complete_graph, weighted_laplacian)
+    coords = [label[i - 1] for label in labels]
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
     c_i, mult = _decoupled_factors(dims)[-sum(d >= 2 for d in dims[i - 1:])]
@@ -334,7 +367,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     bad = _first_undivided(c_i, products)
     if bad is not None:
         k, r = bad
-        return _verdict(claim, False, f"k={k + 1}, row {g.labels[r]}: {products[k][r].render()}", t0)
+        return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {products[k][r].render()}", t0)
     gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
     if determinant(gram).is_zero:
         return _verdict(claim, False, "nullvectors are linearly dependent at a random point", t0)
@@ -353,12 +386,12 @@ def _g_case_tag(k: int, h: int, a: int, b: int, n: int) -> str:
     return "outside-cases"
 
 
-def _f_case_tag(j: int, r: int, edges: set[tuple[int, int]]) -> str:
+def _f_case_tag(j: int, r: int, g: Graph) -> str:
     if j < r:
         return "(i)"
     if j == r:
         return "(ii)"
-    return "(iii)" if (min(j, r), max(j, r)) in edges else "(iv)"
+    return "(iii)" if (r - 1, j - 1) in {(e.u, e.v) for e in g.edges} else "(iv)"
 
 
 def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
@@ -376,25 +409,26 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     conj = conjugate(lam)
     lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
     lhat, _ = reduce_matrix(lap, 0, 0)
-    edge_set = {(e.u + 1, e.v + 1) for e in g.edges}
     xs, ys = _in_out_variables(n)  # xs[i] is x_i, ys[i] is y_i
-    claims: list[tuple[str, partial]] = []
+    # each claim's id, and its case tag with the tag's arguments past the row label
+    claims: list[tuple[str, tuple]] = []
     checks: list[_Check] = []
 
-    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case_tag: partial) -> None:
+    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case: tuple) -> None:
         """vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n."""
-        claims.append((claim, case_tag))
+        claims.append((claim, case))
         checks.append(([{label - 2: val for label, val in vec.items()}], divisor))
 
     # x1, the f_r for r = 2..s, then one g factor per block: each f_r owes
     # one vector, a block's g as many as its multiplicity b
-    factors = _threshold_factors(lam)
+    blocks = _threshold_blocks(lam, conj)
+    factors = _threshold_factors(lam, blocks)
     for r, (f_r, _) in zip(range(2, s + 1), factors[1:]):
         vec = {r: poly_sum(xs[1:r + 1]), **{i2: xs[r] for i2 in range(r + 1, conj[r - 1] + 1)}}
-        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, f_r, partial(_f_case_tag, r=r, edges=edge_set))
+        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, f_r, (_f_case_tag, r, g))
 
-    for (a, b, h), (g_a, mult) in zip(_threshold_blocks(lam), factors[s:]):
-        g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
+    for (a, b, h), (g_a, mult) in zip(blocks, factors[s:]):
+        g_tag = (_g_case_tag, h, a, b, n)
         for k in range(1, mult):
             vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
             check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_a, g_tag)
@@ -405,12 +439,12 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
 
     verdicts: list[Verdict] = []
     t0 = time.perf_counter()
-    for (claim, case_tag), (divisor, products) in zip(claims, _residues(lhat, checks)):
+    for (claim, (case_tag, *tag_args)), (divisor, products) in zip(claims, _residues(lhat, checks)):
         witness = None
         bad = _first_undivided(divisor, products)
         if bad is not None:
             label = bad[1] + 2
-            witness = f"case {case_tag(label)}, row {label}: {products[0][bad[1]].render()}"
+            witness = f"case {case_tag(label, *tag_args)}, row {label}: {products[0][bad[1]].render()}"
         verdicts.append(_verdict(claim, witness is None, witness, t0))
         t0 = time.perf_counter()
     return verdicts

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from treefactor import (
+    NotDivisible,
     Polynomial,
     PolyMatrix,
     Verdict,
@@ -568,13 +569,18 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
 
 
 def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
-    # one warm call of each check: the Laplacian's layout variables are built
-    # once, for its key table; the claim's operands and factor list take the
-    # cached variables of `formulas` on that layout, so nothing re-keys
+    # one warm call of each check: the threshold check builds its graph and
+    # its Laplacian, whose layout variables are built once, for its key
+    # table; the cube and decoupled checks build no graph, no Laplacian and
+    # no variable, their operands being cached per size.  The claim's
+    # operands and factor list take the cached variables of `formulas` on
+    # that layout, so nothing re-keys
+    import treefactor.graphs as graphs
     import treefactor.polyring as polyring
+    import treefactor.verify as verify
 
-    counts = {"variables": 0, "rekeys": 0}
-    init, rekey = polyring.Variable.__init__, polyring._rekey
+    counts = dict.fromkeys(("variables", "rekeys", "graphs", "laplacians"), 0)
+    init, rekey, post_init = polyring.Variable.__init__, polyring._rekey, graphs.Graph.__post_init__
 
     def counted_init(self, *args):
         counts["variables"] += 1
@@ -585,17 +591,126 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
         counts["rekeys"] += out is not terms
         return out
 
+    def counted_post_init(self):
+        counts["graphs"] += 1
+        post_init(self)
+
     def warm_counts(call):
-        call()
-        counts.update(variables=0, rekeys=0)
+        real = verify.weighted_laplacian
+
+        def counted_laplacian(g, scheme):
+            counts["laplacians"] += 1
+            return real(g, scheme)
+
         with monkeypatch.context() as patched:
+            # patched before the warm-up, which fills the caches keyed on it
+            patched.setattr(verify, "weighted_laplacian", counted_laplacian)
+            call()
+            counts.update(dict.fromkeys(counts, 0))
             patched.setattr(polyring.Variable, "__init__", counted_init)
             patched.setattr(polyring, "_rekey", counted_rekey)
+            patched.setattr(graphs.Graph, "__post_init__", counted_post_init)
             verdicts = call()
         assert all(v.ok for v in (verdicts if isinstance(verdicts, list) else [verdicts]))
-        return counts["variables"], counts["rekeys"]
+        return tuple(counts.values())
 
-    # layouts: x1..x8, y2..y9; q1..q5, x1..x5; q1..q3 and 9 x(i,j)
-    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (16, 0)
-    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (10, 0)
-    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (12, 0)
+    # the threshold layout: x1..x8, y2..y9
+    assert warm_counts(lambda: verify_threshold_nullvectors((8, 7, 5, 4, 4, 3, 2, 2, 1))) == (16, 0, 1, 1)
+    assert warm_counts(lambda: verify_cube_nullvector(5, (1, 2, 3))) == (0, 0, 0, 0)
+    assert warm_counts(lambda: verify_decoupled_nullvectors((2, 3, 4), 2)) == (0, 0, 0, 0)
+
+
+def test_cached_nullvector_operands_follow_a_patched_laplacian(monkeypatch):
+    # the cube and decoupled operands are cached per size; a check run after
+    # a warm one with a perturbed Laplacian must see the perturbation, and
+    # one run after the patch is undone must not
+    import treefactor.verify as verify
+
+    checks = {"cube-null:n=3:A={1,2}": lambda: verify_cube_nullvector(3, (1, 2)),
+              "decoupled-null:dims=2x3:dir=2": lambda: verify_decoupled_nullvectors((2, 3), 2)}
+    assert all(check().ok for check in checks.values())
+    real = verify.weighted_laplacian
+    for index, witnesses in _DIAGONAL_WITNESSES.items():
+        def bumped(g, scheme, index=index):
+            rows = [list(row) for row in real(g, scheme).rows]
+            rows[index][index] = rows[index][index] + P("x1")
+            return PolyMatrix(rows)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "weighted_laplacian", bumped)
+            for claim, check in checks.items():
+                v = check()
+                assert (v.claim_id, v.status, v.witness) == (claim, "Refuted", witnesses[claim]), index
+        for claim, check in checks.items():
+            assert check().ok, (index, claim)
+
+
+def _short_terms(divisor, p):
+    # p's terms, largest first in graded-lex order, with less of some
+    # variable than the divisor's least exponent (absent counting as 0)
+    names = {v for m, _ in [*divisor.terms(), *p.terms()] for v in m.as_dict()}
+    low = {v: min(m.as_dict().get(v, 0) for m, _ in divisor.terms()) for v in names}
+    return [(m, c) for m, c in p.canonical_terms() if any(m.as_dict().get(v, 0) < e for v, e in low.items())]
+
+
+def _old_row_test(divisor, p):
+    # the composition the nullvector checks ran before, with the least-exponent
+    # check made for every divisor: p falls short when some term of it has
+    # less of a variable than the divisor's least exponent, and otherwise it
+    # must divide exactly in the Laurent ring
+    if _short_terms(divisor, p):
+        return "short"
+    try:
+        div_exact(p, divisor)
+    except NotDivisible:
+        return "undivided"
+    return "divided"
+
+
+def _random_polynomial(rng, variables, n_terms, low, high):
+    return P(" + ".join(f"{rng.choice([-2, -1, 1, 3])}*" + "*".join(f"{v}^{rng.randint(low, high)}" for v in variables)
+                        for _ in range(n_terms)))
+
+
+def test_row_division_test_agrees_with_the_old_composition():
+    # seeded rows, Laurent ones with negative exponents among them, zero rows,
+    # monomial and sum divisors, and rows that are multiples of the divisor
+    import random
+
+    import treefactor.verify as verify
+    from treefactor.polyring import share_layout
+
+    rng = random.Random(20261019)
+    variables = ["x1", "x2", "y3"]
+    seen = {"short": 0, "undivided": 0, "divided": 0}  # nonzero rows only
+    for trial in range(500):
+        low = rng.choice([-2, 0, 0])
+        divisor = Polynomial.zero()
+        while divisor.is_zero:  # random terms may cancel
+            divisor = _random_polynomial(rng, variables, 1 if trial % 3 == 0 else rng.randint(2, 3), low, 2)
+        kind = trial % 5
+        if kind == 0:
+            p = Polynomial.zero()
+        elif kind <= 2:  # a multiple, by a polynomial or by a Laurent polynomial
+            p = divisor * _random_polynomial(rng, variables, rng.randint(1, 3), 0 if kind == 1 else -1, 2)
+        else:
+            p = _random_polynomial(rng, variables, rng.randint(1, 4), rng.choice([-2, 0]), 3)
+        expected = _old_row_test(divisor, p)
+        seen[expected] += not p.is_zero
+        shared_divisor, shared_p = share_layout([divisor, p])
+        assert (verify._first_undivided(shared_divisor, [[shared_p]]) is None) == (expected == "divided"), (divisor, p)
+        try:
+            quotient = verify._divide(shared_p, shared_divisor)
+        except NotDivisible as err:
+            assert expected != "divided", (divisor, p)
+            text = verify._term_text(*err.witness)
+            if expected == "short":
+                # the graded-lex largest term that falls short
+                assert text == verify._term_text(*_short_terms(divisor, p)[0]), (divisor, p)
+            else:
+                with pytest.raises(NotDivisible) as old:
+                    div_exact(p, divisor)
+                assert text == verify._term_text(*old.value.witness)
+        else:
+            assert expected == "divided" and quotient == div_exact(p, divisor), (divisor, p)
+    assert min(seen.values()) >= 30, seen
