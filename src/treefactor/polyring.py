@@ -336,11 +336,14 @@ def _aligned(a: "Polynomial", b: "Polynomial") -> tuple[_Layout, dict[int, int],
 def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     """The polynomials, unchanged in value, all keyed over one layout.
 
-    Arithmetic among them then does no layout work at all.
+    Arithmetic among them then does no layout work at all.  Polynomials that
+    already share one layout come back as they are, with no call per item.
     """
-    polys = [_coerce_poly(p) for p in polys]
+    polys = [p if isinstance(p, Polynomial) else _coerce_poly(p) for p in polys]
     layouts = {p._lay for p in polys}
-    lay = layouts.pop() if len(layouts) == 1 else reduce(_union, layouts, _EMPTY)
+    if len(layouts) <= 1:
+        return polys
+    lay = reduce(_union, layouts, _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 

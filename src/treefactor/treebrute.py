@@ -1,11 +1,14 @@
 """Brute-force spanning tree enumeration and tree statistics.
 
 This is the independent oracle against which the determinant route is
-checked.  One walk lists the spanning trees by recursive inclusion and
-exclusion of edges (Read and Tarjan, "Bounds on backtrack algorithms for
-listing cycles, paths, and spanning trees", Networks 5, 1975): contraction
-happens in a union-find, and deletion prunes on a connectivity test, which
-doubles as the bridge shortcut (a bridge has no exclusion branch).
+checked.  One walk lists the spanning trees include-first (Read and Tarjan,
+"Bounds on backtrack algorithms for listing cycles, paths, and spanning
+trees", Networks 5, 1975), so in the lexicographic order of their copy
+positions: each level loops over the copy it includes next, contracted in a
+union-find.  With two components left, each crossing copy is one tree,
+tallied inline.  With three, a dead branch costs one O(m) loop.  With more,
+a dead branch can hide an exponential subtree, so a connectivity test ends
+the loop at the first excluded bridge.
 
 Every tree statistic is a product of edge weights over the tree's edges,
 the weights of its scheme in `SCHEME_FOR_STATISTIC`, so each edge copy's
@@ -91,6 +94,7 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
     """
     n = g.n
     ends = [(g.edges[idx].u, g.edges[idx].v) for idx in _edge_copies(g)]
+    m = len(ends)
 
     parent = list(range(n))
     rank = [0] * n
@@ -123,35 +127,31 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
         return False
 
     def rec(pos: int, components: int, key: int) -> None:
-        if components == 1:
-            tally[key] = tally.get(key, 0) + 1
-            return
-        # a copy is left: every call keeps "the copies from pos onward can
-        # join the forest" (the root by _predicted_count's nonzero tree count,
-        # exclusion by still_connected; a cycle copy or a contraction keeps
-        # it), and a forest of several components needs one more copy
-        u, v = ends[pos]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            # cycle edge: only the exclusion branch exists
-            rec(pos + 1, components, key)
-            return
-        # include the edge (contraction)
-        if rank[ru] < rank[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        bumped = rank[ru] == rank[rv]
-        if bumped:
-            rank[ru] += 1
-        rec(pos + 1, components - 1, key + keys[pos])
-        if bumped:
-            rank[ru] -= 1
-        parent[rv] = rv
-        # exclude the edge (deletion); a bridge has no such branch
-        if still_connected(pos + 1, components):
-            rec(pos + 1, components, key)
+        # p is the next copy included, while enough are left to finish a tree.
+        # Above two components the copies from pos onward can join the forest
+        # (the root by the nonzero count; contraction and still_connected keep it)
+        for p in range(pos, m - components + 2):
+            u, v = ends[p]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue  # cycle copy: excluding it keeps the invariant
+            if components == 2:  # each crossing copy finishes one tree
+                tally[key + keys[p]] = tally.get(key + keys[p], 0) + 1
+                continue
+            if rank[ru] < rank[rv]:
+                ru, rv = rv, ru
+            parent[rv], saved = ru, rank[ru]
+            rank[ru] += saved == rank[rv]
+            rec(p + 1, components - 1, key + keys[p])
+            parent[rv], rank[ru] = rv, saved
+            # excluding p: a dead branch costs one O(m) loop at three components
+            if components > 3 and not still_connected(p + 1, components):
+                return
 
-    rec(0, n, 0)
+    if n == 1:
+        tally[0] = 1  # the empty tree
+    else:
+        rec(0, n, 0)
     total = sum(tally.values())
     if total != predicted:
         raise AssertionError(

@@ -363,6 +363,20 @@ def test_product_kernel_against_monomial_reference():
     assert _dot(a._lay, [(a._terms, b._terms), ((-a)._terms, b._terms)]) == {}
 
 
+def test_share_layout_passes_polynomials_on_one_layout_through(monkeypatch):
+    import treefactor.polyring as polyring
+
+    items = share_layout([P("x1 + y2"), P("q1*x1^-1"), 3])
+    assert len({p._lay for p in items}) == 1 and items[2] == 3
+
+    def no_coerce(val):
+        raise AssertionError("an operand was coerced")
+
+    monkeypatch.setattr(polyring, "_coerce_poly", no_coerce)
+    shared = share_layout(items)
+    assert len(shared) == 3 and all(a is b for a, b in zip(shared, items))
+
+
 def test_one_term_operand_shifts_keys_without_the_kernel(monkeypatch):
     import treefactor.polyring as polyring
 

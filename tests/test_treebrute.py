@@ -1,6 +1,8 @@
 """Brute-force tree enumeration against the determinant route."""
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -29,6 +31,7 @@ from treefactor import (
     verify_identity,
     x,
 )
+from treefactor.graphs import Edge
 
 P = Polynomial.parse
 
@@ -181,6 +184,69 @@ def test_count_gate_is_live(monkeypatch):
         all_spanning_trees(complete_graph(4))
     with pytest.raises(AssertionError, match="determinant predicts 17"):
         enumerate_sum(complete_graph(4), TreeStatistic.DEGREE)
+
+
+def _forest_combinations(g):
+    """Edge indices of every (n - 1)-subset of edge copies that is a forest, in combinations order.
+
+    Include-first order is the lexicographic order of the copy positions, so
+    this is the walk's order too.
+    """
+    copies = [idx for idx, e in enumerate(g.edges) for _ in range(e.multiplicity)]
+    trees = []
+    for combo in itertools.combinations(range(len(copies)), g.n - 1):
+        parent = list(range(g.n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for pos in combo:
+            e = g.edges[copies[pos]]
+            ru, rv = find(e.u), find(e.v)
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            trees.append(tuple(copies[pos] for pos in combo))
+    return trees
+
+
+def _random_multigraph(rng, n, bridges):
+    """A connected multigraph on n vertices, edges shuffled; with bridges, vertices n - 2
+    and n - 1 hang off the rest by an edge listed first and one listed last."""
+    core = n - 2 if bridges else n
+    pairs = {(rng.randrange(v), v): rng.randint(1, 2) for v in range(1, core)}  # a spanning tree
+    for _ in range(rng.randrange(2 * n) if core > 1 else 0):
+        u, v = sorted(rng.sample(range(core), 2))
+        pairs[u, v] = pairs.get((u, v), 0) + 1
+    edges = [Edge(u, v, 1, k) for (u, v), k in pairs.items()]
+    rng.shuffle(edges)
+    if bridges:
+        edges = [Edge(rng.randrange(core), n - 2), *edges, Edge(rng.randrange(n - 1), n - 1)]
+    return Graph(kind="plain", labels=tuple(range(n)), edges=tuple(edges))
+
+
+def test_all_spanning_trees_match_the_forest_combinations():
+    rng = random.Random(20261019)
+    graphs = [_random_multigraph(rng, n, bridges) for n in range(1, 8)
+              for bridges in ((False, True) if n >= 3 else (False,)) for _ in range(3)]
+    graphs += [Graph(kind="plain", labels=tuple(range(n)), edges=(*(Edge(i, i + 1) for i in range(n - 1)), Edge(0, n - 1)))
+               for n in range(3, 8)]  # bare cycles
+    assert any(e.multiplicity > 1 for g in graphs for e in g.edges)
+    for g in graphs:
+        trees = [t.edge_indices for t in all_spanning_trees(g)]
+        assert trees == _forest_combinations(g), g.edges
+
+
+def test_bridges_listed_first_prune_each_exclusion():
+    # a 30-edge pendant path listed before K6: without a connectivity test
+    # on exclusion, the dead branches grow exponentially and the walk hangs
+    path = [Edge(i, i + 1) for i in range(30)]
+    k6 = [Edge(30 + a, 30 + b) for a in range(6) for b in range(a + 1, 6)]
+    g = Graph(kind="plain", labels=tuple(range(36)), edges=(*path, *k6))
+    assert len(all_spanning_trees(g)) == 6 ** 4
 
 
 def test_all_spanning_trees_order_is_pinned():
