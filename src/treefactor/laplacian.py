@@ -34,12 +34,17 @@ Inside the box phi(det M) decodes back to det M (see
 `polyring._KroneckerImage`).  Every interior Bareiss division is exact
 over the integers, and a decoded image always fits its box, so a failure
 there is an implementation bug, not an input condition.
+Those bounds pick the path.  A reduced Laplacian's determinant is +-a
+spanning tree sum with positive coefficients, so on the image path
+`tree_enumerator_det` then narrows the box to the trees' (`_tree_box`):
+each variable's largest exponent over them, and slots holding Kirchhoff's
+count tau and a sign bit.  With tau = 0 the determinant is 0.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import Edge, Graph
 from .polyring import (
@@ -206,6 +211,22 @@ def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
                        for i in range(g.n)])
 
 
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees (multiplicities counted), by Kirchhoff."""
+    n = g.n
+    if n <= 1:  # the empty graph has no spanning tree
+        return n
+    lap = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        m = e.multiplicity
+        lap[e.u][e.u] += m
+        lap[e.v][e.v] += m
+        lap[e.u][e.v] -= m
+        lap[e.v][e.u] -= m
+    reduced = [row[:-1] for row in lap[:-1]]
+    return _eliminate(reduced)
+
+
 def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
     """Strike one row and one column; returns the minor and (-1)^(row+col)."""
     n = m.size
@@ -237,7 +258,7 @@ _MINOR_STATES = 1 << 15
 _CAP_BITS = 1 << 20
 
 
-def determinant(m: PolyMatrix) -> Polynomial:
+def determinant(m: PolyMatrix, tree_box: Optional[Callable[[], tuple[int, Sequence[int]]]] = None) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
     Expansion by minors up to 4x4.  Above that, the bounds are taken before
@@ -247,7 +268,9 @@ def determinant(m: PolyMatrix) -> Polynomial:
     when the zero pattern leaves at most 2**15 column sets, and is
     eliminated as an image otherwise, unless it passes 2**20 bits, when
     `CapExceeded` is raised before the image is unpacked.  The path follows
-    from the matrix alone.
+    from the matrix alone.  Once the image is chosen, `tree_box` (for a
+    determinant that is +-a tree sum) gives the tree count, and the tops the
+    image is narrowed to when the count is not 0 (`_tree_box`).
     """
     rows = m.rows
     if m.size <= 4:
@@ -258,6 +281,11 @@ def determinant(m: PolyMatrix) -> Polynomial:
     if image.bits > _CAP_BITS:
         raise CapExceeded(f"the {m.size}x{m.size} determinant's Kronecker image needs {image.bits} bits,"
                           f" past the bound of {_CAP_BITS}")
+    if tree_box is not None:
+        count, tops = tree_box()
+        if not count:
+            return image.polynomial(0)
+        image.narrow(tops, count)
     return _kronecker_det(image)
 
 
@@ -340,6 +368,34 @@ def _kronecker_det(image: _KroneckerImage) -> Polynomial:
     return image.polynomial(_eliminate(image.matrix()))
 
 
+def _tree_box(g: Graph, lap: PolyMatrix) -> tuple[int, list[int]]:
+    """Kirchhoff's count of g's spanning trees, and each layout variable's largest exponent over them.
+
+    Above the diagonal of g's Laplacian `lap`, cell (u, v) holds the keys of
+    the edges joining u and v.  A variable's largest exponent is the weight
+    of a maximum spanning tree under the edges' digits of it (Kruskal, Proc.
+    AMS 7, 1956); digits may be negative.  The edges of the least digit join
+    whatever components the others leave, so only the others are sorted.
+    """
+    count = spanning_tree_count(g)
+    if not count:
+        return 0, []
+    exponents = lap.rows[0][0]._lay.exponents
+    edges = [(u, v, k) for u, row in enumerate(lap.rows) for v in range(u + 1, g.n) for k in row[v]._terms]
+    tops = []
+    for digits in zip(*(exponents(k) for _, _, k in edges)):
+        least, parent, top, components = min(digits), list(range(g.n)), 0, g.n
+        for d, u, v in sorted(((d, u, v) for d, (u, v, _) in zip(digits, edges) if d > least), reverse=True):
+            while parent[u] != u:
+                u = parent[u] = parent[parent[u]]
+            while parent[v] != v:
+                v = parent[v] = parent[parent[v]]
+            if u != v:
+                parent[u], top, components = v, top + d, components - 1
+        tops.append(top + least * (components - 1))
+    return count, tops
+
+
 def tree_enumerator_det(
     g: Graph,
     scheme: WeightScheme,
@@ -352,6 +408,7 @@ def tree_enumerator_det(
     """
     if remove is None:
         remove = (g.n - 1, g.n - 1)
-    reduced, sign = reduce_matrix(weighted_laplacian(g, scheme), remove[0], remove[1])
-    det = determinant(reduced)
+    lap = weighted_laplacian(g, scheme)
+    reduced, sign = reduce_matrix(lap, remove[0], remove[1])
+    det = determinant(reduced, lambda: _tree_box(g, lap))
     return det if sign > 0 else -det

@@ -377,10 +377,11 @@ class _KroneckerImage:
     bits of H and s_i = prod_{j>i}(D_j + 1).  phi is a ring homomorphism,
     so det phi(M) = phi(det M).  Inside the box distinct exponent vectors
     land on distinct slots of b bits, and every coefficient is one balanced
-    base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.
+    base-X digit in [-X/2, X/2), so phi(det M) decodes to det M.  `narrow`
+    shrinks the box to a tree sum's.
     """
 
-    __slots__ = ("bits", "_lay", "_rows", "_shift", "_units", "_radix", "_width")
+    __slots__ = ("bits", "_lay", "_rows", "_shift", "_units", "_radix", "_width", "_count")
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]):
         n = len(rows)
@@ -416,6 +417,22 @@ class _KroneckerImage:
         self._radix = [d + 1 for d in high]
         self._width = isqrt(bound).bit_length() + 1  # bits per slot, with a sign bit
         self.bits = reduce(mul, self._radix, self._width)
+        self._count = None  # the tree count, once narrowed
+
+    def narrow(self, tops: Sequence[int], count: int) -> None:
+        """Shrink the box, never widening it, for det M = +-a tree sum whose coefficients add up to count > 0.
+
+        Less the summed row contents, tops[i], the i-th variable's largest
+        exponent over the trees, bounds its exponent in det M, and count
+        bounds a coefficient.  A slot too narrow fails the decode, and so
+        does a leading top too small; a top too small on another variable
+        would move a term unseen, so the tops must be exact.
+        """
+        lows = self._lay.exponents(sum(content for content, _ in self._rows))
+        self._radix = [min(r, top - low + 1) for r, top, low in zip(self._radix, tops, lows)]
+        self._width = min(self._width, count.bit_length() + 1)
+        self.bits = reduce(mul, self._radix, self._width)
+        self._count = count
 
     def matrix(self) -> list[list[int]]:
         """phi(M): entry sum_e c_e * X**(sum_i e_i * s_i) over the packed variables."""
@@ -429,7 +446,11 @@ class _KroneckerImage:
                 for content, row in self._rows]
 
     def polynomial(self, value: int) -> Polynomial:
-        """det M from value = phi(det M); AssertionError if it leaves the box."""
+        """det M from value = phi(det M); AssertionError if it leaves the box.
+
+        A narrowed image's coefficients must have one sign and add up to
+        +-count: one past its slot carries, which breaks either.
+        """
         w = self._width
         mask, half = (1 << w) - 1, 1 << (w - 1)
         bias = half * (((1 << self.bits) - 1) // mask)  # X/2 in every slot
@@ -448,6 +469,9 @@ class _KroneckerImage:
                 rest, e = divmod(rest, r)
                 key += e * unit
             terms[key] = ((raw >> at) & mask) - half
+        coefficients = terms.values()
+        if self._count is not None and not sum(map(abs, coefficients)) == abs(sum(coefficients)) == self._count:
+            raise AssertionError("the tree sum's coefficients do not have one sign and add up to its tree count")
         self._lay.check_range(terms)
         return _new(self._lay, terms)
 

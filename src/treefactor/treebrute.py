@@ -20,8 +20,9 @@ down as an argument, so backtracking subtracts nothing, and it tallies
 {key: trees}.  `enumerate_sum` builds its polynomial from that tally with no
 per-tree object; `all_spanning_trees` runs the same walk with the key
 1 << position for each parallel edge copy and decodes the masks in walk
-order.  A determinant count at all-ones gates the walk, so a huge graph
-fails fast instead of hanging, and the tally's total must equal it.
+order.  Kirchhoff's count, `laplacian.spanning_tree_count` (also exported
+here), gates the walk, so a huge graph fails fast instead of hanging, and
+the tally's total must equal it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .graphs import Disconnected, Graph, SpanningTree
-from .laplacian import CapExceeded, SchemeMismatch, WeightScheme, _eliminate, _weight_table, check_scheme
+from .laplacian import CapExceeded, SchemeMismatch, WeightScheme, _weight_table, check_scheme, spanning_tree_count
 from .polyring import Monomial, Polynomial, _Layout, _new
 
 DEFAULT_CAP = 10_000_000
@@ -54,22 +55,6 @@ SCHEME_FOR_STATISTIC = {
     TreeStatistic.CUBE_SUBSTITUTED: WeightScheme.CUBE_LAURENT,
     TreeStatistic.IN_OUT_DEGREE: WeightScheme.THRESHOLD_IN_OUT,
 }
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees (multiplicities counted), by Kirchhoff."""
-    n = g.n
-    if n <= 1:  # the empty graph has no spanning tree
-        return n
-    lap = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        m = e.multiplicity
-        lap[e.u][e.u] += m
-        lap[e.v][e.v] += m
-        lap[e.u][e.v] -= m
-        lap[e.v][e.u] -= m
-    reduced = [row[:-1] for row in lap[:-1]]
-    return _eliminate(reduced)
 
 
 def _predicted_count(g: Graph, cap: int) -> int:

@@ -7,6 +7,8 @@ closed-form product, the Kirchhoff tree count, and, for the arithmetic, a
 dict-of-Monomial reference that multiplies monomial by monomial.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -38,12 +40,14 @@ from treefactor import (
     is_connected,
     multigraph_kn,
     q,
+    reduce_matrix,
     spanning_tree_count,
     statistic_monomial,
     threshold_degree_rhs,
     threshold_graph,
     threshold_rhs,
     tree_enumerator_det,
+    weighted_laplacian,
     x,
     xd,
     y,
@@ -367,6 +371,97 @@ def test_kronecker_box_is_read_off_the_keys():
         kinds.add(("dropped", len(radix) < len(lay.vars)))
     # rows spanning the whole range, and images with and without a variable set to 1
     assert kinds >= {True, False, ("dropped", True), ("dropped", False)}
+
+
+# -- the tree box: a tree enumerator's image narrowed to its spanning trees --
+
+
+def thinned(rng: random.Random, g: Graph) -> Graph:
+    """g with each edge kept with probability 4/5, in 1-3 parallel copies; it may come out disconnected."""
+    edges = tuple(e._replace(multiplicity=rng.choice((1, 1, 2, 3))) for e in g.edges if rng.random() < 0.8)
+    return dataclasses.replace(g, edges=edges)
+
+
+def test_narrowed_kronecker_determinant_matches_minors():
+    # the image narrowed to the tree box against expansion by minors, two
+    # independent algorithms, under every scheme each graph kind allows,
+    # with parallel copies, disconnected graphs and off-diagonal strikes
+    rng = random.Random(7009)
+    bases = [complete_graph(n) for n in (3, 4, 5, 6)]
+    bases += [threshold_graph(rng.choice(connected_threshold_sequences(n))) for n in (4, 5, 6)]
+    bases += [cartesian_product([complete_graph(d) for d in dims]) for dims in [(2, 2), (2, 3), (2, 2, 2), (3, 3)]]
+    bases += [hypercube(2), hypercube(3)]
+    seen = set()
+    for trial in range(60):
+        g = thinned(rng, bases[trial % len(bases)])
+        for scheme in WeightScheme:
+            if g.kind not in laplacian._SCHEME_KINDS[scheme]:
+                continue
+            lap = weighted_laplacian(g, scheme)
+            r, s = rng.randrange(g.n), rng.randrange(g.n)
+            reduced, _ = reduce_matrix(lap, r, s)
+            det = laplacian._minors_det(reduced.rows)
+            count, tops = laplacian._tree_box(g, lap)
+            label = (scheme.value, g.kind, g.edges, r, s)
+            if not count:
+                assert det.is_zero and not tops, label
+                seen.add("disconnected")
+                continue
+            image = _KroneckerImage(reduced.rows)
+            bits, width = image.bits, image._width
+            image.narrow(tops, count)
+            assert image.bits <= bits and image._width <= width, label
+            if image.bits > 1 << 16:
+                continue  # an image this wide takes a second to eliminate
+            assert laplacian._kronecker_det(image) == det, label
+            seen.add(scheme)
+            seen.add("negative" if ones(det) < 0 else "positive")
+            seen.add("narrower" if image.bits < bits else "as wide")
+            if max(e.multiplicity for e in g.edges) > 1:
+                seen.add("parallel")
+    assert seen >= {*WeightScheme, "disconnected", "negative", "positive", "narrower", "parallel"}
+
+
+def test_a_disconnected_graph_has_determinant_zero_before_narrowing(monkeypatch):
+    # two triangles: the route takes the image, and the zero tree count ends
+    # it before the image is narrowed or eliminated
+    def fail(*args):
+        raise AssertionError("reached after a zero tree count")
+
+    g = cartesian_product([complete_graph(2), complete_graph(3)])
+    split = dataclasses.replace(g, edges=tuple(e for e in g.edges if e.direction == 2))
+    for name in ("_minors_det", "_kronecker_det"):
+        monkeypatch.setattr(laplacian, name, fail)
+    monkeypatch.setattr(_KroneckerImage, "narrow", fail)
+    for scheme in (WeightScheme.DIRECTION, WeightScheme.DECOUPLED):
+        assert tree_enumerator_det(split, scheme).is_zero
+
+
+def test_a_tree_box_too_tight_fails_loudly():
+    # a triangle with 7, 7 and 1 copies: its trees are 49*e(1,2)*e(2,3),
+    # 7*e(1,2)*e(1,3) and 7*e(1,3)*e(2,3), 63 in all, so the slots take 6
+    # bits and a sign bit; e(2,3) is set to 1, and e(1,2) leads
+    g = Graph(kind="plain", labels=(1, 2, 3), edges=(Edge(0, 1, 1, 7), Edge(1, 2, 1, 7), Edge(0, 2, 1, 1)))
+    lap = weighted_laplacian(g, WeightScheme.GENERIC)
+    reduced, _ = reduce_matrix(lap, 2, 2)
+    count, tops = laplacian._tree_box(g, lap)
+    assert (count, tops) == (63, [1, 1, 1])
+
+    def narrowed(tops, width):
+        image = _KroneckerImage(reduced.rows)
+        image.narrow(tops, count)
+        assert image._width == 7
+        image._width = width
+        image.bits = math.prod(image._radix) * width
+        return laplacian._kronecker_det(image)
+
+    assert narrowed(tops, 7) == laplacian._minors_det(reduced.rows)
+    # in 6-bit slots 49 wraps to -15 and carries into 7*e(1,2)*e(1,3)'s slot
+    with pytest.raises(AssertionError, match="one sign and add up to its tree count"):
+        narrowed(tops, 6)
+    # e(1,2) reaches 1, and with a top of 0 its terms leave the box
+    with pytest.raises(AssertionError, match="does not fit its box"):
+        narrowed([0, 1, 1], 7)
 
 
 # -- arithmetic against a dict-of-Monomial reference ------------------------

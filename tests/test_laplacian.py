@@ -376,7 +376,9 @@ def test_determinant_takes_each_path_where_intended(monkeypatch):
     assert path(hypercube(4), S.DIRECTION) == "_minors_det"
     # a wide image past the column-set bound: 55,155,206 sets
     assert path(product((3, 3, 3)), S.DIRECTION) == "_kronecker_det"
-    assert calls[0][1] > laplacian._KRONECKER_BITS
+    # the route reads the unnarrowed box; the tree box is taken after it
+    reduced, _ = reduce_matrix(weighted_laplacian(product((3, 3, 3)), S.DIRECTION), 26, 26)
+    assert _KroneckerImage(reduced.rows).bits > laplacian._KRONECKER_BITS
 
 
 def test_determinant_refuses_an_image_past_the_bit_cap(monkeypatch):
@@ -398,6 +400,23 @@ def test_direction_kronecker_images_are_sized_by_hadamards_bound():
         g = cartesian_product([complete_graph(d) for d in dims])
         reduced, _ = reduce_matrix(weighted_laplacian(g, WeightScheme.DIRECTION), g.n - 1, g.n - 1)
         assert _KroneckerImage(reduced.rows).bits == bits, dims
+
+
+def test_tree_enumerator_images_are_narrowed_to_the_tree_box(monkeypatch):
+    # the images tree_enumerator_det eliminates, in bits: each exponent top
+    # is the variable's largest over the spanning trees, and each slot holds
+    # the tree count and a sign bit; (3,3,3) is routed on its 51,759 bits and
+    # (2,2,2,3) on its 801,792, and both are narrowed after
+    bits = []
+    monkeypatch.setattr(laplacian, "_kronecker_det", lambda image: bits.append(image.bits) or Polynomial.zero())
+    sizes = {(2, 2, 3): 980, (2, 3, 3): 4680, (3, 3, 3): 22743, (2, 2, 2, 3): 107653}
+    for dims, size in sizes.items():
+        bits.clear()
+        tree_enumerator_det(cartesian_product([complete_graph(d) for d in dims]), WeightScheme.DIRECTION)
+        assert bits == [size], dims
+    bits.clear()
+    tree_enumerator_det(threshold_graph((5, 5, 2, 2, 2, 2)), WeightScheme.THRESHOLD_IN_OUT)
+    assert bits == [2800]
 
 
 def test_determinant_of_empty_matrix_is_one():
