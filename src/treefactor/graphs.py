@@ -4,10 +4,12 @@ threshold constructions need.
 
 Vertices are 0-based indices into a label tuple.  Labels carry the
 math-facing identity: 1-based integers for plain graphs, coordinate tuples
-for products (row-major order, last coordinate fastest), frozensets for
-hypercubes (ordered by the subset <-> binary-tuple bijection).  Every edge
-is stored with its smaller endpoint first and carries a direction tag (the
-coordinate a product edge moves along; 1 elsewhere) and a multiplicity.
+for products, frozensets for hypercubes.  A product's vertices are numbered
+by their tuples of factor indices in row-major order (last coordinate
+fastest); the n-cube is the product of n copies of K2, each tuple relabelled
+by the subset of coordinates at 2.  Every edge is stored with its smaller
+endpoint first and carries a direction tag (the coordinate a product edge
+moves along; 1 elsewhere) and a multiplicity.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
     """Cartesian product; edges in coordinate i carry direction tag i (1-based).
 
     Vertex order is row-major over the factor label tuples with the last
-    coordinate varying fastest.
+    coordinate varying fastest.  Each edge {a, b} of factor i joins, at every
+    vertex whose i-th index is a, the vertex with b there instead.
     """
     if not factors:
         raise EmptyFactor("product of no factors")
@@ -158,49 +161,34 @@ def cartesian_product(factors: Sequence[Graph]) -> Graph:
             raise EmptyFactor("empty product factor")
         if g.kind != "plain":
             raise EmptyFactor("product factors must be plain graphs")
-    sizes = [g.n for g in factors]
-    r = len(factors)
-    strides = [1] * r
-    for i in range(r - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    total = strides[0] * sizes[0]
-
-    labels = tuple(product(*(g.labels for g in factors)))
-
-    edges: list[Edge] = []
-    for i in range(r):
-        # base offsets: all vertices whose coordinate i equals 0
-        bases = []
-        for idx in range(total):
-            if (idx // strides[i]) % sizes[i] == 0:
-                bases.append(idx)
-        for fe in factors[i].edges:
-            for base in bases:
-                u = base + fe.u * strides[i]
-                v = base + fe.v * strides[i]
-                edges.append(Edge(u, v, i + 1, fe.multiplicity))
+    number = {t: k for k, t in enumerate(product(*(range(g.n) for g in factors)))}
+    edges = [
+        Edge(k, number[t[:i] + (fe.v,) + t[i + 1 :]], i + 1, fe.multiplicity)
+        for i, g in enumerate(factors)
+        for fe in g.edges
+        for t, k in number.items()
+        if t[i] == fe.u
+    ]
     return Graph(
         kind="product",
-        labels=labels,
+        labels=tuple(product(*(g.labels for g in factors))),
         edges=tuple(edges),
-        dims=tuple(sizes),
+        dims=tuple(g.n for g in factors),
     )
 
 
 def hypercube(n: int) -> Graph:
-    """Vertices are subsets of {1..n}; S and S+{i} are joined in direction i."""
+    """The n-cube K2^n, each vertex (t1..tn) relabelled {i : ti = 2}.
+
+    S and S+{i} are joined in direction i.  Vertices are ordered by the
+    subsets' binary numbers (1 the leading bit), edges by (u, direction).
+    """
     if n < 1:
         raise InvalidSize("hypercube dimension must be at least 1")
-    weight = {i: 1 << (n - i) for i in range(1, n + 1)}
-    labels = []
-    for mask in range(1 << n):
-        labels.append(frozenset(i for i in range(1, n + 1) if mask & weight[i]))
-    edges: list[Edge] = []
-    for mask in range(1 << n):
-        for i in range(1, n + 1):
-            if not mask & weight[i]:
-                edges.append(Edge(mask, mask | weight[i], i, 1))
-    return Graph(kind="cube", labels=tuple(labels), edges=tuple(edges), dims=(2,) * n)
+    p = cartesian_product([complete_graph(2)] * n)
+    labels = tuple(frozenset(i for i, t in enumerate(pl, start=1) if t == 2) for pl in p.labels)
+    edges = tuple(sorted(p.edges, key=lambda e: (e.u, e.direction)))
+    return Graph(kind="cube", labels=labels, edges=edges, dims=p.dims)
 
 
 def threshold_graph(lam: PartitionLike) -> Graph:
@@ -267,15 +255,9 @@ def connected_threshold_sequences(n: int) -> list[Partition]:
     if n == 1:
         return [Partition((0,))]
     seqs: set[tuple[int, ...]] = set()
-    n_ops = n - 1
-    for mask in range(1 << (n_ops - 1)):
-        ops = [(mask >> k) & 1 for k in range(n_ops - 1)] + [1]  # 1 = dominating
-        adj = [set() for _ in range(n)]
-        for v_new in range(1, n):
-            if ops[v_new - 1]:
-                for w in range(v_new):
-                    adj[v_new].add(w)
-                    adj[w].add(v_new)
-        degs = tuple(sorted((len(a) for a in adj), reverse=True))
-        seqs.add(degs)
+    for mask in range(1 << (n - 2)):
+        dom = [0] + [(mask >> k) & 1 for k in range(n - 2)] + [1]  # 1 = dominating
+        # vertex k meets the k before it if it dominates, and every later dominator
+        degs = [k * d + sum(dom[k + 1 :]) for k, d in enumerate(dom)]
+        seqs.add(tuple(sorted(degs, reverse=True)))
     return [Partition(t) for t in sorted(seqs, reverse=True)]

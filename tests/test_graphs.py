@@ -1,5 +1,8 @@
 """Graph family constructors and partition helpers."""
 
+import itertools
+import random
+
 import pytest
 
 from treefactor import (
@@ -103,6 +106,63 @@ def test_hypercube_matches_binary_product():
     for ql, pl in zip(q.labels, p.labels):
         assert ql == frozenset(i for i, t in enumerate(pl, start=1) if t == 2)
     assert sorted(q.edges) == sorted(p.edges)
+
+
+def test_product_matches_index_tuples_that_differ_in_one_coordinate():
+    # factor i's edge {a, b} joins the index tuples that differ only in
+    # coordinate i, there a and b; edges go by direction, factor edge, vertex
+    def joined(t, s, i, fe):
+        rest = [j for j in range(len(t)) if j != i]
+        return (t[i], s[i]) == (fe.u, fe.v) and all(t[j] == s[j] for j in rest)
+
+    rng = random.Random(23)
+    drawn = set()
+    for _ in range(60):
+        shape = [(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        drawn.update((len(shape), n, q) for n, q in shape)
+        factors = [multigraph_kn(n, q) for n, q in shape]
+        tuples = list(itertools.product(*(range(f.n) for f in factors)))
+        want = [
+            Edge(k, v, i + 1, fe.multiplicity)
+            for i, f in enumerate(factors)
+            for fe in f.edges
+            for k, t in enumerate(tuples)
+            for v, s in enumerate(tuples)
+            if joined(t, s, i, fe)
+        ]
+        g = cartesian_product(factors)
+        assert g.labels == tuple(tuple(f.labels[c] for f, c in zip(factors, t)) for t in tuples)
+        assert g.dims == tuple(f.n for f in factors)
+        assert g.edges == tuple(want), [f.n for f in factors]
+    # a size-1 factor occurred in lists of every length, and every multiplicity on an edge
+    assert {(r, n) for r, n, _ in drawn} >= {(r, 1) for r in range(1, 5)}
+    assert {q for _, n, q in drawn if n > 1} == {1, 2, 3}
+
+
+def test_hypercube_matches_the_subset_construction():
+    # S joins S + {i} for each i not in S, by S's binary number and then by
+    # i, with i = 1 the leading bit
+    for n in range(1, 9):
+        bit = {i: 1 << (n - i) for i in range(1, n + 1)}
+        labels = tuple(frozenset(i for i in bit if mask & bit[i]) for mask in range(1 << n))
+        edges = tuple(Edge(mask, mask | bit[i], i) for mask in range(1 << n) for i in bit if not mask & bit[i])
+        g = hypercube(n)
+        assert (g.kind, g.labels, g.edges, g.dims) == ("cube", labels, edges, (2,) * n), n
+
+
+def test_connected_threshold_sequences_are_every_connected_threshold_graph():
+    # every weakly decreasing sequence with parts at most n - 1 that the
+    # construction realizes as a connected graph, largest first
+    for n in range(1, 10):
+        want = []
+        for lam in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+            try:
+                g = threshold_graph(lam)
+            except NotThresholdSequence:
+                continue
+            if is_connected(g):
+                want.append(lam)
+        assert [p.parts for p in connected_threshold_sequences(n)] == sorted(want, reverse=True), n
 
 
 def test_threshold_star():

@@ -307,6 +307,19 @@ def test_enumerator_counts_at_unit_weights():
     assert enum.substitute(ones).as_int() == 16
 
 
+def test_the_cube_is_k2_to_the_n_under_direction_weights():
+    # Q_n and K2^n have one direction enumerator, and the Laurent cube
+    # enumerator at every x_t = 1 is that enumerator too
+    for n in (1, 2, 3):
+        cube = hypercube(n)
+        direction = tree_enumerator_det(cube, WeightScheme.DIRECTION)
+        assert direction == tree_enumerator_det(
+            cartesian_product([complete_graph(2)] * n), WeightScheme.DIRECTION
+        ), n
+        laurent = tree_enumerator_det(cube, WeightScheme.CUBE_LAURENT)
+        assert laurent.substitute({x(t): 1 for t in range(1, n + 1)}) == direction, n
+
+
 def test_bareiss_divides_exactly_over_laurent_entries():
     # negative exponents are shifted out row by row before the image is
     # eliminated; every interior division must still be exact
