@@ -295,8 +295,14 @@ def threshold_f_factor(lam: Partition, r: int) -> Polynomial:
     """y_r*(x_1+..+x_r) + x_r*(y_{r+1}+..+y_{1+lam_r}): the row-r divisor
     for rows inside the staircase, 2 <= r <= n, over the in/out weights' layout."""
     _check_row(lam, r)
-    xs, ys = _in_out_variables(max(len(lam), r + 1, lam[r - 1] + 1))
-    return ys[r] * poly_sum(xs[1:r + 1]) + xs[r] * poly_sum(ys[r + 1:lam[r - 1] + 2])
+    return _f_factor(max(len(lam), r + 1, lam[r - 1] + 1), r, lam[r - 1])
+
+
+@lru_cache(maxsize=256)
+def _f_factor(n: int, r: int, part: int) -> Polynomial:
+    """f_r with lam_r = part over `_in_out_variables(n)`: many sequences share it."""
+    xs, ys = _in_out_variables(n)
+    return ys[r] * poly_sum(xs[1:r + 1]) + xs[r] * poly_sum(ys[r + 1:part + 2])
 
 
 def threshold_g_factor(lam: Partition, r: int) -> Polynomial:

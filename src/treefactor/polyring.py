@@ -30,9 +30,22 @@ many polynomials on one layout up front.  `poly_sum` is the one sum loop
 (`+` and `-` call it); `_dot` is the one product kernel: the sum of a*b
 over pairs of term dicts its caller has put on one layout (`_aligned` or
 `share_layout`), for `*` (which shifts the keys itself when an operand has
-one term), `laplacian._minors_det` and `verify._residues`.  Variable and Monomial objects
-are built only at the edge: Polynomial(dict), terms(), coefficient(), a
-witness, parse and JSON; `substitute` strips the bound digits off each key.
+one term), `laplacian._minors_det` and the nullvector checks of `verify`.
+
+A stack holds many polynomials of one layout in one term dict: row r's keys
+are offset by r * step, step = 2**(32*(n+2)) being a digit above the degree
+digit, which gets 64 bits.  A key lies within step/2 of 0, so the rows keep
+to their own bands, and `_Layout.stack` and `_Layout.unstack` are inverse.
+Guard, range and content masks cover only the variable digits, so they
+read a stacked key as the key in its band.  `_dot` of stacks by unstacked
+term dicts is the stack of the rows' products, and `_pdiv` of a stack by an
+unstacked divisor divides each row in its own band, the top row first.  A
+stack is never wrapped as a Polynomial: its degree and render would be
+wrong.
+
+Variable and Monomial objects are built only at the edge: Polynomial(dict),
+terms(), coefficient(), a witness, parse and JSON; `substitute` strips the
+bound digits off each key.
 The weight key tables of `laplacian` and every closed form and factor list
 of `formulas` build each Variable once per layout (`_variable_polys`); the
 nullvector operands and divisors of `verify` build none, taking the cached
@@ -56,7 +69,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, lru_cache, reduce
-from itertools import compress
+from itertools import compress, count
 from math import isqrt
 from operator import add, attrgetter, mul, neg, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -219,10 +232,11 @@ class _Layout:
     borrows between digits, so masking and flipping it back leaves 32-bit
     two's complement exponents for one struct call to unpack; read on a
     difference of keys, its bits are clear exactly when no digit is negative.
+    `step` is the offset between the rows of a stack.
     """
 
     __slots__ = ("vars", "pos", "unit", "names", "guard", "vmask", "nbytes",
-                 "range_bias", "range_mask", "_unpack")
+                 "range_bias", "range_mask", "step", "_unpack")
 
     def __init__(self, variables: tuple[Variable, ...]):
         n = len(variables)
@@ -238,6 +252,7 @@ class _Layout:
         # e + 2**28 lies in [0, 2**29) exactly when e is in range
         self.range_bias = ones * _EXP_LIMIT
         self.range_mask = ones * ((1 << _BITS) - 2 * _EXP_LIMIT)
+        self.step = 1 << (_BITS * (n + 2))
         self._unpack = struct.Struct(f">{n}i").unpack
 
     def __reduce__(self):  # pickle by variables; the struct unpacker is not picklable
@@ -282,6 +297,19 @@ class _Layout:
             keep = (((u - m + (ones << 30)) >> 30) & ones) * 0xFFFFFFFF
             m = u ^ ((u ^ m) & keep)
         return sum(map(mul, self._unpack((m ^ g).to_bytes(self.nbytes, "big")), self.unit))
+
+    def stack(self, rows: Iterable[dict[int, int]]) -> dict[int, int]:
+        """The term dicts as one stack, row r's keys offset by r * step."""
+        return {k + offset: c for offset, terms in zip(count(0, self.step), rows) for k, c in terms.items()}
+
+    def unstack(self, stacked: dict[int, int], rows: int) -> list[dict[int, int]]:
+        """The `rows` term dicts of a stack, each keyed back to its own band."""
+        out: list[dict[int, int]] = [{} for _ in range(rows)]
+        half, shift = self.step >> 1, self.step.bit_length() - 1
+        for k, c in stacked.items():
+            r = (k + half) >> shift
+            out[r][k - (r << shift)] = c
+        return out
 
     def check_range(self, keys: Iterable[int]) -> None:
         if reduce(or_, map(self.range_bias.__add__, keys), 0) & self.range_mask:
@@ -802,7 +830,9 @@ def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dic
     so a stuck leading term can never cancel later and is a definitive
     non-divisibility witness, raised as a (monomial, coefficient) pair.
     Quotient terms are bounded below by the floor and above in degree, so
-    the loop ends.
+    the loop ends.  On a stack f, g unstacked, a reduction stays in its
+    row's band, so f divides exactly when every row does, and the quotient
+    is the stack of the rows' quotients.
     """
     guard, bias, rmask = lay.guard, lay.range_bias, lay.range_mask
     kg = max(g)

@@ -6,14 +6,20 @@ negative exponent.  Results are Verdict records; a Refuted verdict always
 carries a concrete witness (the term or matrix entry that broke the
 claim), never just a boolean.
 
-The cube and decoupled nullvector checks build their operands once per
-size, in bounded caches: `_cube_operands` (Q_n's subset labels and
-reduced Laurent Laplacian) is keyed on n, `_product_operands` (a product
-graph's labels and decoupled Laplacian) on the dims, and each also on the
+A nullvector check computes L v as one stack of its rows (see `polyring`):
+one `_dot` over the Laplacian's stacked columns per vector, and one
+division of the stack per vector, which is unstacked only to name the
+first row that fails.  The cube and decoupled nullvector checks build
+their operands once per size, in bounded caches: `_cube_operands` (Q_n's
+subset labels and the stacked columns of its reduced Laurent Laplacian) is
+keyed on n, `_product_operands` (a product graph's labels and the stacked
+columns of its decoupled Laplacian) on the dims, and each also on the
 builders this module names, so a patched builder builds and keeps its
-own.  `formulas._cube_factors` is cached on n and read through this
-module's name; `_decoupled_enumerator` is cached on the dims.  No cache is
-keyed by a threshold sequence or holds a residue or a verdict.
+own; the threshold check stacks its own Laplacian's columns once per
+call.  `formulas._cube_factors` is cached on n and read through this
+module's name, `formulas.threshold_f_factor` on the layout size, r and
+lam_r, and `_decoupled_enumerator` on the dims.  No cache is keyed by a
+threshold sequence or holds a residue or a verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .formulas import (
     _cube_factors,
@@ -63,6 +69,8 @@ from .laplacian import (
     weighted_laplacian,
 )
 from .polyring import (
+    _EMPTY,
+    ExponentOverflow,
     Monomial,
     NotDivisible,
     Polynomial,
@@ -70,7 +78,7 @@ from .polyring import (
     _dot,
     _new,
     _pdiv,
-    poly_product,
+    _rekey,
     poly_sum,
     share_layout,
 )
@@ -220,67 +228,89 @@ def _divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
 
 
 def _divides(divisor: Polynomial, p: Polynomial) -> bool:
+    """`_divide`'s verdict alone: its first division, at a floor of 0, decides it."""
     divisor, p = share_layout([divisor, p])
-    return _first_undivided(divisor, [[p]]) is None
+    try:
+        _pdiv(p._terms, divisor._terms, 0, p._lay)
+    except NotDivisible:
+        return False
+    return True
 
 
+# a matrix's layout and its columns, each a stack of its entries by row
+_Columns = tuple[_Layout, list[dict[int, int]]]
 _Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
 
 
-def _residues(matrix: PolyMatrix, checks: Sequence[_Check]) -> Iterator[tuple[Polynomial, list[list[Polynomial]]]]:
-    """Every row of L v for each vector v of each check; the checks apply their own tests.
+def _stacked_columns(matrix: PolyMatrix) -> _Columns:
+    """The matrix's entries on one layout, each column one stack: L v is one `_dot` over them."""
+    size = matrix.size
+    flat = share_layout(e for row in matrix.rows for e in row)
+    lay = flat[0]._lay if flat else _EMPTY
+    return lay, [lay.stack(p._terms for p in flat[col::size]) for col in range(size)]
+
+
+def _residues(columns: _Columns, checks: Sequence[_Check]) -> Iterator[tuple[Polynomial, list[dict[int, int]]]]:
+    """L v as one stack of its rows for each vector v of each check; the checks apply their own tests.
 
     A check is a list of vectors, each mapping column indices to entries,
-    and a divisor.  L, every vector and every divisor go onto one layout
-    once, so no product or division re-keys; each row of L v is one key-sum
-    over the vector's nonzero entries, and 0, with no product, where the
-    row meets none of them.  Yields, per check, the divisor on that layout
-    and the rows of L v for each vector.  Nothing is divided.
+    and a divisor.  Every vector and divisor goes onto the columns' layout
+    once, so no product or division re-keys; a variable outside it re-keys
+    the columns too.  L v is one key-sum over the columns at the vector's
+    nonzero entries.  Yields, per check, the divisor on that layout and one
+    stack per vector.  Nothing is divided.
     """
-
-    def product(lay: _Layout, row: list[dict[int, int]], walk: list[tuple[int, dict[int, int]]]) -> Polynomial:
-        pairs = [(row[col], val) for col, val in walk if row[col]]
-        return _new(lay, _dot(lay, pairs) if pairs else {})
-
-    size = matrix.size
-    shared = iter(share_layout([*(e for row in matrix.rows for e in row), *(d for _, d in checks),
-                                *(val for vectors, _ in checks for v in vectors for val in v.values())]))
-    rows = [[next(shared)._terms for _ in range(size)] for _ in range(size)]
+    src, cols = columns
+    base, *shared = share_layout([_new(src, {}), *(d for _, d in checks),
+                                  *(val for vectors, _ in checks for v in vectors for val in v.values())])
+    lay = base._lay
+    if len(lay.vars) != len(src.vars):
+        cols = [lay.stack(_rekey(row, src, lay) for row in src.unstack(col, len(cols))) for col in cols]
+    shared = iter(shared)
     divisors = [next(shared) for _ in checks]
     for (vectors, _), divisor in zip(checks, divisors):
-        walks = [[(col, val._terms) for col, val in zip(v, shared) if val] for v in vectors]
-        yield divisor, [[product(divisor._lay, row, walk) for row in rows] for walk in walks]
+        yield divisor, [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, shared) if val]) for v in vectors]
 
 
-def _first_undivided(divisor: Polynomial, products: list[list[Polynomial]]) -> Optional[tuple[int, int]]:
+def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]], size: int) -> Optional[tuple[int, int]]:
     """The (vector, row) index of the first row of L v that divisor does not divide, or None.
 
-    Every row shares the divisor's layout.
+    Each stack of L v's `size` rows shares the divisor's layout.  The
+    divisor has no row digit, so it divides the stack in the polynomial
+    ring exactly when it divides every row; only a stack that fails is
+    unstacked, to find its first failing row by `_divide`.
     """
-    for k, entries in enumerate(products):
-        for r, p in enumerate(entries):
-            try:
-                _divide(p, divisor)
-            except NotDivisible:
-                return k, r
+    lay, g = divisor._lay, divisor._terms
+    for k, stacked in enumerate(stacks):
+        try:
+            _pdiv(stacked, g, 0, lay)
+        except (NotDivisible, ExponentOverflow):  # the stack runs top row first; the rows in order say which
+            for r, row in enumerate(lay.unstack(stacked, size)):
+                try:
+                    _divide(_new(lay, row), divisor)
+                except NotDivisible:
+                    return k, r
+            raise AssertionError("the stack of L v fails a division that each of its rows passes") from None
     return None
 
 
 @lru_cache(maxsize=64)
-def _cube_operands(n: int, graph_of, laplacian_of) -> tuple[tuple[frozenset, ...], PolyMatrix]:
-    """Q_n's nonempty subset labels and its Laurent Laplacian without the empty subset's row and column."""
+def _cube_operands(n: int, graph_of, laplacian_of) -> tuple[tuple[frozenset, ...], _Columns]:
+    """Q_n's nonempty subset labels and the stacked columns of its Laurent
+    Laplacian without the empty subset's row and column."""
     g = graph_of(n)
     if g.labels[0]:  # the row and column struck below must be the empty subset's
         raise AssertionError("hypercube vertex 0 is not the empty subset")
     lhat, _ = reduce_matrix(laplacian_of(g, WeightScheme.CUBE_LAURENT), 0, 0)
-    return g.labels[1:], lhat
+    return g.labels[1:], _stacked_columns(lhat)
 
 
 @lru_cache(maxsize=64)
-def _product_operands(dims: tuple[int, ...], product_of, complete_of, laplacian_of) -> tuple[tuple, PolyMatrix]:
-    """The labels of the product of complete graphs K_d over dims and its decoupled Laplacian."""
+def _product_operands(dims: tuple[int, ...], product_of, complete_of, laplacian_of) -> tuple[tuple, _Columns]:
+    """The labels of the product of complete graphs K_d over dims and the
+    stacked columns of its decoupled Laplacian."""
     g = product_of([complete_of(d) for d in dims])
-    return g.labels, laplacian_of(g, WeightScheme.DECOUPLED)
+    return g.labels, _stacked_columns(laplacian_of(g, WeightScheme.DECOUPLED))
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
@@ -303,24 +333,30 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     if len(aset) < 2:
         raise ValueError("need a direction subset of size at least 2")
 
-    labels, lhat = _cube_operands(n, hypercube, weighted_laplacian)
-    xs = (None, *_cube_variables(tuple(range(1, n + 1)))[1])  # xs[t] is x_t
-
-    @cache
-    def squared(members: frozenset) -> Polynomial:
-        return poly_product(xs[i] for i in members) ** 2
-
-    vec = {col: squared(aset) + squared(aset - s) if len(aset & s) % 2 else squared(aset) - squared(aset - s)
-           for col, s in enumerate(labels)}
+    labels, columns = _cube_operands(n, hypercube, weighted_laplacian)
+    xs = _cube_variables(tuple(range(1, n + 1)))[1]
     f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
-    (f_a, (entries,)), = _residues(lhat, [([vec], f_a)])
-    # the closed residue is f_A times x_t^(+1 or -1) as t is in R u A or not
-    f_scaled = f_a * poly_product(xs[1:]) ** -1
-    for r, entry in zip(labels, entries):
-        # its sign is fixed by the parity of |A n R|
-        expected = squared(aset | r) * f_scaled
-        if entry != (expected if len(aset & r) % 2 else -expected):
-            return _verdict(claim, False, f"residue mismatch at R={_subset_id(r)}: {entry.render()}", t0)
+
+    def squares(base: Polynomial) -> tuple[Callable[[frozenset], int], int]:
+        """Over base's layout, the key of x_M^2 for a set M of directions, and x_[n]'s key: K is linear."""
+        keys = [next(iter(x._terms)) for x in share_layout([base, *xs])[1:]]
+        return (lambda members: 2 * sum(keys[t - 1] for t in members)), sum(keys)
+
+    # v_S is 0 where S misses A, and otherwise has two terms
+    (square, _), lay = squares(f_a), f_a._lay
+    vec = {col: _new(lay, {square(aset): 1, square(aset - s): 1 if len(aset & s) % 2 else -1})
+           for col, s in enumerate(labels) if aset & s}
+    (f_a, (residues,)), = _residues(columns, [([vec], f_a)])
+    # the closed residues, one per row R, are f_A times the stack of
+    # x_(A u R)^2 / x_[n], signed by the parity of |A n R|
+    (square, x_all), lay = squares(f_a), f_a._lay
+    units = lay.stack({square(aset | r) - x_all: 1 if len(aset & r) % 2 else -1} for r in labels)
+    closed = _dot(lay, [(units, f_a._terms)])
+    if residues != closed:
+        size = len(labels)
+        r, entry = next((r, row) for r, row, want in zip(labels, lay.unstack(residues, size), lay.unstack(closed, size))
+                        if row != want)
+        return _verdict(claim, False, f"residue mismatch at R={_subset_id(r)}: {_new(lay, entry).render()}", t0)
 
     if all(_divides(f_a, val) for val in vec.values()):
         return _verdict(claim, False, "every entry of v is divisible by f_A; v is trivial", t0)
@@ -347,7 +383,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if ni < 2:
         raise ValueError("direction needs at least two coordinate values")
 
-    labels, lap = _product_operands(tuple(dims), cartesian_product, complete_graph, weighted_laplacian)
+    labels, columns = _product_operands(tuple(dims), cartesian_product, complete_graph, weighted_laplacian)
     coords = [label[i - 1] for label in labels]
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
@@ -363,11 +399,12 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
         numeric.append([u[c][1] if c in u else 0 for c in coords])
-    (c_i, products), = _residues(lap, [(vectors, c_i)])
-    bad = _first_undivided(c_i, products)
+    (c_i, stacks), = _residues(columns, [(vectors, c_i)])
+    bad = _first_undivided(c_i, stacks, len(labels))
     if bad is not None:
         k, r = bad
-        return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {products[k][r].render()}", t0)
+        row = c_i._lay.unstack(stacks[k], len(labels))[r]
+        return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {_new(c_i._lay, row).render()}", t0)
     gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
     if determinant(gram).is_zero:
         return _verdict(claim, False, "nullvectors are linearly dependent at a random point", t0)
@@ -407,9 +444,9 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     n = g.n
     s = durfee(lam)
     conj = conjugate(lam)
-    lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
-    lhat, _ = reduce_matrix(lap, 0, 0)
+    lhat, _ = reduce_matrix(weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT), 0, 0)
     xs, ys = _in_out_variables(n)  # xs[i] is x_i, ys[i] is y_i
+    lam_id = _lam_id(lam)
     # each claim's id, and its case tag with the tag's arguments past the row label
     claims: list[tuple[str, tuple]] = []
     checks: list[_Check] = []
@@ -425,26 +462,27 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     factors = _threshold_factors(lam, blocks)
     for r, (f_r, _) in zip(range(2, s + 1), factors[1:]):
         vec = {r: poly_sum(xs[1:r + 1]), **{i2: xs[r] for i2 in range(r + 1, conj[r - 1] + 1)}}
-        check(f"threshold-null:lam={_lam_id(lam)}:f:r={r}", vec, f_r, (_f_case_tag, r, g))
+        check(f"threshold-null:lam={lam_id}:f:r={r}", vec, f_r, (_f_case_tag, r, g))
 
     for (a, b, h), (g_a, mult) in zip(blocks, factors[s:]):
         g_tag = (_g_case_tag, h, a, b, n)
         for k in range(1, mult):
             vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
-            check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:inblock:k={k}", vec, g_a, g_tag)
+            check(f"threshold-null:lam={lam_id}:g:a={a}:inblock:k={k}", vec, g_a, g_tag)
 
         vec = {i: ys[a + b] for i in range(1 + h, a + 1)}
         vec[a + b] = -poly_sum(ys[1 + h:a + 1])
-        check(f"threshold-null:lam={_lam_id(lam)}:g:a={a}:extra", vec, g_a, g_tag)
+        check(f"threshold-null:lam={lam_id}:g:a={a}:extra", vec, g_a, g_tag)
 
     verdicts: list[Verdict] = []
     t0 = time.perf_counter()
-    for (claim, (case_tag, *tag_args)), (divisor, products) in zip(claims, _residues(lhat, checks)):
+    for (claim, (case_tag, *tag_args)), (divisor, stacks) in zip(claims, _residues(_stacked_columns(lhat), checks)):
         witness = None
-        bad = _first_undivided(divisor, products)
+        bad = _first_undivided(divisor, stacks, lhat.size)
         if bad is not None:
+            row = divisor._lay.unstack(stacks[0], lhat.size)[bad[1]]
             label = bad[1] + 2
-            witness = f"case {case_tag(label, *tag_args)}, row {label}: {products[0][bad[1]].render()}"
+            witness = f"case {case_tag(label, *tag_args)}, row {label}: {_new(divisor._lay, row).render()}"
         verdicts.append(_verdict(claim, witness is None, witness, t0))
         t0 = time.perf_counter()
     return verdicts

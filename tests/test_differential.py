@@ -625,3 +625,96 @@ def test_parse_render_json_roundtrip_random():
         assert [m for m, _ in p.canonical_terms()] == sorted(
             ref, key=lambda m: (m.degree(), [m.as_dict().get(v, 0) for v in sorted(VARS)]), reverse=True
         )
+
+
+# -- nullvector residues: one stack per vector against one product per row ---
+
+
+def random_nullvector_entry(rng: random.Random, variables, low: int, high: int) -> Polynomial:
+    """1-3 random terms with exponents in [low, high]; they may cancel to 0."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = Monomial.of({v: rng.randint(low, high) for v in rng.sample(variables, rng.randint(0, len(variables)))})
+        terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 3))
+    return Polynomial(terms)
+
+
+def row_by_row(matrix, vectors, divisor):
+    """The rows of L v and the first (vector, row) the divisor does not divide,
+    one `_dot` and one `_divide` per row, over one layout of all operands."""
+    from treefactor import verify
+    from treefactor.polyring import NotDivisible, _dot, _new, share_layout
+
+    size = len(matrix)
+    shared = iter(share_layout([*(e for row in matrix for e in row), divisor,
+                                *(val for v in vectors for val in v.values())]))
+    rows = [[next(shared)._terms for _ in range(size)] for _ in range(size)]
+    divisor = next(shared)
+    lay = divisor._lay
+    residues = []
+    for v in vectors:
+        walk = [(col, val._terms) for col, val in zip(v, shared) if val]
+        residues.append([_dot(lay, pairs) if (pairs := [(row[col], val) for col, val in walk if row[col]]) else {}
+                         for row in rows])
+    for k, entries in enumerate(residues):
+        for r, terms in enumerate(entries):
+            try:
+                verify._divide(_new(lay, terms), divisor)
+            except NotDivisible:
+                return lay, residues, (k, r)
+    return lay, residues, None
+
+
+def test_stacked_residues_and_division_match_row_by_row():
+    # matrices of order 1-6 whose rows are multiples of the divisor by
+    # polynomials or Laurent polynomials, or random, or cancel to 0 against
+    # the first vector; vectors polynomial or Laurent, on variables the
+    # matrix may lack
+    from treefactor import PolyMatrix, verify
+
+    rng = random.Random(7010)
+    matrix_vars, vector_vars = [x(1), x(2), y(3)], [x(1), x(2), y(3), q(1)]
+    seen = dict.fromkeys(("divided", "undivided", "past (0, 0)", "zero rows", "short rows", "re-keyed"), 0)
+    for trial in range(400):
+        size = rng.randint(1, 6)
+        divisible = trial % 3 == 0  # most rows multiples, polynomial vectors
+        divisor = Polynomial.zero()
+        while divisor.is_zero:
+            divisor = random_nullvector_entry(rng, matrix_vars[:rng.randint(1, 3)], 0, 2)
+        low = 0 if divisible else rng.choice((-1, 0))
+        vectors = [{col: random_nullvector_entry(rng, vector_vars if trial % 4 else matrix_vars, low, 2)
+                    for col in rng.sample(range(size), rng.randint(1, min(2, size) if k == 0 else size))}
+                   for k in range(rng.randint(1, 3))]
+        matrix = []
+        for _ in range(size):
+            kind = rng.choice(("multiple", "multiple", "cancel", "laurent") if divisible else
+                              ("multiple", "laurent", "random", "cancel"))
+            if kind == "cancel" and len(vectors[0]) == 2:  # the row meets v_0 at a and b, and cancels there
+                (a, va), (b, vb) = vectors[0].items()
+                w = random_nullvector_entry(rng, matrix_vars, -1, 1)
+                row = [Polynomial.zero()] * size
+                row[a], row[b] = w * vb, -w * va
+            elif kind == "random":
+                row = [random_nullvector_entry(rng, matrix_vars, -1, 2) if rng.random() < 0.7 else Polynomial.zero()
+                       for _ in range(size)]
+            else:
+                low_q = -1 if kind == "laurent" else 0
+                row = [divisor * random_nullvector_entry(rng, matrix_vars, low_q, 1) if rng.random() < 0.7
+                       else Polynomial.zero() for _ in range(size)]
+            matrix.append(row)
+
+        lay, want, first_bad = row_by_row(matrix, vectors, divisor)
+        columns = verify._stacked_columns(PolyMatrix(matrix))
+        (shared_divisor, stacks), = verify._residues(columns, [(vectors, divisor)])
+        assert shared_divisor._lay.vars == lay.vars, trial
+        assert [lay.unstack(stack, size) for stack in stacks] == want, trial
+        assert verify._first_undivided(shared_divisor, stacks, size) == first_bad, trial
+
+        seen["divided" if first_bad is None else "undivided"] += 1
+        seen["past (0, 0)"] += first_bad not in (None, (0, 0))
+        seen["re-keyed"] += len(columns[0].vars) < len(lay.vars)
+        floor = lay.content(shared_divisor._terms)
+        for entries in want:
+            seen["zero rows"] += sum(not terms for terms in entries)
+            seen["short rows"] += sum(bool(terms and (lay.content(terms) - floor) & lay.guard) for terms in entries)
+    assert min(seen.values()) >= 40, seen

@@ -472,3 +472,58 @@ def test_exponent_overflow_at_the_limb_boundary():
     # the error is an arithmetic error, not an assertion
     assert issubclass(ExponentOverflow, ArithmeticError)
     assert not issubclass(ExponentOverflow, AssertionError)
+
+
+def test_stack_rows_keep_to_their_bands_at_the_exponent_limits():
+    # every digit at an end of [-2**28, 2**28), so the degree digit is as far
+    # from 0 as a key allows, of either sign (past 32 bits with nine
+    # variables); held in the first and the last row of a stack, each key
+    # must unstack to itself, and the masks must read it in its band
+    from itertools import product
+
+    from treefactor.polyring import _layout
+
+    top = 2 ** 28
+    for variables in ([x(1)], [q(1), x(1), y(2)], [q(i) for i in range(1, 10)]):
+        lay = _layout(tuple(variables))
+        digits = 32 * len(variables)
+        signs = set()
+        for exps in product((-top, top - 1), repeat=len(variables)):
+            k = lay.key(zip(variables, exps))
+            signs.add((k >> digits) > 0)
+            assert lay.stack([{k: 3}]) == {k: 3}
+            for rows in (2, 7):
+                stacked = [{k: 3}, *([{}] * (rows - 2)), {k: -5}]
+                stack = lay.stack(stacked)
+                assert len(stack) == 2 and lay.unstack(stack, rows) == stacked, (exps, rows)
+                lay.check_range(stack)
+                assert [lay.exponents(s) for s in stack] == [exps, exps]
+                assert lay.content(stack) == k
+        assert signs == {False, True}
+
+
+def test_a_stack_of_multiples_divides_to_the_stack_of_quotients():
+    # rows g * q_r, zero rows and quotients at the top of the exponent range
+    # among them, divide as one stack to the stack of the q_r; a row off by a
+    # term makes the stack fail
+    from treefactor.polyring import _pdiv
+
+    top = 2 ** 28
+    rng = random.Random(20261020)
+    g = P("x1^2*y2 + 3*x2 - y2^3")
+    for trial in range(60):
+        quotients = [P(f"x1^{top - 3}*y2^{top - 4} - 2*x2^{top - 2}")] if trial % 4 == 0 else []
+        for _ in range(rng.randint(1, 6)):
+            terms = [f"{rng.choice([-3, -1, 1, 2])}*x1^{rng.randint(0, 3)}*x2^{rng.randint(0, 2)}*y2^{rng.randint(0, 3)}"
+                     for _ in range(rng.randint(0, 3))]
+            quotients.append(P(" + ".join(terms)) if terms else Polynomial.zero())
+        rng.shuffle(quotients)
+        shared_g, *shared = share_layout([g, *quotients, P("x1 + x2 + y2")])
+        lay = shared_g._lay
+        rows = [(shared_g * qr)._terms for qr in shared[:-1]]
+        want = lay.stack(qr._terms for qr in shared[:-1])
+        assert _pdiv(lay.stack(rows), shared_g._terms, 0, lay) == want
+        r = rng.randrange(len(rows))
+        rows[r] = (_new(lay, rows[r]) + shared[-1])._terms
+        with pytest.raises(NotDivisible):
+            _pdiv(lay.stack(rows), shared_g._terms, 0, lay)

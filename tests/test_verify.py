@@ -159,13 +159,15 @@ def test_a_monomial_divisor_refutes_rows_without_it():
     # nullvector, and row 2 of L-hat v holds terms without x1
     import treefactor.verify as verify
     from treefactor.formulas import _in_out_variables
+    from treefactor.polyring import _new
 
     lam = (6, 4, 4, 4, 4, 1, 1)
     lhat, _ = reduce_matrix(weighted_laplacian(verify.threshold_graph(lam), WeightScheme.THRESHOLD_IN_OUT), 0, 0)
     xs, ys = _in_out_variables(len(lam))
-    (divisor, products), = verify._residues(lhat, [([{0: ys[3]}], xs[1])])
-    assert products[0][0] == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
-    assert verify._first_undivided(divisor, products) == (0, 0)
+    (divisor, stacks), = verify._residues(verify._stacked_columns(lhat), [([{0: ys[3]}], xs[1])])
+    row = divisor._lay.unstack(stacks[0], lhat.size)[0]
+    assert _new(divisor._lay, row) == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
+    assert verify._first_undivided(divisor, stacks, lhat.size) == (0, 0)
     assert all(v.ok for v in verify_threshold_nullvectors(lam))
 
 
@@ -698,7 +700,9 @@ def test_row_division_test_agrees_with_the_old_composition():
         expected = _old_row_test(divisor, p)
         seen[expected] += not p.is_zero
         shared_divisor, shared_p = share_layout([divisor, p])
-        assert (verify._first_undivided(shared_divisor, [[shared_p]]) is None) == (expected == "divided"), (divisor, p)
+        # a one-row stack is the row's own term dict
+        undivided = verify._first_undivided(shared_divisor, [shared_p._terms], 1)
+        assert undivided == (None if expected == "divided" else (0, 0)), (divisor, p)
         try:
             quotient = verify._divide(shared_p, shared_divisor)
         except NotDivisible as err:
