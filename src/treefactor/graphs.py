@@ -205,12 +205,8 @@ def threshold_graph(lam: PartitionLike) -> Graph:
         raise NotThresholdSequence("empty degree sequence")
     if any(p > n - 1 for p in lam):
         raise NotThresholdSequence(f"degree exceeds {n - 1} on {n} vertices")
-    pairs: set[tuple[int, int]] = set()
-    for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        for j in others[: lam[i - 1]]:
-            pairs.add((min(i, j) - 1, max(i, j) - 1))
-    edges = tuple(Edge(u, v) for u, v in sorted(pairs))
+    # for u < v, numbered from 0: u is among v's lam_v smallest others, or v among u's lam_u
+    edges = tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n) if u < lam[v] or v <= lam[u])
     g = Graph(
         kind="threshold",
         labels=tuple(range(1, n + 1)),

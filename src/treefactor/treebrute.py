@@ -95,15 +95,12 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
     def still_connected(pos: int, comps: int) -> bool:
         """Can the copies from pos onward, none yet decided, join the forest's comps components?"""
         local: dict[int, int] = {}
-
-        def lfind(a: int) -> int:
-            a = find(a)
-            while local.get(a, a) != a:
-                a = local[a]
-            return a
-
         for a, b in ends[pos:]:
-            ra, rb = lfind(a), lfind(b)
+            ra, rb = find(a), find(b)
+            while ra in local:
+                ra = local[ra]
+            while rb in local:
+                rb = local[rb]
             if ra != rb:
                 local[ra] = rb
                 comps -= 1

@@ -6,20 +6,21 @@ negative exponent.  Results are Verdict records; a Refuted verdict always
 carries a concrete witness (the term or matrix entry that broke the
 claim), never just a boolean.
 
-A nullvector check computes L v as one stack of its rows (see `polyring`):
-one `_dot` over the Laplacian's stacked columns per vector, and one
-division of the stack per vector, which is unstacked only to name the
-first row that fails.  The cube and decoupled nullvector checks build
-their operands once per size, in bounded caches: `_cube_operands` (Q_n's
-subset labels and the stacked columns of its reduced Laurent Laplacian) is
-keyed on n, `_product_operands` (a product graph's labels and the stacked
-columns of its decoupled Laplacian) on the dims, and each also on the
-builders this module names, so a patched builder builds and keeps its
-own; the threshold check stacks its own Laplacian's columns once per
-call.  `formulas._cube_factors` is cached on n and read through this
-module's name, `formulas.threshold_f_factor` on the layout size, r and
-lam_r, and `_decoupled_enumerator` on the dims.  No cache is keyed by a
-threshold sequence or holds a residue or a verdict.
+Each nullvector claim is one `_residues` call: L v as one stack of its
+rows (see `polyring`) per vector, one `_dot` over the Laplacian's stacked
+columns.  `_first_undivided` divides each stack once and unstacks only a
+stack that fails, returning its first failing row.  The cube and
+decoupled nullvector checks build their operands once per size, in
+bounded caches: `_cube_operands` (Q_n's subset labels and the stacked
+columns of its Laurent Laplacian without the empty subset's row and
+column) is keyed on n, `_product_operands` (a product graph's labels and
+the stacked columns of its decoupled Laplacian) on the dims, and each
+also on the builders this module names, so a patched builder builds and
+keeps its own; the threshold check stacks its own Laplacian's columns,
+less row and column 0, once per call.  `formulas._cube_factors` is cached
+on n and read through this module's name, `formulas.threshold_f_factor`
+on the layout size, r and lam_r, and `_decoupled_enumerator` on the dims.
+No cache is keyed by a threshold sequence or holds a residue or a verdict.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .formulas import (
     _cube_factors,
@@ -64,7 +65,6 @@ from .laplacian import (
     PolyMatrix,
     WeightScheme,
     determinant,
-    reduce_matrix,
     tree_enumerator_det,
     weighted_laplacian,
 )
@@ -239,57 +239,51 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
 
 # a matrix's layout and its columns, each a stack of its entries by row
 _Columns = tuple[_Layout, list[dict[int, int]]]
-_Check = tuple[Sequence[dict[int, Polynomial]], Polynomial]
 
 
-def _stacked_columns(matrix: PolyMatrix) -> _Columns:
-    """The matrix's entries on one layout, each column one stack: L v is one `_dot` over them."""
-    size = matrix.size
-    flat = share_layout(e for row in matrix.rows for e in row)
+def _stacked_columns(matrix: PolyMatrix, strike: Optional[int] = None) -> _Columns:
+    """The entries but row and column `strike` on one layout, each column a stack: L v is one `_dot` over them."""
+    keep = [i for i in range(matrix.size) if i != strike]
+    flat = share_layout(matrix.rows[i][j] for i in keep for j in keep)
     lay = flat[0]._lay if flat else _EMPTY
-    return lay, [lay.stack(p._terms for p in flat[col::size]) for col in range(size)]
+    return lay, [lay.stack(p._terms for p in flat[col::len(keep)]) for col in range(len(keep))]
 
 
-def _residues(columns: _Columns, checks: Sequence[_Check]) -> Iterator[tuple[Polynomial, list[dict[int, int]]]]:
-    """L v as one stack of its rows for each vector v of each check; the checks apply their own tests.
+def _residues(columns: _Columns, vectors: Sequence[dict[int, Polynomial]],
+              divisor: Polynomial) -> tuple[Polynomial, list[dict[int, int]]]:
+    """The divisor and L v as one stack of its rows for each vector v, all on one layout.
 
-    A check is a list of vectors, each mapping column indices to entries,
-    and a divisor.  Every vector and divisor goes onto the columns' layout
-    once, so no product or division re-keys; a variable outside it re-keys
-    the columns too.  L v is one key-sum over the columns at the vector's
-    nonzero entries.  Yields, per check, the divisor on that layout and one
-    stack per vector.  Nothing is divided.
+    A vector maps column indices to entries.  Every entry and the divisor
+    go onto the columns' layout once, so no product or division re-keys; a
+    variable outside it re-keys the columns too.  L v is one key-sum over
+    the columns at the vector's nonzero entries.  Nothing is divided.
     """
     src, cols = columns
-    base, *shared = share_layout([_new(src, {}), *(d for _, d in checks),
-                                  *(val for vectors, _ in checks for v in vectors for val in v.values())])
+    base, divisor, *entries = share_layout([_new(src, {}), divisor, *(val for v in vectors for val in v.values())])
     lay = base._lay
     if len(lay.vars) != len(src.vars):
         cols = [lay.stack(_rekey(row, src, lay) for row in src.unstack(col, len(cols))) for col in cols]
-    shared = iter(shared)
-    divisors = [next(shared) for _ in checks]
-    for (vectors, _), divisor in zip(checks, divisors):
-        yield divisor, [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, shared) if val]) for v in vectors]
+    entries = iter(entries)
+    return divisor, [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val]) for v in vectors]
 
 
-def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]], size: int) -> Optional[tuple[int, int]]:
-    """The (vector, row) index of the first row of L v that divisor does not divide, or None.
+def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]],
+                     size: int) -> Optional[tuple[int, int, Polynomial]]:
+    """The first row of L v that divisor does not divide, as (vector, row, that row), or None.
 
     Each stack of L v's `size` rows shares the divisor's layout.  The
     divisor has no row digit, so it divides the stack in the polynomial
     ring exactly when it divides every row; only a stack that fails is
-    unstacked, to find its first failing row by `_divide`.
+    unstacked, to find its first failing row by `_divides`.
     """
     lay, g = divisor._lay, divisor._terms
     for k, stacked in enumerate(stacks):
         try:
             _pdiv(stacked, g, 0, lay)
         except (NotDivisible, ExponentOverflow):  # the stack runs top row first; the rows in order say which
-            for r, row in enumerate(lay.unstack(stacked, size)):
-                try:
-                    _divide(_new(lay, row), divisor)
-                except NotDivisible:
-                    return k, r
+            for r, terms in enumerate(lay.unstack(stacked, size)):
+                if not _divides(divisor, row := _new(lay, terms)):
+                    return k, r, row
             raise AssertionError("the stack of L v fails a division that each of its rows passes") from None
     return None
 
@@ -301,8 +295,7 @@ def _cube_operands(n: int, graph_of, laplacian_of) -> tuple[tuple[frozenset, ...
     g = graph_of(n)
     if g.labels[0]:  # the row and column struck below must be the empty subset's
         raise AssertionError("hypercube vertex 0 is not the empty subset")
-    lhat, _ = reduce_matrix(laplacian_of(g, WeightScheme.CUBE_LAURENT), 0, 0)
-    return g.labels[1:], _stacked_columns(lhat)
+    return g.labels[1:], _stacked_columns(laplacian_of(g, WeightScheme.CUBE_LAURENT), 0)
 
 
 @lru_cache(maxsize=64)
@@ -346,7 +339,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     (square, _), lay = squares(f_a), f_a._lay
     vec = {col: _new(lay, {square(aset): 1, square(aset - s): 1 if len(aset & s) % 2 else -1})
            for col, s in enumerate(labels) if aset & s}
-    (f_a, (residues,)), = _residues(columns, [([vec], f_a)])
+    f_a, (residues,) = _residues(columns, [vec], f_a)
     # the closed residues, one per row R, are f_A times the stack of
     # x_(A u R)^2 / x_[n], signed by the parity of |A n R|
     (square, x_all), lay = squares(f_a), f_a._lay
@@ -399,12 +392,10 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
         numeric.append([u[c][1] if c in u else 0 for c in coords])
-    (c_i, stacks), = _residues(columns, [(vectors, c_i)])
-    bad = _first_undivided(c_i, stacks, len(labels))
+    bad = _first_undivided(*_residues(columns, vectors, c_i), len(labels))
     if bad is not None:
-        k, r = bad
-        row = c_i._lay.unstack(stacks[k], len(labels))[r]
-        return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {_new(c_i._lay, row).render()}", t0)
+        k, r, row = bad
+        return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {row.render()}", t0)
     gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
     if determinant(gram).is_zero:
         return _verdict(claim, False, "nullvectors are linearly dependent at a random point", t0)
@@ -444,47 +435,35 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     n = g.n
     s = durfee(lam)
     conj = conjugate(lam)
-    lhat, _ = reduce_matrix(weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT), 0, 0)
+    columns = _stacked_columns(weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT), 0)
     xs, ys = _in_out_variables(n)  # xs[i] is x_i, ys[i] is y_i
     lam_id = _lam_id(lam)
-    # each claim's id, and its case tag with the tag's arguments past the row label
-    claims: list[tuple[str, tuple]] = []
-    checks: list[_Check] = []
 
-    def check(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case: tuple) -> None:
-        """vec maps vertex labels (2..n) to entries; rows of lhat are labels 2..n."""
-        claims.append((claim, case))
-        checks.append(([{label - 2: val for label, val in vec.items()}], divisor))
+    def verdict(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case: Callable[[int], str]) -> Verdict:
+        """vec maps vertex labels (2..n) to entries; row r of L-hat is label r + 2, tagged case(label)."""
+        t0 = time.perf_counter()
+        bad = _first_undivided(*_residues(columns, [{label - 2: val for label, val in vec.items()}], divisor), n - 1)
+        witness = None if bad is None else f"case {case(bad[1] + 2)}, row {bad[1] + 2}: {bad[2].render()}"
+        return _verdict(f"threshold-null:lam={lam_id}:{claim}", witness is None, witness, t0)
 
     # x1, the f_r for r = 2..s, then one g factor per block: each f_r owes
     # one vector, a block's g as many as its multiplicity b
     blocks = _threshold_blocks(lam, conj)
     factors = _threshold_factors(lam, blocks)
+    verdicts: list[Verdict] = []
     for r, (f_r, _) in zip(range(2, s + 1), factors[1:]):
         vec = {r: poly_sum(xs[1:r + 1]), **{i2: xs[r] for i2 in range(r + 1, conj[r - 1] + 1)}}
-        check(f"threshold-null:lam={lam_id}:f:r={r}", vec, f_r, (_f_case_tag, r, g))
+        verdicts.append(verdict(f"f:r={r}", vec, f_r, partial(_f_case_tag, r=r, g=g)))
 
     for (a, b, h), (g_a, mult) in zip(blocks, factors[s:]):
-        g_tag = (_g_case_tag, h, a, b, n)
+        g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
         for k in range(1, mult):
             vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
-            check(f"threshold-null:lam={lam_id}:g:a={a}:inblock:k={k}", vec, g_a, g_tag)
+            verdicts.append(verdict(f"g:a={a}:inblock:k={k}", vec, g_a, g_tag))
 
         vec = {i: ys[a + b] for i in range(1 + h, a + 1)}
         vec[a + b] = -poly_sum(ys[1 + h:a + 1])
-        check(f"threshold-null:lam={lam_id}:g:a={a}:extra", vec, g_a, g_tag)
-
-    verdicts: list[Verdict] = []
-    t0 = time.perf_counter()
-    for (claim, (case_tag, *tag_args)), (divisor, stacks) in zip(claims, _residues(_stacked_columns(lhat), checks)):
-        witness = None
-        bad = _first_undivided(divisor, stacks, lhat.size)
-        if bad is not None:
-            row = divisor._lay.unstack(stacks[0], lhat.size)[bad[1]]
-            label = bad[1] + 2
-            witness = f"case {case_tag(label, *tag_args)}, row {label}: {_new(divisor._lay, row).render()}"
-        verdicts.append(_verdict(claim, witness is None, witness, t0))
-        t0 = time.perf_counter()
+        verdicts.append(verdict(f"g:a={a}:extra", vec, g_a, g_tag))
     return verdicts
 
 

@@ -192,7 +192,7 @@ def test_criterion_06_cube_identity_small():
 
 @pytest.mark.skipif(
     not os.environ.get("TREEFACTOR_STRETCH"),
-    reason="n=4 cube determinant is a stretch target (30-minute budget); set TREEFACTOR_STRETCH=1",
+    reason="n=4 cube determinant is a stretch target (about 10 s, 400 MB); set TREEFACTOR_STRETCH=1",
 )
 def test_criterion_06_stretch_cube_n4():
     with criterion("6-stretch", "cube determinant equals subset product for n=4"):

@@ -671,6 +671,7 @@ def test_stacked_residues_and_division_match_row_by_row():
     # the first vector; vectors polynomial or Laurent, on variables the
     # matrix may lack
     from treefactor import PolyMatrix, verify
+    from treefactor.polyring import _new
 
     rng = random.Random(7010)
     matrix_vars, vector_vars = [x(1), x(2), y(3)], [x(1), x(2), y(3), q(1)]
@@ -705,10 +706,14 @@ def test_stacked_residues_and_division_match_row_by_row():
 
         lay, want, first_bad = row_by_row(matrix, vectors, divisor)
         columns = verify._stacked_columns(PolyMatrix(matrix))
-        (shared_divisor, stacks), = verify._residues(columns, [(vectors, divisor)])
+        shared_divisor, stacks = verify._residues(columns, vectors, divisor)
         assert shared_divisor._lay.vars == lay.vars, trial
         assert [lay.unstack(stack, size) for stack in stacks] == want, trial
-        assert verify._first_undivided(shared_divisor, stacks, size) == first_bad, trial
+        bad = verify._first_undivided(shared_divisor, stacks, size)
+        assert (bad and bad[:2]) == first_bad, trial
+        if bad is not None:  # the failing row itself, as row_by_row computed it
+            k, r, row = bad
+            assert row == _new(lay, want[k][r]), trial
 
         seen["divided" if first_bad is None else "undivided"] += 1
         seen["past (0, 0)"] += first_bad not in (None, (0, 0))

@@ -165,6 +165,26 @@ def test_connected_threshold_sequences_are_every_connected_threshold_graph():
         assert [p.parts for p in connected_threshold_sequences(n)] == sorted(want, reverse=True), n
 
 
+def test_threshold_graph_matches_the_smallest_others_construction():
+    # vertex i neighbors the lam_i smallest others; the sequence is accepted
+    # exactly when those edges realize it as the degree sequence
+    for n in range(1, 8):
+        for lam in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+            pairs = set()
+            for i in range(1, n + 1):
+                others = [j for j in range(1, n + 1) if j != i]
+                for j in others[:lam[i - 1]]:
+                    pairs.add((min(i, j) - 1, max(i, j) - 1))
+            edges = tuple(Edge(u, v) for u, v in sorted(pairs))
+            realized = tuple(sum(i in pair for pair in pairs) for i in range(n))
+            if realized == lam:
+                assert threshold_graph(lam).edges == edges, lam
+            else:
+                with pytest.raises(NotThresholdSequence) as err:
+                    threshold_graph(lam)
+                assert str(err.value) == f"rule realizes degrees {realized}, not {lam}", lam
+
+
 def test_threshold_star():
     g = threshold_graph((3, 1, 1, 1))
     assert g.kind == "threshold"

@@ -164,10 +164,10 @@ def test_a_monomial_divisor_refutes_rows_without_it():
     lam = (6, 4, 4, 4, 4, 1, 1)
     lhat, _ = reduce_matrix(weighted_laplacian(verify.threshold_graph(lam), WeightScheme.THRESHOLD_IN_OUT), 0, 0)
     xs, ys = _in_out_variables(len(lam))
-    (divisor, stacks), = verify._residues(verify._stacked_columns(lhat), [([{0: ys[3]}], xs[1])])
-    row = divisor._lay.unstack(stacks[0], lhat.size)[0]
-    assert _new(divisor._lay, row) == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
-    assert verify._first_undivided(divisor, stacks, lhat.size) == (0, 0)
+    divisor, stacks = verify._residues(verify._stacked_columns(lhat), [{0: ys[3]}], xs[1])
+    row = _new(divisor._lay, divisor._lay.unstack(stacks[0], lhat.size)[0])
+    assert row == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
+    assert verify._first_undivided(divisor, stacks, lhat.size) == (0, 0, row)
     assert all(v.ok for v in verify_threshold_nullvectors(lam))
 
 
@@ -702,7 +702,7 @@ def test_row_division_test_agrees_with_the_old_composition():
         shared_divisor, shared_p = share_layout([divisor, p])
         # a one-row stack is the row's own term dict
         undivided = verify._first_undivided(shared_divisor, [shared_p._terms], 1)
-        assert undivided == (None if expected == "divided" else (0, 0)), (divisor, p)
+        assert undivided == (None if expected == "divided" else (0, 0, shared_p)), (divisor, p)
         try:
             quotient = verify._divide(shared_p, shared_divisor)
         except NotDivisible as err:
