@@ -4,11 +4,17 @@ This is the independent oracle against which the determinant route is
 checked.  One walk lists the spanning trees include-first (Read and Tarjan,
 "Bounds on backtrack algorithms for listing cycles, paths, and spanning
 trees", Networks 5, 1975), so in the lexicographic order of their copy
-positions: each level loops over the copy it includes next, contracted in a
-union-find.  With two components left, each crossing copy is one tree,
-tallied inline.  With three, a dead branch costs one O(m) loop.  With more,
-a dead branch can hide an exponential subtree, so a connectivity test ends
-the loop at the first excluded bridge.
+positions.  The forest so far is an undoable union-find whose every root
+holds a bit mask of the copies with exactly one end in its component (a
+merge XORs the two masks), and each level carries `crossing`, the mask of
+copies that join two components, so it loops over those copies only, never
+over a cycle copy.  With two components left, the crossing copies past the
+one included are the trees, tallied inline; when the crossing copies left
+are exactly as many as the joins still needed, they are one tree.  Excluding
+a copy keeps the trees below reachable exactly when its two ends can still
+be joined by later copies: the rejoin test grows one end's component through
+its lowest later crossing copy, one component at a time, and stops as soon
+as it reaches the other end, so a dead branch ends the loop at once.
 
 Every tree statistic is a product of edge weights over the tree's edges,
 the weights of its scheme in `SCHEME_FOR_STATISTIC`, so each edge copy's
@@ -79,10 +85,14 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
     """
     n = g.n
     ends = [(g.edges[idx].u, g.edges[idx].v) for idx in _edge_copies(g)]
-    m = len(ends)
 
     parent = list(range(n))
     rank = [0] * n
+    # at each root, the copies with exactly one end in its component
+    cut = [0] * n
+    for p, (u, v) in enumerate(ends):
+        cut[u] ^= 1 << p
+        cut[v] ^= 1 << p
 
     def find(a: int) -> int:
         # no path compression: unions must be undoable
@@ -92,48 +102,65 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
 
     tally: dict[int, int] = {}
 
-    def still_connected(pos: int, comps: int) -> bool:
-        """Can the copies from pos onward, none yet decided, join the forest's comps components?"""
-        local: dict[int, int] = {}
-        for a, b in ends[pos:]:
-            ra, rb = find(a), find(b)
-            while ra in local:
-                ra = local[ra]
-            while rb in local:
-                rb = local[rb]
-            if ra != rb:
-                local[ra] = rb
-                comps -= 1
-                if comps == 1:
-                    return True
-        return False
+    def rejoins(ru: int, rv: int, undecided: int) -> bool:
+        """Can the copies in the mask `undecided` join ru's component to rv's?
 
-    def rec(pos: int, components: int, key: int) -> None:
-        # p is the next copy included, while enough are left to finish a tree.
-        # Above two components the copies from pos onward can join the forest
-        # (the root by the nonzero count; contraction and still_connected keep it)
-        for p in range(pos, m - components + 2):
-            u, v = ends[p]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue  # cycle copy: excluding it keeps the invariant
-            if components == 2:  # each crossing copy finishes one tree
-                tally[key + keys[p]] = tally.get(key + keys[p], 0) + 1
-                continue
-            if rank[ru] < rank[rv]:
-                ru, rv = rv, ru
-            parent[rv], saved = ru, rank[ru]
-            rank[ru] += saved == rank[rv]
-            rec(p + 1, components - 1, key + keys[p])
-            parent[rv], rank[ru] = rv, saved
-            # excluding p: a dead branch costs one O(m) loop at three components
-            if components > 3 and not still_connected(p + 1, components):
+        Grows ru's component through the lowest undecided copy leaving it, one
+        component at a time, until a copy reaches rv or none is left.
+        """
+        grown, reached = cut[ru], {ru}
+        while not grown & undecided & cut[rv]:
+            out = grown & undecided
+            if not out:
+                return False
+            a, b = ends[(out & -out).bit_length() - 1]
+            r = find(a)
+            if r in reached:
+                r = find(b)
+            reached.add(r)
+            grown ^= cut[r]
+        return True
+
+    def rec(pos: int, components: int, key: int, crossing: int) -> None:
+        # crossing: the copies that join two components.  The forest and the
+        # copies from pos onward are connected (the root by the nonzero count;
+        # including keeps it, and rejoins ends the loop where excluding would not)
+        rest = crossing >> pos << pos
+        if rest.bit_count() == components - 1:  # just the joins left: one tree (the empty one on one vertex)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key += keys[low.bit_length() - 1]
+            tally[key] = tally.get(key, 0) + 1
+            return
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            ru, rv = find(ends[p][0]), find(ends[p][1])
+            joined = crossing & ~(cut[ru] & cut[rv])
+            if components == 3:  # two components left: each crossing copy past p is one tree
+                leaves = joined >> p + 1
+                base = key + keys[p]
+                while leaves:
+                    leaf = leaves & -leaves
+                    leaves ^= leaf
+                    q = base + keys[p + leaf.bit_length()]
+                    tally[q] = tally.get(q, 0) + 1
+            else:
+                if rank[ru] < rank[rv]:
+                    ru, rv = rv, ru
+                parent[rv], saved = ru, rank[ru]
+                rank[ru] += saved == rank[rv]
+                cut[ru] ^= cut[rv]
+                rec(p + 1, components - 1, key + keys[p], joined)
+                cut[ru] ^= cut[rv]
+                parent[rv], rank[ru] = rv, saved
+            # excluding p: rest holds the crossing copies past p
+            if not cut[ru] & cut[rv] & rest and not rejoins(ru, rv, rest):
                 return
 
-    if n == 1:
-        tally[0] = 1  # the empty tree
-    else:
-        rec(0, n, 0)
+    rec(0, n, 0, (1 << len(ends)) - 1)
     total = sum(tally.values())
     if total != predicted:
         raise AssertionError(

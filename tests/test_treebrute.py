@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -34,6 +35,28 @@ from treefactor import (
 from treefactor.graphs import Edge
 
 P = Polynomial.parse
+
+# every test here takes well under a second; a fault in the walk's pruning can
+# make it loop for hours, and this bound turns that hang into a failure
+TIME_BOUND_S = 5
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    if not hasattr(signal, "setitimer"):  # no interval timers on Windows
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"ran past its {TIME_BOUND_S} s bound", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_spanning_tree_counts():
@@ -213,9 +236,10 @@ def _forest_combinations(g):
     return trees
 
 
-def _random_multigraph(rng, n, bridges):
+def _random_multigraph(rng, n, bridges, path=0):
     """A connected multigraph on n vertices, edges shuffled; with bridges, vertices n - 2
-    and n - 1 hang off the rest by an edge listed first and one listed last."""
+    and n - 1 hang off the rest by an edge listed first and one listed last; with a path,
+    that many more vertices hang off the rest as a path of bridges listed last."""
     core = n - 2 if bridges else n
     pairs = {(rng.randrange(v), v): rng.randint(1, 2) for v in range(1, core)}  # a spanning tree
     for _ in range(rng.randrange(2 * n) if core > 1 else 0):
@@ -225,7 +249,9 @@ def _random_multigraph(rng, n, bridges):
     rng.shuffle(edges)
     if bridges:
         edges = [Edge(rng.randrange(core), n - 2), *edges, Edge(rng.randrange(n - 1), n - 1)]
-    return Graph(kind="plain", labels=tuple(range(n)), edges=tuple(edges))
+    if path:
+        edges += [Edge(rng.randrange(n), n), *(Edge(v, v + 1) for v in range(n, n + path - 1))]
+    return Graph(kind="plain", labels=tuple(range(n + path)), edges=tuple(edges))
 
 
 def test_all_spanning_trees_match_the_forest_combinations():
@@ -240,6 +266,17 @@ def test_all_spanning_trees_match_the_forest_combinations():
         assert trees == _forest_combinations(g), g.edges
 
 
+def test_pendant_bridges_listed_last_match_the_forest_combinations():
+    # an exclusion before the path tests whether its ends rejoin; a dead one
+    # whose grown side holds the path's root crosses every bridge of the path
+    rng = random.Random(20261020)
+    graphs = [_random_multigraph(rng, n, bridges, path) for n in range(2, 6)
+              for bridges in ((False, True) if n >= 3 else (False,)) for path in (3, 4) for _ in range(2)]
+    for g in graphs:
+        trees = [t.edge_indices for t in all_spanning_trees(g)]
+        assert trees == _forest_combinations(g), g.edges
+
+
 def test_bridges_listed_first_prune_each_exclusion():
     # a 30-edge pendant path listed before K6: without a connectivity test
     # on exclusion, the dead branches grow exponentially and the walk hangs
@@ -247,6 +284,20 @@ def test_bridges_listed_first_prune_each_exclusion():
     k6 = [Edge(30 + a, 30 + b) for a in range(6) for b in range(a + 1, 6)]
     g = Graph(kind="plain", labels=tuple(range(36)), edges=(*path, *k6))
     assert len(all_spanning_trees(g)) == 6 ** 4
+
+
+def test_bridges_listed_last_list_the_same_trees():
+    # the same graph with K6 listed before the path
+    path = [Edge(i, i + 1) for i in range(30)]
+    k6 = [Edge(30 + a, 30 + b) for a in range(6) for b in range(a + 1, 6)]
+    labels = tuple(range(36))
+    first = all_spanning_trees(Graph(kind="plain", labels=labels, edges=(*path, *k6)))
+    last = all_spanning_trees(Graph(kind="plain", labels=labels, edges=(*k6, *path)))
+    assert len(last) == 6 ** 4
+    # K6 edge j is edge j here and 30 + j path first; path edge i is 15 + i here and i
+    moved = [*range(30, 45), *range(30)]
+    assert {tuple(sorted(moved[idx] for idx in t.edge_indices)) for t in last} == {
+        t.edge_indices for t in first}
 
 
 def test_all_spanning_trees_order_is_pinned():
