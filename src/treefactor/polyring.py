@@ -27,10 +27,14 @@ exponent in [-2**28, 2**28) K is one-to-one and integer order is
 graded-lex order; an exponent outside raises ExponentOverflow.  Operands
 on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  `poly_sum` is the one sum loop
-(`+` and `-` call it); `_dot` is the one product kernel: the sum of a*b
-over pairs of term dicts its caller has put on one layout (`_aligned` or
+(`+` and `-` call it); `_dot` is the product kernel: the sum of a*b over
+pairs of term dicts its caller has put on one layout (`_aligned` or
 `share_layout`), for `*` (which shifts the keys itself when an operand has
 one term), `laplacian._minors_det` and the nullvector checks of `verify`.
+`**` raises a linear form (every key a unit key) to k >= 2 by
+`_linear_power`, one term per composition of k; any other base is
+multiplied in k times, since where products collide the compositions far
+outnumber them.
 
 A stack holds many polynomials of one layout in one term dict: row r's keys
 are offset by r * step, step = 2**(32*(n+2)) being a digit above the degree
@@ -69,8 +73,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, lru_cache, reduce
-from itertools import compress, count
-from math import isqrt
+from itertools import chain, compress, count
+from math import comb, isqrt
 from operator import add, attrgetter, mul, neg, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -659,7 +663,19 @@ class Polynomial:
             return _new(lay, {scaled: c ** k if k >= 0 else (c if k % 2 else 1)})
         if k < 0:
             raise ValueError("negative power of a non-unit polynomial")
-        # multiplying by the sparse base k times does fewer term products than squaring here
+        if not terms:
+            return Polynomial.integer(0 ** k)
+        if k > 1:
+            # p**k reaches k times the least and the largest exponent in p,
+            # so those are checked before anything is built
+            exps = list(chain.from_iterable(map(lay.exponents, terms)))
+            if not -_EXP_LIMIT <= k * min(exps) <= k * max(exps) < _EXP_LIMIT:
+                raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
+            if set(lay.unit).issuperset(terms):  # a linear form: one term per composition of k
+                return _new(lay, _linear_power(terms, k))
+        # any other base: where its products collide, the compositions far
+        # outnumber the products of multiplying by it k times, and those are
+        # fewer than squaring's
         return poly_product([self] * k)
 
     # -- substitution ------------------------------------------------------
@@ -820,6 +836,31 @@ def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -
     out = {k: c for k, c in out.items() if c}
     lay.check_range(out)
     return out
+
+
+def _linear_power(terms: dict[int, int], k: int) -> dict[int, int]:
+    """(c_1*v_1 + ... + c_m*v_m)**k, m >= 2, from its terms, keyed by each v_i's unit key.
+
+    By the multinomial theorem the composition (e_1..e_m) of k gives one
+    term, key sum e_i*key_i and coefficient k!/prod e_i! * prod c_i**e_i.
+    The variables are placed in turn into groups of partial terms, group r
+    holding those with r of k left to place; placing e of r multiplies by
+    C(r, e).  A partial term that places none of a variable stays in its
+    group, so the groups are updated in place, smallest first: each is read
+    before the larger ones add to it, and each partial term is built once.
+    The last two variables split what is left between them.
+    """
+    *head, (key2, c2), (key1, c1) = terms.items()
+    left = [{} for _ in range(k)] + [{0: 1}]
+    for key, c in head:
+        for r, part in enumerate(left):
+            if part:
+                for e in range(1, r + 1):
+                    shift, scale = e * key, comb(r, e) * c ** e
+                    left[r - e].update({kp + shift: cp * scale for kp, cp in part.items()})
+    splits = [(part, e * key2 + (r - e) * key1, comb(r, e) * c2 ** e * c1 ** (r - e))
+              for r, part in enumerate(left) if part for e in range(r + 1)]
+    return {kp + shift: cp * scale for part, shift, scale in splits for kp, cp in part.items()}
 
 
 def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dict[int, int]:

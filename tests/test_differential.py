@@ -52,7 +52,7 @@ from treefactor import (
     xd,
     y,
 )
-from treefactor import laplacian
+from treefactor import laplacian, polyring
 from treefactor.polyring import _KroneckerImage
 
 # enumeration stays cheap below this many trees
@@ -576,6 +576,43 @@ def test_substitute_matches_reference():
             want = ref_add(want, term)
         assert as_ref(Polynomial(terms).substitute(bindings)) == want
     assert seen >= {*(("kind", k) for k in range(5)), ("absent", True), ("absent", False), "refused"}
+
+
+def random_linear_form(rng: random.Random, m: int) -> dict:
+    """A reference dict of c_1*v_1 + ... + c_m*v_m over distinct variables of every family."""
+    return {Monomial.of({v: 1}): rng.choice((-(2 ** 40) - 1, -7, -2, -1, 1, 2, 5, 3 ** 25)) for v in rng.sample(VARS, m)}
+
+
+def test_power_matches_repeated_products_and_the_reference(monkeypatch):
+    # a linear form of two or more terms is raised to k >= 2 by the
+    # multinomial kernel, every other base and exponent by k sequential
+    # products; both must agree with repeated `*`, and with the reference
+    # wherever its monomial products stay cheap (the largest power here has
+    # 12,870 terms)
+    kernel, calls = polyring._linear_power, []
+    monkeypatch.setattr(polyring, "_linear_power", lambda terms, k: calls.append(k) or kernel(terms, k))
+    rng = random.Random(7010)
+    cases = [(random_linear_form(rng, m), k, True) for m in range(1, 10) for k in range(9)]
+    sequential = ("x1*x2 + x1 - 2*x2^2",  # shared variables
+                  "x1 + x(1,2) + 3", "-2*q3 + 7",  # a constant term
+                  "x1 + x1^-1", "q1*x2^-1 - 3*q1*x2",  # Laurent binomials
+                  "x1^2 + y2", "-x(2,1)*e(2,4) + e(1,3)")  # a term of degree other than 1
+    cases += [(as_ref(Polynomial.parse(text)), k, False) for text in sequential for k in range(9)]
+    referenced = set()
+    for ref, k, linear in cases:
+        p, before = Polynomial(ref), len(calls)
+        power, repeated = p ** k, Polynomial.one()
+        for _ in range(k):
+            repeated = repeated * p
+        assert power == repeated, (p, k)
+        assert len(calls) - before == (linear and len(ref) > 1 and k > 1), (p, k)
+        if power.n_terms <= 300:
+            assert as_ref(power) == ref_power(ref, k), (p, k)
+            referenced.add((len(ref), k) if linear else "sequential")
+    assert {(m, k) for m in range(1, 10) for k in (0, 1, 2)} | {(2, k) for k in range(9)} | {"sequential"} <= referenced
+    zero = Polynomial.zero()
+    assert [zero ** k for k in (0, 1, 2)] == [1, 0, 0]
+    assert zero ** (2 ** 40) == 0
 
 
 def test_div_exact_matches_reference():

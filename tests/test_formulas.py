@@ -64,6 +64,19 @@ def test_cayley_prufer_matches_other_routes():
         assert rhs == tree_enumerator_det(g, WeightScheme.CAYLEY_PRUFER)
 
 
+def test_formula_stretch_sizes_count_their_trees():
+    # the largest closed forms the benchmark leaves out: K10's 24,310-term
+    # Cayley form, its one power raised by composition, against the same
+    # power multiplied in sequentially, and Q5's direction form, whose
+    # coefficients add up to its tree count
+    xs = [Polynomial.variable(x(i)) for i in range(1, 11)]
+    rhs = cayley_prufer_rhs(10)
+    assert rhs.n_terms == 24310 and sum(c for _, c in rhs.terms()) == 10 ** 8
+    assert rhs == poly_product(xs) * poly_product([sum(xs, Polynomial.zero())] * 8)
+    q5 = directions_rhs((2, 2, 2, 2, 2))
+    assert sum(c for _, c in q5.terms()) == spanning_tree_count(hypercube(5)) == 20776019874734407680
+
+
 def test_directions_rhs_small():
     assert directions_rhs((3,)) == P("3*q1^2")
     assert directions_rhs((2, 2)) == P("2*q1^2*q2 + 2*q1*q2^2")

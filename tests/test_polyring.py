@@ -28,6 +28,10 @@ from treefactor.polyring import (
 )
 
 
+# every test here takes well under a second: a hang fails (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("time_bound")
+
+
 def P(text):
     return Polynomial.parse(text)
 
@@ -472,6 +476,22 @@ def test_exponent_overflow_at_the_limb_boundary():
     # the error is an arithmetic error, not an assertion
     assert issubclass(ExponentOverflow, ArithmeticError)
     assert not issubclass(ExponentOverflow, AssertionError)
+
+
+def test_an_oversized_power_fails_before_building_anything():
+    # p**k reaches k times each variable's extreme exponents in p, checked
+    # before anything is built: each of these would otherwise build k copies
+    # of the base, k groups of partial terms or k sequential products first
+    top = 2 ** 28
+    for base, k in ((f"x1^{top // 2} + x2", 2), ("x1 + x2", top), ("x1 + 1", 2 ** 32),
+                    (f"x1^{-top // 2} + x2", 3), ("x1*x2^-1 + x3", 2 ** 40), ("x1 + x(1,2) + y3", top),
+                    ("x1^-1 + x2^-2", top // 2 + 1)):
+        with pytest.raises(ExponentOverflow):
+            P(base) ** k
+    # at the ends of the range, the sequential path and the linear one
+    assert (P(f"x1^{top // 2 - 1} + x2") ** 2).render() == f"x1^{top - 2} + 2*x1^{top // 2 - 1}*x2 + x2^2"
+    assert (P(f"x1^{-top // 2} + x2") ** 2).render() == f"x2^2 + 2*x1^{-top // 2}*x2 + x1^{-top}"
+    assert (P("2*x1 - x2") ** 3).render() == "8*x1^3 - 12*x1^2*x2 + 6*x1*x2^2 - x2^3"
 
 
 def test_stack_rows_keep_to_their_bands_at_the_exponent_limits():

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-import signal
 
 import pytest
 
@@ -36,27 +35,8 @@ from treefactor.graphs import Edge
 
 P = Polynomial.parse
 
-# every test here takes well under a second; a fault in the walk's pruning can
-# make it loop for hours, and this bound turns that hang into a failure
-TIME_BOUND_S = 5
-
-
-@pytest.fixture(autouse=True)
-def time_bound():
-    if not hasattr(signal, "setitimer"):  # no interval timers on Windows
-        yield
-        return
-
-    def expired(signum, frame):
-        pytest.fail(f"ran past its {TIME_BOUND_S} s bound", pytrace=False)
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND_S)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+# every test here takes well under a second: a hang fails (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 def test_spanning_tree_counts():
