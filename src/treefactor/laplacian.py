@@ -39,6 +39,12 @@ spanning tree sum with positive coefficients, so on the image path
 `tree_enumerator_det` then narrows the box to the trees' (`_tree_box`):
 each variable's largest exponent over them, and slots holding Kirchhoff's
 count tau and a sign bit.  With tau = 0 the determinant is 0.
+Bareiss pivots on the least leading minor: while the next pivot is wider
+than 62 bits, the remaining diagonal entry of least magnitude is swapped
+in, rows and columns alike.  On an image a minor's width follows its
+degree under phi, so the narrow minors are eliminated first.  Vertex
+order puts the two K2 copies of K2xK3xK3 far apart, and there each leading
+minor would reach nearly every matching edge of q1.
 """
 
 from __future__ import annotations
@@ -253,8 +259,8 @@ _KRONECKER_BITS = 1 << 15
 # Bareiss on the image.  Decoupled K4xK4 (29,887) finishes on neither.
 _MINOR_STATES = 1 << 15
 # Wider images are refused: Q9's and K40's run past 10**51 bits, more than
-# an int can hold, while directions (2,2,2,3)'s 801,792 bits take minutes
-# to eliminate but finish.
+# an int can hold, while directions (2,2,2,3)'s 801,792 bits, narrowed to
+# its tree box, eliminate in about 10 s.
 _CAP_BITS = 1 << 20
 
 
@@ -338,11 +344,24 @@ def _eliminate(a: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination of the nonempty square integer matrix `a`, in place.
 
     Every interior quotient is a minor of the matrix (Sylvester's identity),
-    so a remainder means the arithmetic is broken, not the input.
+    so a remainder means the arithmetic is broken, not the input.  Before
+    step k, entry (i, i) for i >= k is the minor on rows and columns 0..k-1
+    and i: the pivot that moving i to k would give.  While the pivot at k is
+    wider than 62 bits, rows k and p and then columns k and p (in rows k..n-1;
+    the finished rows are never read again) swap for the diagonal entry of
+    least magnitude, which keeps the determinant and its sign.  Narrower
+    ints multiply in about constant time, so their order is not searched.
+    A zero pivot swaps in a row below and flips the sign.
     """
     n = len(a)
     sign = prev = 1
     for k in range(n - 1):
+        if a[k][k].bit_length() > 62:
+            # symmetric swap: the next pivot is the least leading minor left
+            p = min(range(k, n), key=lambda i: abs(a[i][i]))
+            a[k], a[p] = a[p], a[k]
+            for row in a[k:]:
+                row[k], row[p] = row[p], row[k]
         if not a[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot_row is None:

@@ -659,8 +659,10 @@ class Polynomial:
                 raise ValueError("negative power of a non-unit polynomial")
             # scale the exponents, not the key: a scaled key can wrap whole
             # digits past the range check
-            scaled = lay.key(zip(lay.vars, [e * k for e in lay.exponents(key)]))
-            return _new(lay, {scaled: c ** k if k >= 0 else (c if k % 2 else 1)})
+            exps = [e * k for e in lay.exponents(key)]
+            if exps and not -_EXP_LIMIT <= min(exps) <= max(exps) < _EXP_LIMIT:
+                raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
+            return _new(lay, {sum(map(mul, exps, lay.unit)): c ** k if k >= 0 else (c if k % 2 else 1)})
         if k < 0:
             raise ValueError("negative power of a non-unit polynomial")
         if not terms:

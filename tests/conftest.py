@@ -13,7 +13,7 @@ TIME_BOUND_S = 5
 def time_bound():
     """Fail the test that uses it once it runs past TIME_BOUND_S seconds.
 
-    Opt-in, for files whose every test takes well under a second:
+    Opt-in, for files whose every test takes well under the bound:
     `pytestmark = pytest.mark.usefixtures("time_bound")`.
     """
     if not hasattr(signal, "setitimer"):  # no interval timers on Windows

@@ -55,6 +55,9 @@ from treefactor import (
 from treefactor import laplacian, polyring
 from treefactor.polyring import _KroneckerImage
 
+# every test here takes at most about 2.5 s: a hang fails (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("time_bound")
+
 # enumeration stays cheap below this many trees
 TREE_CAP = 3000
 
@@ -321,6 +324,73 @@ def test_integer_bareiss_refuses_a_remainder():
     assert laplacian._eliminate([[3, 1, 0], [1, 3, 1], [0, 1, 3]]) == 21
     with pytest.raises(AssertionError, match="left a remainder"):
         laplacian._eliminate([[OffByOne(3), 1, 0], [1, 3, 1], [0, 1, 3]])
+    # past the pivot gate: the least diagonal, the broken one, is swapped in
+    # first, and every later pivot is searched for too
+    b = 2 ** 70
+    assert laplacian._eliminate([[5 * b + 1, b, 0], [b, 3 * b + 2, b + 1], [0, b - 1, 4 * b]]) == \
+        51 * b ** 3 + 51 * b ** 2 + 13 * b + 1
+    with pytest.raises(AssertionError, match="left a remainder"):
+        laplacian._eliminate([[5 * b + 1, b, 0], [b, OffByOne(3 * b + 2), b + 1], [0, b - 1, 4 * b]])
+
+
+def random_int_matrix(rng: random.Random, n: int, kind: str) -> list[list[int]]:
+    """An n x n integer matrix of one kind: small or past 2**62, zero or negative diagonals, or singular."""
+    bits = 4 if kind == "small" else 80
+    a = [[rng.randrange(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(n)]
+    for i in range(n):  # diagonals of many sizes, so the least one is rarely first
+        a[i][i] = (rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 2), 2 ** bits)) >> rng.randrange(bits // 2)
+        if kind != "negative":
+            a[i][i] = abs(a[i][i])
+    if kind == "zero-diagonal":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            a[i][i] = 0
+    elif kind == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        a[i] = [rng.randrange(-3, 4) * v for v in a[j]]
+    return a
+
+
+def test_pivoted_bareiss_matches_minors():
+    # integer Bareiss, which swaps the least diagonal in past 2**62, against
+    # expansion by minors, which never reorders anything
+    rng = random.Random(7011)
+    kinds = ("small", "big", "zero-diagonal", "negative", "singular")
+    orders, zero, least_first = set(), set(), set()
+    for trial in range(200):
+        n, kind = 1 + trial % 8, kinds[trial % 5]
+        a = random_int_matrix(rng, n, kind)
+        work = [row[:] for row in a]
+        det = laplacian._eliminate(work)
+        assert Polynomial.integer(det) == laplacian._minors_det([[Polynomial.integer(v) for v in row] for row in a]), (n, kind)
+        orders.add(n)
+        zero.add(det == 0)
+        # the first pivot left on the diagonal: the given one up to 2**62
+        # bits, else the least in magnitude; a finished row is never rewritten
+        diagonal = [abs(a[i][i]) for i in range(n)]
+        p = diagonal.index(min(diagonal)) if a[0][0].bit_length() > 62 else 0
+        if n > 1 and a[p][p]:
+            first = a[p][:]
+            first[0], first[p] = first[p], first[0]
+            assert work[0] == first, (n, kind)
+            least_first.add(p == 0)
+    assert orders == set(range(1, 9)) and zero == least_first == {False, True}
+
+
+def test_symmetric_permutations_keep_the_directions_233_determinant():
+    # a symmetric permutation of rows and columns keeps the determinant; the
+    # 17 x 17 image of K2xK3xK3 under direction weights, 4,680 bits wide
+    g = cartesian_product([complete_graph(2), complete_graph(3), complete_graph(3)])
+    lap = weighted_laplacian(g, WeightScheme.DIRECTION)
+    image = _KroneckerImage(reduce_matrix(lap, g.n - 1, g.n - 1)[0].rows)
+    count, tops = laplacian._tree_box(g, lap)
+    image.narrow(tops, count)
+    m = image.matrix()
+    det = laplacian._eliminate([row[:] for row in m])
+    assert image.polynomial(det) == directions_rhs((2, 3, 3))
+    rng = random.Random(7012)
+    for _ in range(4):
+        order = rng.sample(range(len(m)), len(m))
+        assert laplacian._eliminate([[m[i][j] for j in order] for i in order]) == det
 
 
 def test_kronecker_box_is_read_off_the_keys():

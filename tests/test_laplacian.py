@@ -34,6 +34,9 @@ from treefactor import (
 from treefactor import laplacian
 from treefactor.polyring import _KroneckerImage
 
+# every test here takes well under a second: a hang fails (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("time_bound")
+
 P = Polynomial.parse
 
 

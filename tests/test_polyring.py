@@ -471,6 +471,7 @@ def test_exponent_overflow_at_the_limb_boundary():
     with pytest.raises(ExponentOverflow):
         P("x1*x2^-1") ** -(2 ** 32)
     assert (P("-x1*x2^-1") ** -(top - 1)).render() == f"-x1^{1 - top}*x2^{top - 1}"
+    assert (P(f"x1^{-top // 2}*x3") ** 2).render() == f"x1^{-top}*x3^2"
     with pytest.raises(ExponentOverflow):
         div_exact(Polynomial.variable(x(1), -top), half)
     # the error is an arithmetic error, not an assertion
