@@ -7,10 +7,12 @@ determinant, times (-1)^(r+s), is the weighted spanning tree sum.
 
 Each weight scheme has one key table: a layout of variables that the
 scheme fixes from the graph's shape, built once, and the packed key of
-every edge's weight over it (`_weight_table`).  `weighted_laplacian` adds
-each edge's key, times its multiplicity, into the four cells it touches, and
-`edge_weight` reads its key from the same table, so each scheme's weight is
-written once and no polynomial is built per edge.
+every edge's weight over it (`_weight_table`).  `_laplacian_cells`, the one
+cell loop, adds each edge's key, times its multiplicity, into the four
+{key: coefficient} cells it touches, and `edge_weight` reads its key from
+the same table, so each scheme's weight is written once and no polynomial
+is built per edge.  `weighted_laplacian` wraps the cells as a `PolyMatrix`;
+the nullvector checks of `verify` stack them as they are.
 
 Determinants are computed exactly over one integral domain, by one of two
 paths:
@@ -198,12 +200,11 @@ class PolyMatrix:
         return "\n".join(lines)
 
 
-def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
-    """Laplacian under the given scheme; rows and columns sum to zero.
+def _laplacian_cells(g: Graph, scheme: WeightScheme) -> tuple[_Layout, dict[tuple[int, int], dict[int, int]]]:
+    """The scheme's layout and the Laplacian's nonzero cells, each a {key: coefficient} dict.
 
-    Each edge adds its key, times its multiplicity, into the four
-    {key: coefficient} cells it touches.  Multiplicities are positive, so no
-    coefficient sums to 0.
+    Each edge adds its key, times its multiplicity, into the four cells it
+    touches.  Multiplicities are positive, so no coefficient sums to 0.
     """
     check_scheme(g, scheme)
     lay, keys = _weight_table(g, scheme, g.edges)
@@ -212,6 +213,12 @@ def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
         for cell, c in (((u, u), m), ((v, v), m), ((u, v), -m), ((v, u), -m)):
             terms = cells.setdefault(cell, {})
             terms[k] = terms.get(k, 0) + c
+    return lay, cells
+
+
+def weighted_laplacian(g: Graph, scheme: WeightScheme) -> PolyMatrix:
+    """Laplacian under the given scheme, its cells from `_laplacian_cells`; rows and columns sum to zero."""
+    lay, cells = _laplacian_cells(g, scheme)
     zero = _new(lay, {})
     return PolyMatrix([[_new(lay, cells[i, j]) if (i, j) in cells else zero for j in range(g.n)]
                        for i in range(g.n)])

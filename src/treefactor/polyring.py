@@ -59,6 +59,9 @@ it that stays independent of the determinant.
 Division is decided in the Laurent ring, testing whether a leading term
 divides with one guard bit per digit of the keys (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symb. Comp. 46(7), 2011).
+A one-term divisor adds no key, so `_pdiv` shifts the keys by it, as `*`
+does, with the same per-key tests made for all keys at once; only a
+division that fails runs the heap, to raise at the term where it fails.
 `_KroneckerImage` packs a square matrix of polynomials into integers and
 decodes its determinant's image, for `laplacian.determinant`; it sizes its
 box from the keys alone, and only `matrix()` unpacks a term.
@@ -830,6 +833,8 @@ def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -
     out: dict[int, int] = {}
     get = out.get
     for a, b in pairs:
+        if len(a) > len(b):  # the shorter operand outside, as in `*`
+            a, b = b, a
         bt = b.items()
         for ka, ca in a.items():
             for kb, cb in bt:
@@ -876,10 +881,21 @@ def _pdiv(f: dict[int, int], g: dict[int, int], floor: int, lay: _Layout) -> dic
     the loop ends.  On a stack f, g unstacked, a reduction stays in its
     row's band, so f divides exactly when every row does, and the quotient
     is the stack of the rows' quotients.
+
+    A one-term g introduces no key, so the quotient is f's keys shifted by
+    g's, as in `*`: the floor, divisibility and range tests are made for
+    every key at once (a bit in an or of keys is a bit in one of them), and
+    only a division that fails runs the heap, which raises at the largest
+    failing key.
     """
     guard, bias, rmask = lay.guard, lay.range_bias, lay.range_mask
     kg = max(g)
     cg = g[kg]
+    if len(g) == 1:
+        shifted = [k - kg for k in f]
+        if not (reduce(or_, map((-floor).__add__, shifted), 0) & guard or any(map(cg.__rmod__, f.values()))
+                or reduce(or_, map(bias.__add__, shifted), 0) & rmask):
+            return dict(zip(shifted, map(cg.__rfloordiv__, f.values())))
     rest = [(k - kg, c) for k, c in g.items() if k != kg]
     work = dict(f)
     heap = [-k for k in work]

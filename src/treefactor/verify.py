@@ -6,21 +6,25 @@ negative exponent.  Results are Verdict records; a Refuted verdict always
 carries a concrete witness (the term or matrix entry that broke the
 claim), never just a boolean.
 
-Each nullvector claim is one `_residues` call: L v as one stack of its
-rows (see `polyring`) per vector, one `_dot` over the Laplacian's stacked
-columns.  `_first_undivided` divides each stack once and unstacks only a
-stack that fails, returning its first failing row.  The cube and
-decoupled nullvector checks build their operands once per size, in
-bounded caches: `_cube_operands` (Q_n's subset labels and the stacked
-columns of its Laurent Laplacian without the empty subset's row and
-column) is keyed on n, `_product_operands` (a product graph's labels and
-the stacked columns of its decoupled Laplacian) on the dims, and each
-also on the builders this module names, so a patched builder builds and
-keeps its own; the threshold check stacks its own Laplacian's columns,
-less row and column 0, once per call.  `formulas._cube_factors` is cached
-on n and read through this module's name, `formulas.threshold_f_factor`
-on the layout size, r and lam_r, and `_decoupled_enumerator` on the dims.
-No cache is keyed by a threshold sequence or holds a residue or a verdict.
+Each nullvector claim is one `_residues` call: its divisors, and L v as
+one stack of its rows (see `polyring`) per vector, one `_dot` over the
+Laplacian's stacked columns.  `_stacked_columns` stacks them straight from
+the cells of `_laplacian_cells`, read through this module's name (the one
+place a test perturbs the Laplacian), and builds no Polynomial.  The
+threshold and decoupled checks divide each stack once, and
+`_first_undivided` unstacks only a stack that fails, returning its first
+failing row.  The cube and decoupled nullvector checks build their
+operands once per size, in bounded caches: `_cube_operands` (Q_n's subset
+labels and the stacked columns of its Laurent Laplacian without the empty
+subset's row and column) is keyed on n, `_product_operands` (a product
+graph's labels and the stacked columns of its decoupled Laplacian) on the
+dims, and each also on the builders and the cell function this module
+names, so a patched one builds and keeps its own; the threshold check
+stacks its own Laplacian's columns, less row and column 0, once per call.
+`formulas._cube_factors` is cached on n and read through this module's
+name, `formulas.threshold_f_factor` on the layout size, r and lam_r, and
+`_decoupled_enumerator` on the dims.  No cache is keyed by a threshold
+sequence or holds a residue or a verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import count
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -64,12 +69,11 @@ from .graphs import (
 from .laplacian import (
     PolyMatrix,
     WeightScheme,
+    _laplacian_cells,
     determinant,
     tree_enumerator_det,
-    weighted_laplacian,
 )
 from .polyring import (
-    _EMPTY,
     ExponentOverflow,
     Monomial,
     NotDivisible,
@@ -239,32 +243,41 @@ def _divides(divisor: Polynomial, p: Polynomial) -> bool:
 
 # a matrix's layout and its columns, each a stack of its entries by row
 _Columns = tuple[_Layout, list[dict[int, int]]]
+# a Laplacian's layout and its nonzero cells, as `_laplacian_cells` gives them
+_Cells = tuple[_Layout, dict[tuple[int, int], dict[int, int]]]
 
 
-def _stacked_columns(matrix: PolyMatrix, strike: Optional[int] = None) -> _Columns:
-    """The entries but row and column `strike` on one layout, each column a stack: L v is one `_dot` over them."""
-    keep = [i for i in range(matrix.size) if i != strike]
-    flat = share_layout(matrix.rows[i][j] for i in keep for j in keep)
-    lay = flat[0]._lay if flat else _EMPTY
-    return lay, [lay.stack(p._terms for p in flat[col::len(keep)]) for col in range(len(keep))]
+def _stacked_columns(cells: _Cells, size: int, strike: Optional[int] = None) -> _Columns:
+    """The size x size matrix's cells but row and column `strike`, each column a stack: L v is one `_dot` over them."""
+    lay, cells = cells
+    cut = size if strike is None else strike
+    at = [i - (i > cut) for i in range(size)]  # a kept row's or column's index
+    cols: list[dict[int, int]] = [{} for _ in range(size - (cut < size))]
+    for (i, j), terms in cells.items():
+        if cut != i and cut != j:
+            offset, col = at[i] * lay.step, cols[at[j]]
+            for k, c in terms.items():
+                col[k + offset] = c
+    return lay, cols
 
 
 def _residues(columns: _Columns, vectors: Sequence[dict[int, Polynomial]],
-              divisor: Polynomial) -> tuple[Polynomial, list[dict[int, int]]]:
-    """The divisor and L v as one stack of its rows for each vector v, all on one layout.
+              divisors: Sequence[Polynomial]) -> tuple[list[Polynomial], list[dict[int, int]]]:
+    """The divisors and L v as one stack of its rows for each vector v, all on one layout.
 
-    A vector maps column indices to entries.  Every entry and the divisor
-    go onto the columns' layout once, so no product or division re-keys; a
+    A vector maps column indices to entries.  Every entry and divisor go
+    onto the columns' layout once, so no product or division re-keys; a
     variable outside it re-keys the columns too.  L v is one key-sum over
     the columns at the vector's nonzero entries.  Nothing is divided.
     """
     src, cols = columns
-    base, divisor, *entries = share_layout([_new(src, {}), divisor, *(val for v in vectors for val in v.values())])
+    base, *shared = share_layout([_new(src, {}), *divisors, *(val for v in vectors for val in v.values())])
     lay = base._lay
     if len(lay.vars) != len(src.vars):
         cols = [lay.stack(_rekey(row, src, lay) for row in src.unstack(col, len(cols))) for col in cols]
-    entries = iter(entries)
-    return divisor, [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val]) for v in vectors]
+    entries = iter(shared[len(divisors):])
+    return shared[:len(divisors)], [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val._terms])
+                                    for v in vectors]
 
 
 def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]],
@@ -289,21 +302,21 @@ def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]],
 
 
 @lru_cache(maxsize=64)
-def _cube_operands(n: int, graph_of, laplacian_of) -> tuple[tuple[frozenset, ...], _Columns]:
+def _cube_operands(n: int, graph_of, cells_of) -> tuple[tuple[frozenset, ...], _Columns]:
     """Q_n's nonempty subset labels and the stacked columns of its Laurent
     Laplacian without the empty subset's row and column."""
     g = graph_of(n)
     if g.labels[0]:  # the row and column struck below must be the empty subset's
         raise AssertionError("hypercube vertex 0 is not the empty subset")
-    return g.labels[1:], _stacked_columns(laplacian_of(g, WeightScheme.CUBE_LAURENT), 0)
+    return g.labels[1:], _stacked_columns(cells_of(g, WeightScheme.CUBE_LAURENT), g.n, 0)
 
 
 @lru_cache(maxsize=64)
-def _product_operands(dims: tuple[int, ...], product_of, complete_of, laplacian_of) -> tuple[tuple, _Columns]:
+def _product_operands(dims: tuple[int, ...], product_of, complete_of, cells_of) -> tuple[tuple, _Columns]:
     """The labels of the product of complete graphs K_d over dims and the
     stacked columns of its decoupled Laplacian."""
     g = product_of([complete_of(d) for d in dims])
-    return g.labels, _stacked_columns(laplacian_of(g, WeightScheme.DECOUPLED))
+    return g.labels, _stacked_columns(cells_of(g, WeightScheme.DECOUPLED), g.n)
 
 
 def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
@@ -326,24 +339,28 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     if len(aset) < 2:
         raise ValueError("need a direction subset of size at least 2")
 
-    labels, columns = _cube_operands(n, hypercube, weighted_laplacian)
+    labels, columns = _cube_operands(n, hypercube, _laplacian_cells)
     xs = _cube_variables(tuple(range(1, n + 1)))[1]
     f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
 
-    def squares(base: Polynomial) -> tuple[Callable[[frozenset], int], int]:
-        """Over base's layout, the key of x_M^2 for a set M of directions, and x_[n]'s key: K is linear."""
-        keys = [next(iter(x._terms)) for x in share_layout([base, *xs])[1:]]
-        return (lambda members: 2 * sum(keys[t - 1] for t in members)), sum(keys)
+    def key_table(lay: _Layout) -> tuple[list[int], int]:
+        """x_t's key over lay at t = 1..n (0 at 0), and x_A^2's: K is linear, so a product is a key-sum."""
+        keys = [0, *(next(iter(x._terms)) for x in share_layout([_new(lay, {}), *xs])[1:])]
+        return keys, 2 * sum(keys[t] for t in aset)
 
-    # v_S is 0 where S misses A, and otherwise has two terms
-    (square, _), lay = squares(f_a), f_a._lay
-    vec = {col: _new(lay, {square(aset): 1, square(aset - s): 1 if len(aset & s) % 2 else -1})
+    # v_S is 0 where S misses A, and otherwise x_A^2 -+ x_(A\S)^2
+    lay = f_a._lay
+    keys, a_square = key_table(lay)
+    vec = {col: _new(lay, {a_square: 1, a_square - 2 * sum(keys[t] for t in aset & s): 1 if len(aset & s) % 2 else -1})
            for col, s in enumerate(labels) if aset & s}
-    f_a, (residues,) = _residues(columns, [vec], f_a)
+    (f_a,), (residues,) = _residues(columns, [vec], [f_a])
+    if f_a._lay is not lay:
+        lay = f_a._lay
+        keys, a_square = key_table(lay)
     # the closed residues, one per row R, are f_A times the stack of
     # x_(A u R)^2 / x_[n], signed by the parity of |A n R|
-    (square, x_all), lay = squares(f_a), f_a._lay
-    units = lay.stack({square(aset | r) - x_all: 1 if len(aset & r) % 2 else -1} for r in labels)
+    a_square -= sum(keys)
+    units = lay.stack({a_square + 2 * sum(keys[t] for t in r - aset): 1 if len(aset & r) % 2 else -1} for r in labels)
     closed = _dot(lay, [(units, f_a._terms)])
     if residues != closed:
         size = len(labels)
@@ -376,7 +393,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if ni < 2:
         raise ValueError("direction needs at least two coordinate values")
 
-    labels, columns = _product_operands(tuple(dims), cartesian_product, complete_graph, weighted_laplacian)
+    labels, columns = _product_operands(tuple(dims), cartesian_product, complete_graph, _laplacian_cells)
     coords = [label[i - 1] for label in labels]
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2
@@ -392,7 +409,8 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
         u = {1: (xs[k], point[k]), k: (-xs[1], -point[1])}  # labels are 1-based
         vectors.append({s: u[c][0] for s, c in enumerate(coords) if c in u})
         numeric.append([u[c][1] if c in u else 0 for c in coords])
-    bad = _first_undivided(*_residues(columns, vectors, c_i), len(labels))
+    (c_i,), stacks = _residues(columns, vectors, [c_i])
+    bad = _first_undivided(c_i, stacks, len(labels))
     if bad is not None:
         k, r, row = bad
         return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {row.render()}", t0)
@@ -435,35 +453,43 @@ def verify_threshold_nullvectors(lam: PartitionLike) -> list[Verdict]:
     n = g.n
     s = durfee(lam)
     conj = conjugate(lam)
-    columns = _stacked_columns(weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT), 0)
+    columns = _stacked_columns(_laplacian_cells(g, WeightScheme.THRESHOLD_IN_OUT), n, 0)
     xs, ys = _in_out_variables(n)  # xs[i] is x_i, ys[i] is y_i
-    lam_id = _lam_id(lam)
-
-    def verdict(claim: str, vec: dict[int, Polynomial], divisor: Polynomial, case: Callable[[int], str]) -> Verdict:
-        """vec maps vertex labels (2..n) to entries; row r of L-hat is label r + 2, tagged case(label)."""
-        t0 = time.perf_counter()
-        bad = _first_undivided(*_residues(columns, [{label - 2: val for label, val in vec.items()}], divisor), n - 1)
-        witness = None if bad is None else f"case {case(bad[1] + 2)}, row {bad[1] + 2}: {bad[2].render()}"
-        return _verdict(f"threshold-null:lam={lam_id}:{claim}", witness is None, witness, t0)
 
     # x1, the f_r for r = 2..s, then one g factor per block: each f_r owes
-    # one vector, a block's g as many as its multiplicity b
+    # one vector, a block's g as many as its multiplicity b.  Each claim is
+    # (its name, its vector over vertex labels 2..n, its factor's index and
+    # its case tag, which takes the label)
     blocks = _threshold_blocks(lam, conj)
     factors = _threshold_factors(lam, blocks)
-    verdicts: list[Verdict] = []
-    for r, (f_r, _) in zip(range(2, s + 1), factors[1:]):
+    claims: list[tuple[str, dict[int, Polynomial], int, Callable[[int], str]]] = []
+    for r in range(2, s + 1):
         vec = {r: poly_sum(xs[1:r + 1]), **{i2: xs[r] for i2 in range(r + 1, conj[r - 1] + 1)}}
-        verdicts.append(verdict(f"f:r={r}", vec, f_r, partial(_f_case_tag, r=r, g=g)))
+        claims.append((f"f:r={r}", vec, r - 1, partial(_f_case_tag, r=r, g=g)))
 
-    for (a, b, h), (g_a, mult) in zip(blocks, factors[s:]):
+    for index, (a, b, h), (_, mult) in zip(count(s), blocks, factors[s:]):
         g_tag = partial(_g_case_tag, h=h, a=a, b=b, n=n)
         for k in range(1, mult):
             vec = {a + 1: ys[a + k + 1], a + k + 1: -ys[a + 1]}
-            verdicts.append(verdict(f"g:a={a}:inblock:k={k}", vec, g_a, g_tag))
+            claims.append((f"g:a={a}:inblock:k={k}", vec, index, g_tag))
 
         vec = {i: ys[a + b] for i in range(1 + h, a + 1)}
         vec[a + b] = -poly_sum(ys[1 + h:a + 1])
-        verdicts.append(verdict(f"g:a={a}:extra", vec, g_a, g_tag))
+        claims.append((f"g:a={a}:extra", vec, index, g_tag))
+
+    # row r of L-hat is label r + 2; each verdict's time is its share of
+    # the residues and its own division
+    t0 = time.perf_counter()
+    divisors, stacks = _residues(columns, [{label - 2: val for label, val in vec.items()} for _, vec, _, _ in claims],
+                                 [f for f, _ in factors])
+    share = (time.perf_counter() - t0) / max(len(claims), 1)
+    lam_id = _lam_id(lam)
+    verdicts: list[Verdict] = []
+    for (claim, _, index, case), stacked in zip(claims, stacks):
+        t0 = time.perf_counter() - share
+        bad = _first_undivided(divisors[index], [stacked], n - 1)
+        witness = None if bad is None else f"case {case(bad[1] + 2)}, row {bad[1] + 2}: {bad[2].render()}"
+        verdicts.append(_verdict(f"threshold-null:lam={lam_id}:{claim}", witness is None, witness, t0))
     return verdicts
 
 

@@ -777,8 +777,8 @@ def test_stacked_residues_and_division_match_row_by_row():
     # polynomials or Laurent polynomials, or random, or cancel to 0 against
     # the first vector; vectors polynomial or Laurent, on variables the
     # matrix may lack
-    from treefactor import PolyMatrix, verify
-    from treefactor.polyring import _new
+    from treefactor import verify
+    from treefactor.polyring import _new, share_layout
 
     rng = random.Random(7010)
     matrix_vars, vector_vars = [x(1), x(2), y(3)], [x(1), x(2), y(3), q(1)]
@@ -812,8 +812,10 @@ def test_stacked_residues_and_division_match_row_by_row():
             matrix.append(row)
 
         lay, want, first_bad = row_by_row(matrix, vectors, divisor)
-        columns = verify._stacked_columns(PolyMatrix(matrix))
-        shared_divisor, stacks = verify._residues(columns, vectors, divisor)
+        flat = share_layout(e for row in matrix for e in row)  # the matrix as its nonzero cells
+        columns = verify._stacked_columns((flat[0]._lay, {divmod(i, size): p._terms for i, p in enumerate(flat) if p}),
+                                          size)
+        (shared_divisor,), stacks = verify._residues(columns, vectors, [divisor])
         assert shared_divisor._lay.vars == lay.vars, trial
         assert [lay.unstack(stack, size) for stack in stacks] == want, trial
         bad = verify._first_undivided(shared_divisor, stacks, size)

@@ -205,6 +205,32 @@ def test_key_built_laplacian_matches_edge_by_edge_sum():
     assert len(checked) == 12  # the (kind, scheme) pairs check_scheme allows
 
 
+def test_laplacian_cells_are_the_matrix_entries_and_stack_as_its_columns():
+    # the cells are the nonzero entries of weighted_laplacian, on its layout;
+    # with any row and column struck, or none, the stacked columns of the
+    # nullvector checks are the stacks of reduce_matrix's columns
+    from treefactor import verify
+
+    rng = random.Random(20261021)
+    parallel = set()
+    for g in _random_laplacian_graphs(rng):
+        for scheme in WeightScheme:
+            try:
+                lap = weighted_laplacian(g, scheme)
+            except SchemeMismatch:
+                continue
+            lay, cells = laplacian._laplacian_cells(g, scheme)
+            assert all(p._lay is lay for row in lap.rows for p in row)
+            assert cells == {(i, j): p._terms for i, row in enumerate(lap.rows) for j, p in enumerate(row) if p}
+            for strike in (None, *range(g.n)):
+                minor = reduce_matrix(lap, strike, strike)[0] if strike is not None else lap
+                want = [lay.stack(row[j]._terms for row in minor.rows) for j in range(minor.size)]
+                assert verify._stacked_columns((lay, cells), g.n, strike) == (lay, want), (g.kind, scheme, strike)
+            if any(e.multiplicity > 1 for e in g.edges):
+                parallel.add(scheme)
+    assert parallel == set(WeightScheme) - {WeightScheme.CUBE_LAURENT}  # no cube has parallel copies
+
+
 def test_reduce_matrix_signs_and_bounds():
     lap = weighted_laplacian(complete_graph(4), WeightScheme.GENERIC)
     minor, sign = reduce_matrix(lap, 3, 3)

@@ -548,3 +548,76 @@ def test_a_stack_of_multiples_divides_to_the_stack_of_quotients():
         rows[r] = (_new(lay, rows[r]) + shared[-1])._terms
         with pytest.raises(NotDivisible):
             _pdiv(lay.stack(rows), shared_g._terms, 0, lay)
+
+
+def test_one_term_divisors_shift_keys_and_fail_at_the_largest_failing_term(monkeypatch):
+    # seeded plain and stacked dividends over one-term divisors, some with a
+    # coefficient other than +-1.  A division that passes runs no heap and
+    # its quotient times the divisor is the dividend; one that fails raises
+    # at the graded-lex largest term that fails by the definition: its
+    # coefficient is not a multiple of the divisor's, a quotient exponent is
+    # below the floor's, or one is outside [-2**28, 2**28), NotDivisible
+    # ahead of ExponentOverflow on the same term
+    import heapq
+
+    from treefactor.polyring import _pdiv
+
+    top = 2 ** 28
+    rng = random.Random(20261021)
+    names = ("x1", "x2", "y3")
+    seen = dict.fromkeys(("divided", "divided by a non-unit", "coefficient", "floor", "range", "stacked"), 0)
+
+    def monomial(low, high):
+        return "*".join(f"{v}^{rng.randint(low, high)}" for v in names)
+
+    def dividend(g, kind):
+        if kind == "multiple":  # g times a polynomial or a Laurent polynomial
+            return g * P(" + ".join(f"{rng.choice([-2, -1, 1, 3])}*{monomial(rng.choice([-1, 0]), 2)}"
+                                    for _ in range(rng.randint(1, 4))))
+        if kind == "edge":  # a term at an end of the exponent range, shifted past it by most divisors
+            v = rng.choice(names)
+            return P(f"{rng.choice([-4, 2])}*{v}^{rng.choice([-top, top - 1])} + {monomial(-2, 3)}")
+        return P(" + ".join(f"{rng.choice([-6, -3, -2, 1, 2, 4])}*{monomial(-2, 3)}" for _ in range(rng.randint(1, 4))))
+
+    for trial in range(600):
+        g = P(f"{rng.choice([1, -1, 2, -3])}*{monomial(-1, 2)}")
+        kinds = [rng.choice(("multiple", "multiple", "edge", "random")) for _ in range(rng.choice((1, 1, 2, 3)))]
+        shared_g, *rows = share_layout([g, *(dividend(g, kind) for kind in kinds)])
+        lay = shared_g._lay
+        f = lay.stack(p._terms for p in rows)
+        if not f:
+            continue
+        (kg, cg), = shared_g._terms.items()
+        # the polynomial ring's floor, or `div_exact`'s
+        floor = 0 if trial % 2 else lay.content(f) - lay.content(shared_g._terms)
+
+        def fails(k, c):
+            quotient = [a - b for a, b in zip(lay.exponents(k), lay.exponents(kg))]
+            coefficient = bool(c % cg)
+            short = any(e < low for e, low in zip(quotient, lay.exponents(floor)))
+            wide = any(not -top <= e < top for e in quotient)
+            return coefficient, short, wide
+
+        failing = [k for k, c in f.items() if any(fails(k, c))]
+        seen["stacked"] += len(rows) > 1
+        if not failing:
+            with monkeypatch.context() as patched:
+                patched.setattr(heapq, "heapify", None)  # any heap division would call it
+                quotient = _pdiv(f, shared_g._terms, floor, lay)
+            assert [(_new(lay, terms) * shared_g)._terms for terms in lay.unstack(quotient, len(rows))] == \
+                [p._terms for p in rows], trial
+            seen["divided"] += 1
+            seen["divided by a non-unit"] += cg not in (1, -1)
+            continue
+        w = max(failing)
+        coefficient, short, wide = fails(w, f[w])
+        if coefficient or short:
+            with pytest.raises(NotDivisible) as err:
+                _pdiv(f, shared_g._terms, floor, lay)
+            assert err.value.witness == (lay.monomial(w), f[w]), trial
+            seen["coefficient" if coefficient else "floor"] += 1
+        else:
+            with pytest.raises(ExponentOverflow):
+                _pdiv(f, shared_g._terms, floor, lay)
+            seen["range"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -39,6 +39,19 @@ from treefactor import (
 )
 
 P = Polynomial.parse
+pytestmark = pytest.mark.usefixtures("time_bound")
+
+
+def _cells_of(matrix_of):
+    """A stand-in for `verify._laplacian_cells` that reads the matrix `matrix_of(g, scheme)` gives."""
+    from treefactor.polyring import share_layout
+
+    def cells(g, scheme):
+        m = matrix_of(g, scheme)
+        flat = share_layout(p for row in m.rows for p in row)
+        return flat[0]._lay, {divmod(i, m.size): p._terms for i, p in enumerate(flat) if p}
+
+    return cells
 
 
 def test_identity_verified():
@@ -162,12 +175,14 @@ def test_a_monomial_divisor_refutes_rows_without_it():
     from treefactor.polyring import _new
 
     lam = (6, 4, 4, 4, 4, 1, 1)
-    lhat, _ = reduce_matrix(weighted_laplacian(verify.threshold_graph(lam), WeightScheme.THRESHOLD_IN_OUT), 0, 0)
+    g = verify.threshold_graph(lam)
+    size = g.n - 1  # L-hat's order
     xs, ys = _in_out_variables(len(lam))
-    divisor, stacks = verify._residues(verify._stacked_columns(lhat), [{0: ys[3]}], xs[1])
-    row = _new(divisor._lay, divisor._lay.unstack(stacks[0], lhat.size)[0])
+    columns = verify._stacked_columns(verify._laplacian_cells(g, WeightScheme.THRESHOLD_IN_OUT), g.n, 0)
+    (divisor,), stacks = verify._residues(columns, [{0: ys[3]}], [xs[1]])
+    row = _new(divisor._lay, divisor._lay.unstack(stacks[0], size)[0])
     assert row == P("x1*y2*y3 + x2*y3^2 + x2*y3*y4 + x2*y3*y5")
-    assert verify._first_undivided(divisor, stacks, lhat.size) == (0, 0, row)
+    assert verify._first_undivided(divisor, stacks, size) == (0, 0, row)
     assert all(v.ok for v in verify_threshold_nullvectors(lam))
 
 
@@ -226,12 +241,12 @@ def test_cube_nullvector_residue_sign_is_pinned(monkeypatch):
 
     # negating the Laplacian negates every residue but keeps each entry
     # divisible by f_A: only the sign check can catch it
-    real = verify.weighted_laplacian
+    real = weighted_laplacian
 
     def negated(g, scheme):
         return PolyMatrix([[-p for p in row] for row in real(g, scheme).rows])
 
-    monkeypatch.setattr(verify, "weighted_laplacian", negated)
+    monkeypatch.setattr(verify, "_laplacian_cells", _cells_of(negated))
     for n, a_set in [(2, (1, 2)), (3, (1, 3)), (3, (1, 2, 3))]:
         v = verify_cube_nullvector(n, a_set)
         assert v.status == "Refuted", (n, a_set)
@@ -286,14 +301,14 @@ _DIAGONAL_WITNESSES = {
 def test_nullvector_witnesses_with_perturbed_diagonal(monkeypatch, index):
     import treefactor.verify as verify
 
-    real = verify.weighted_laplacian
+    real = weighted_laplacian
 
     def bumped(g, scheme):
         rows = [list(row) for row in real(g, scheme).rows]
         rows[index][index] = rows[index][index] + P("x1")
         return PolyMatrix(rows)
 
-    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    monkeypatch.setattr(verify, "_laplacian_cells", _cells_of(bumped))
     assert _refuted_nullvector_witnesses((4, 4, 2, 2, 2)) == _DIAGONAL_WITNESSES[index]
 
 
@@ -454,14 +469,14 @@ def _threshold_witness_with_entry_bumped(monkeypatch, lam, row, col, claim_id):
     # x1 added to one entry of the full Laplacian (0-based)
     import treefactor.verify as verify
 
-    real = verify.weighted_laplacian
+    real = weighted_laplacian
 
     def bumped(g, scheme):
         rows = [list(r) for r in real(g, scheme).rows]
         rows[row][col] = rows[row][col] + P("x1")
         return PolyMatrix(rows)
 
-    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    monkeypatch.setattr(verify, "_laplacian_cells", _cells_of(bumped))
     (verdict,) = [v for v in verify_threshold_nullvectors(lam) if v.claim_id == claim_id]
     assert verdict.status == "Refuted"
     return verdict.witness
@@ -559,14 +574,14 @@ def test_nullvector_verdicts_are_pinned(monkeypatch):
         assert not any(v.ok for v in _nullvector_verdicts())
         assert _verdicts_digest() == "0e736a1ed19a669cd6f138fdbf69b15a5f4b3e185ce7e8dad6aa1078bb9e2cab"
 
-    real = verify.weighted_laplacian
+    real = weighted_laplacian
 
     def bumped(g, scheme):
         rows = [list(row) for row in real(g, scheme).rows]
         rows[1][1] = rows[1][1] + P("x1")
         return PolyMatrix(rows)
 
-    monkeypatch.setattr(verify, "weighted_laplacian", bumped)
+    monkeypatch.setattr(verify, "_laplacian_cells", _cells_of(bumped))
     assert _verdicts_digest() == "0d3a79d22927d6e706b04e230fca8f67aa836a65d163de9d91318c5aa4a1b732"
 
 
@@ -598,7 +613,7 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
         post_init(self)
 
     def warm_counts(call):
-        real = verify.weighted_laplacian
+        real = verify._laplacian_cells
 
         def counted_laplacian(g, scheme):
             counts["laplacians"] += 1
@@ -606,7 +621,7 @@ def test_nullvector_hot_path_builds_operands_on_the_claims_layout(monkeypatch):
 
         with monkeypatch.context() as patched:
             # patched before the warm-up, which fills the caches keyed on it
-            patched.setattr(verify, "weighted_laplacian", counted_laplacian)
+            patched.setattr(verify, "_laplacian_cells", counted_laplacian)
             call()
             counts.update(dict.fromkeys(counts, 0))
             patched.setattr(polyring.Variable, "__init__", counted_init)
@@ -631,7 +646,7 @@ def test_cached_nullvector_operands_follow_a_patched_laplacian(monkeypatch):
     checks = {"cube-null:n=3:A={1,2}": lambda: verify_cube_nullvector(3, (1, 2)),
               "decoupled-null:dims=2x3:dir=2": lambda: verify_decoupled_nullvectors((2, 3), 2)}
     assert all(check().ok for check in checks.values())
-    real = verify.weighted_laplacian
+    real = weighted_laplacian
     for index, witnesses in _DIAGONAL_WITNESSES.items():
         def bumped(g, scheme, index=index):
             rows = [list(row) for row in real(g, scheme).rows]
@@ -639,12 +654,30 @@ def test_cached_nullvector_operands_follow_a_patched_laplacian(monkeypatch):
             return PolyMatrix(rows)
 
         with monkeypatch.context() as patched:
-            patched.setattr(verify, "weighted_laplacian", bumped)
+            patched.setattr(verify, "_laplacian_cells", _cells_of(bumped))
             for claim, check in checks.items():
                 v = check()
                 assert (v.claim_id, v.status, v.witness) == (claim, "Refuted", witnesses[claim]), index
         for claim, check in checks.items():
             assert check().ok, (index, claim)
+
+
+def test_nullvector_checks_hold_on_a_wider_laplacian_layout(monkeypatch):
+    # the same Laplacian keyed over a layout with a variable none of its
+    # entries holds: the divisors and vector entries come back on that wider
+    # layout, and the cube check rebuilds its keys of x_t there, so every
+    # claim still verifies
+    import treefactor.verify as verify
+    from treefactor.polyring import share_layout
+
+    def wider(g, scheme):
+        *entries, _ = share_layout([*(p for row in weighted_laplacian(g, scheme).rows for p in row), P("y1")])
+        return PolyMatrix([entries[i * g.n:(i + 1) * g.n] for i in range(g.n)])
+
+    monkeypatch.setattr(verify, "_laplacian_cells", _cells_of(wider))
+    verdicts = [*verify_threshold_nullvectors((4, 4, 2, 2, 2)), verify_cube_nullvector(3, (1, 2)),
+                verify_cube_nullvector(4, (1, 3, 4)), verify_decoupled_nullvectors((2, 3), 2)]
+    assert all(v.ok for v in verdicts), [v for v in verdicts if not v.ok]
 
 
 def _short_terms(divisor, p):
