@@ -52,10 +52,13 @@ minor would reach nearly every matching edge of q1.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .graphs import Edge, Graph
 from .polyring import (
+    _EXP_LIMIT,
     Polynomial,
     _KroneckerImage,
     _Layout,
@@ -108,15 +111,24 @@ def check_scheme(g: Graph, scheme: WeightScheme) -> None:
         raise SchemeMismatch(f"{scheme.value} weights are not defined on a {g.kind} graph")
 
 
+@lru_cache(maxsize=256)
+def _indexed_layout(qs: Sequence[int] = (), xs: Sequence[int] = (), ys: Sequence[int] = (),
+                    xds: Sequence[tuple[int, int]] = ()) -> _Layout:
+    """The layout of q_i, x_i, y_i and x(i,m) over the given ascending indices, built once per index set."""
+    return _layout((*map(q, qs), *map(x, xs), *map(y, ys), *(xd(i, m) for i, m in xds)))
+
+
 def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tuple[_Layout, list[int]]:
     """The layout `scheme` fixes for g, and the packed key of each edge's weight over it.
 
-    The layout's variables are built once: x1..xn for degrees; x1..x(n-1)
-    and y2..yn for in/out degrees (an edge's lower endpoint gives its x, the
-    upper one its y); q_i for each direction with edges; q1..qr and x1..xr
-    on the r-cube; those q_i and every coordinate x(i,j) for the decoupled
-    weights; e(u,v) for each edge of g under generic weights.  A weight is a
-    product of variables, so its key is a sum of their keys.
+    The layout's variables are x1..xn for degrees; x1..x(n-1) and y2..yn
+    for in/out degrees (an edge's lower endpoint gives its x, the upper one
+    its y); q_i for each direction with edges; q1..qr and x1..xr on the
+    r-cube; those q_i and every coordinate x(i,j) for the decoupled weights;
+    e(u,v) for each edge of g under generic weights.  All but the generic
+    ones follow from g's size (n or its dims) alone, so `_indexed_layout`
+    builds them once per size.  A weight is a product of variables, so its
+    key is a sum of their keys.
     """
     n = g.n
     if scheme is WeightScheme.GENERIC:
@@ -125,26 +137,26 @@ def _weight_table(g: Graph, scheme: WeightScheme, edges: Sequence[Edge]) -> tupl
         pair_keys = dict(zip(pairs, lay.unit))
         keys = [pair_keys[e.u + 1, e.v + 1] for e in edges]
     elif scheme is WeightScheme.CAYLEY_PRUFER:
-        lay = _layout(tuple(map(x, range(1, n + 1))))
+        lay = _indexed_layout(xs=range(1, n + 1))
         xs = lay.unit
         keys = [xs[e.u] + xs[e.v] for e in edges]
     elif scheme is WeightScheme.THRESHOLD_IN_OUT:
-        lay = _layout((*map(x, range(1, n)), *map(y, range(2, n + 1))))
+        lay = _indexed_layout(xs=range(1, n), ys=range(2, n + 1))
         xs, ys = lay.unit[:n - 1], lay.unit[n - 1:]
         keys = [xs[e.u] + ys[e.v - 1] for e in edges]
     elif scheme is WeightScheme.CUBE_LAURENT:
         directions = range(1, len(g.dims) + 1)
-        lay = _layout((*map(q, directions), *map(x, directions)))
+        lay = _indexed_layout(qs=directions, xs=directions)
         qs, xs = lay.unit[:len(directions)], lay.unit[len(directions):]
         # x_t or 1/x_t as t is in the lower endpoint's subset or not, off the edge's direction
         keys = [qs[e.direction - 1] + sum(xs[t - 1] if t in g.labels[e.u] else -xs[t - 1]
                                           for t in directions if t != e.direction) for e in edges]
     else:
-        directions = [i for i, d in enumerate(g.dims, start=1) if d > 1]
-        coords = []
+        directions = tuple(i for i, d in enumerate(g.dims, start=1) if d > 1)
+        coords = ()
         if scheme is WeightScheme.DECOUPLED:
-            coords = [(i, m) for i, d in enumerate(g.dims, start=1) for m in range(1, d + 1)]
-        lay = _layout((*map(q, directions), *(xd(i, m) for i, m in coords)))
+            coords = tuple((i, m) for i, d in enumerate(g.dims, start=1) for m in range(1, d + 1))
+        lay = _indexed_layout(qs=directions, xds=coords)
         qs = dict(zip(directions, lay.unit))
         xs = dict(zip(coords, lay.unit[len(directions):]))
         keys = [qs[e.direction] for e in edges]
@@ -310,13 +322,17 @@ def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     row gives the sum of +-a[r][j] * D(T), signed by the parity of the
     columns of T after j, so each product is one entry times one minor and
     nothing is divided (Gentleman and Johnson, ACM TOMS 2(3), 1976).  Zero
-    minors are dropped.
+    minors are dropped.  Each term of a minor takes one entry from each of
+    its rows, so an exponent in it is at most the sum over rows of the
+    row's span (largest |exponent|) in magnitude: when those spans add up
+    to less than 2**28 nothing is scanned, and otherwise every minor is.
     """
     n = len(rows)
     if not n:
         return Polynomial.one()
     flat = share_layout(p for row in rows for p in row)
     lay = flat[0]._lay
+    scan = sum(lay.span(k for p in flat[r * n:(r + 1) * n] for k in p._terms) for r in range(n)) >= _EXP_LIMIT
     level = {1 << j: p._terms for j, p in enumerate(flat[:n]) if p}
     for r in range(1, n):
         row = [(j, 1 << j, p._terms, (-p)._terms) for j, p in enumerate(flat[r * n:(r + 1) * n]) if p]
@@ -326,6 +342,8 @@ def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 if not t & bit:
                     pairs.setdefault(t | bit, []).append((minus if (t >> j).bit_count() & 1 else plus, minor))
         level = {s: d for s, terms in pairs.items() if (d := _dot(lay, terms))}
+        if scan:
+            lay.check_range(chain.from_iterable(level.values()))
     return _new(lay, level.popitem()[1] if level else {})
 
 

@@ -29,8 +29,20 @@ on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  `poly_sum` is the one sum loop
 (`+` and `-` call it); `_dot` is the product kernel: the sum of a*b over
 pairs of term dicts its caller has put on one layout (`_aligned` or
-`share_layout`), for `*` (which shifts the keys itself when an operand has
-one term), `laplacian._minors_det` and the nullvector checks of `verify`.
+`share_layout`), for `*` and `poly_product` (through `_times`, which
+shifts the keys itself when an operand has one term),
+`laplacian._minors_det` and the nullvector checks of `verify`.
+
+`_dot` only computes: it scans no key, and it rebuilds its result to drop
+zeros only when a coefficient cancelled.  Each caller proves its result in
+range or scans it with `_Layout.check_range`.  A polynomial's span is its
+largest |exponent|, and an exponent of a product is a sum of one exponent
+per factor, so a product of factors whose spans add up to less than 2**28
+cannot leave the range: `poly_product` then folds with no scan (and by `*`
+otherwise), and `_minors_det` scans no minor when its rows' spans do.  `*`
+scans its output, and so do the nullvector residues: reading a span costs
+about seven scans per key, so it pays only where the factors hold far
+fewer keys than their product.
 `**` raises a linear form (every key a unit key) to k >= 2 by
 `_linear_power`, one term per composition of k; any other base is
 multiplied in k times, since where products collide the compositions far
@@ -321,6 +333,10 @@ class _Layout:
     def check_range(self, keys: Iterable[int]) -> None:
         if reduce(or_, map(self.range_bias.__add__, keys), 0) & self.range_mask:
             raise ExponentOverflow(f"a computed exponent is outside {_RANGE}")
+
+    def span(self, keys: Iterable[int]) -> int:
+        """The largest |exponent| over the keys, 0 for none; a stacked key reads as the key in its band."""
+        return max(map(abs, chain.from_iterable(map(self.exponents, keys))), default=0)
 
 
 # The caches are bounded; an evicted layout stays valid for the polynomials
@@ -643,12 +659,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         lay, a, b = _aligned(self, other)
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) != 1:
-            return _new(lay, _dot(lay, ((a, b),)))
-        (ka, ca), = a.items()  # one term: shift the other's keys
-        out = {ka + kb: ca * cb for kb, cb in b.items()}
+        out = _times(lay, a, b)
         lay.check_range(out)
         return _new(lay, out)
 
@@ -829,20 +840,32 @@ def _parse_term(chunk: str) -> tuple[Monomial, int]:
 
 
 def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
-    """The sum of a*b over pairs of term dicts keyed over `lay`, as one key-sum."""
+    """The sum of a*b over pairs of term dicts keyed over `lay`, as one key-sum.
+
+    Nothing is range-checked: the caller proves the range or scans the
+    result.  Zeros are dropped only when a coefficient cancelled.
+    """
     out: dict[int, int] = {}
     get = out.get
     for a, b in pairs:
-        if len(a) > len(b):  # the shorter operand outside, as in `*`
+        if len(a) > len(b):  # the shorter operand outside, as in `_times`
             a, b = b, a
         bt = b.items()
         for ka, ca in a.items():
             for kb, cb in bt:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    out = {k: c for k, c in out.items() if c}
-    lay.check_range(out)
-    return out
+    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+
+
+def _times(lay: _Layout, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a*b over `lay`, unchecked: a one-term operand shifts the other's keys, any other pair runs `_dot`."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        return _dot(lay, ((a, b),))
+    (ka, ca), = a.items()
+    return {ka + kb: ca * cb for kb, cb in b.items()}
 
 
 def _linear_power(terms: dict[int, int], k: int) -> dict[int, int]:
@@ -956,4 +979,20 @@ def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
-    return reduce(mul, share_layout(items), Polynomial.one())
+    """The items multiplied in order on one layout.
+
+    An exponent of a partial product is a sum of one exponent per factor,
+    so when the factors' spans (largest |exponent|) add up to less than
+    2**28 no partial product leaves the range and the fold scans nothing.
+    Otherwise each partial product is scanned, as `*` scans.
+    """
+    items = share_layout(items)
+    if not items:
+        return Polynomial.one()
+    lay = items[0]._lay
+    if sum(lay.span(p._terms) for p in items) >= _EXP_LIMIT:
+        return reduce(mul, items, Polynomial.one())
+    out = {0: 1}
+    for p in items:
+        out = _times(lay, out, p._terms)
+    return _new(lay, out)

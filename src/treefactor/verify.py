@@ -268,7 +268,9 @@ def _residues(columns: _Columns, vectors: Sequence[dict[int, Polynomial]],
     A vector maps column indices to entries.  Every entry and divisor go
     onto the columns' layout once, so no product or division re-keys; a
     variable outside it re-keys the columns too.  L v is one key-sum over
-    the columns at the vector's nonzero entries.  Nothing is divided.
+    the columns at the vector's nonzero entries, scanned for range: a proof
+    from the operands' spans would read as many keys, each far slower (see
+    `polyring`).  Nothing is divided.
     """
     src, cols = columns
     base, *shared = share_layout([_new(src, {}), *divisors, *(val for v in vectors for val in v.values())])
@@ -276,8 +278,10 @@ def _residues(columns: _Columns, vectors: Sequence[dict[int, Polynomial]],
     if len(lay.vars) != len(src.vars):
         cols = [lay.stack(_rekey(row, src, lay) for row in src.unstack(col, len(cols))) for col in cols]
     entries = iter(shared[len(divisors):])
-    return shared[:len(divisors)], [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val._terms])
-                                    for v in vectors]
+    stacks = [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val._terms]) for v in vectors]
+    for stacked in stacks:
+        lay.check_range(stacked)
+    return shared[:len(divisors)], stacks
 
 
 def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]],
@@ -362,6 +366,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     a_square -= sum(keys)
     units = lay.stack({a_square + 2 * sum(keys[t] for t in r - aset): 1 if len(aset & r) % 2 else -1} for r in labels)
     closed = _dot(lay, [(units, f_a._terms)])
+    lay.check_range(closed)
     if residues != closed:
         size = len(labels)
         r, entry = next((r, row) for r, row, want in zip(labels, lay.unstack(residues, size), lay.unstack(closed, size))

@@ -46,6 +46,9 @@ from treefactor import (
 from treefactor.formulas import InvalidSize
 from treefactor.polyring import div_exact
 
+# every test here takes well under the bound: a hang fails (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("time_bound")
+
 P = Polynomial.parse
 
 

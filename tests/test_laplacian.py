@@ -9,6 +9,7 @@ import pytest
 from treefactor import (
     CapExceeded,
     Edge,
+    ExponentOverflow,
     IndexOutOfRange,
     Monomial,
     PolyMatrix,
@@ -495,6 +496,98 @@ def test_minors_det_keeps_the_column_sets_minor_states_counts(monkeypatch):
     a, b = P("x1 + x2"), P("x2")
     assert laplacian._minors_det([[a, b, a], [a, b, a], [b, a, b]]) == 0
     assert len(calls) == 3
+
+
+_TOP = 2 ** 28  # exponents of a packed key lie in [-_TOP, _TOP)
+
+
+def _ref_terms(p):
+    return dict(p.terms())
+
+
+def _ref_sum_of_products(pairs):
+    """The sum of f*g over pairs of {Monomial: coefficient} dicts, multiplied term by term."""
+    out = {}
+    for f, g in pairs:
+        for ma, ca in f.items():
+            for mb, cb in g.items():
+                m = ma * mb
+                out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _scanned_minors(rows):
+    """The determinant expanded along its rows over {Monomial: coefficient}
+    dicts, one minor per column set, every minor scanned: ExponentOverflow
+    as soon as one leaves the range."""
+    level = {1 << j: _ref_terms(p) for j, p in enumerate(rows[0]) if p}
+    for r, row in enumerate(rows[1:], start=1):
+        pairs = {}
+        for t, minor in level.items():
+            for j, p in enumerate(row):
+                if p and not t >> j & 1:
+                    sign = -1 if bin(t >> j).count("1") % 2 else 1
+                    pairs.setdefault(t | 1 << j, []).append((_ref_terms(sign * p), minor))
+        level = {s: d for s, terms in pairs.items() if (d := _ref_sum_of_products(terms))}
+        if any(not -_TOP <= e < _TOP for d in level.values() for m in d for _, e in m.exps):
+            raise ExponentOverflow("a minor left the range")
+    return level.popitem()[1] if level else {}
+
+
+def test_minors_near_the_range_ends_match_an_expansion_that_scans_every_minor():
+    # a matrix whose rows' spans add up to less than 2**28 is expanded
+    # unscanned; any other must fail exactly where an expansion that scans
+    # every minor fails, and otherwise agree with it
+    rng = random.Random(30029)
+    variables = [x(1), x(2), y(3)]
+    ends = (0, 1, -1, _TOP // 4, -_TOP // 4 - 1, _TOP // 2 - 1, -_TOP // 2, _TOP - 1, -_TOP)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Polynomial.zero()
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mono = Monomial.of({v: rng.choice(ends) for v in rng.sample(variables, rng.randint(1, 2))})
+            terms[mono] = terms.get(mono, 0) + rng.choice((-1, 1, 2))
+        return Polynomial(terms)
+
+    seen = {"fits": 0, "overflow": 0}
+    for _ in range(200):
+        size = rng.randint(2, 4)
+        rows = [[entry() for _ in range(size)] for _ in range(size)]
+        try:
+            want = _scanned_minors(rows)
+        except ExponentOverflow:
+            with pytest.raises(ExponentOverflow):
+                laplacian.determinant(PolyMatrix(rows))
+            seen["overflow"] += 1
+            continue
+        assert _ref_terms(laplacian.determinant(PolyMatrix(rows))) == want
+        seen["fits"] += 1
+    assert min(seen.values()) >= 30, seen
+    # two rows of span 2**27 each: exactly 2**28 in all, so the minors are scanned
+    half = Polynomial.variable(x(1), _TOP // 2)
+    with pytest.raises(ExponentOverflow):
+        laplacian.determinant(PolyMatrix([[half, P("x2")], [P("x2"), half]]))
+    low = Polynomial.variable(x(1), -_TOP // 2)
+    assert laplacian.determinant(PolyMatrix([[half, P("x2")], [P("x2"), low]])) == 1 - P("x2^2")
+
+
+def test_minors_under_the_range_budget_are_never_scanned(monkeypatch):
+    # a minor takes one entry per row, so rows whose spans add up to less
+    # than 2**28 bound every minor: the expansion scans none
+    from treefactor import polyring
+
+    g = hypercube(3)
+    rows = reduce_matrix(weighted_laplacian(g, WeightScheme.CUBE_LAURENT), 0, 0)[0].rows
+    small = [[P("x1 + y3"), P(f"x2^{_TOP // 8}"), 0], [P("x1^-1"), 0, P("x2 - 1")], [P("y3"), 1, P("x1*x2")]]
+    want = laplacian._minors_det(rows), laplacian.determinant(PolyMatrix(small))
+
+    def forbidden(*args):
+        raise AssertionError("a minor under the range budget was scanned")
+
+    monkeypatch.setattr(polyring._Layout, "check_range", forbidden)
+    assert (laplacian._minors_det(rows), laplacian.determinant(PolyMatrix(small))) == want
 
 
 def test_minor_states_stops_past_the_bound_without_polynomials(monkeypatch):

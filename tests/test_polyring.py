@@ -409,6 +409,81 @@ def test_sums_run_neither_the_product_kernel_nor_a_range_check(monkeypatch):
     assert (a - a).is_zero and poly_sum([]).is_zero
 
 
+_TOP = 2 ** 28  # exponents of a packed key lie in [-_TOP, _TOP)
+
+
+def _scanned_fold(items):
+    """The items' product over {Monomial: coefficient} dicts, every partial
+    product scanned: ExponentOverflow as soon as one leaves the range."""
+    product = {Monomial(): 1}
+    for item in items:
+        product = _reference_product(product, _reference_terms(item))
+        if any(not -_TOP <= e < _TOP for m in product for _, e in m.exps):
+            raise ExponentOverflow("a partial product left the range")
+    return product
+
+
+def _budget_poly(rng, variables):
+    """1-3 terms whose exponents sit at 0, +-1 or near either end of the range, halved or whole."""
+    ends = (1, -1, _TOP // 2 - 1, _TOP // 2, -_TOP // 2, -_TOP // 2 - 1, _TOP - 1, -_TOP)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = Monomial.of({v: rng.choice(ends) for v in rng.sample(variables, rng.randint(0, 2))})
+        terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 3))
+    return Polynomial(terms)
+
+
+def _same_or_overflow(compute, reference):
+    try:
+        want = reference()
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow):
+            compute()
+        return "overflow"
+    assert _reference_terms(compute()) == want
+    return "fits"
+
+
+def test_products_near_the_range_ends_match_a_fold_that_scans_every_partial_product():
+    # chains whose spans add up to less than 2**28 are folded unscanned;
+    # the rest must fail exactly where a fold that scans every partial
+    # product fails, and otherwise agree with it
+    rng = random.Random(30028)
+    variables = [x(1), x(2), y(3)]
+    seen = {"fits": 0, "overflow": 0, "power fits": 0, "power overflow": 0}
+    for _ in range(300):
+        items = [_budget_poly(rng, variables) for _ in range(rng.randint(1, 4))]
+        seen[_same_or_overflow(lambda: poly_product(items), lambda: _scanned_fold(items))] += 1
+        base, k = items[0], rng.randint(1, 3)
+        seen["power " + _same_or_overflow(lambda: base ** k, lambda: _scanned_fold([base] * k))] += 1
+    assert min(seen.values()) >= 30, seen
+    # spans adding up to exactly 2**28 reach the range's end only on one side
+    half, neg = Polynomial.variable(x(1), _TOP // 2), Polynomial.variable(x(1), -_TOP // 2)
+    for items in ([half, half + 1], [half + 1, half, 3], [neg, neg + 1], [neg - 1, neg - P("x2")]):
+        _same_or_overflow(lambda: poly_product(items), lambda: _scanned_fold(items))
+    with pytest.raises(ExponentOverflow):
+        poly_product([half + P("x2"), half - P("x2")])
+    assert poly_product([neg + 1, neg - 1]) == Polynomial.variable(x(1), -_TOP) - 1
+    with pytest.raises(ExponentOverflow):
+        poly_product([Polynomial.variable(x(1), -_TOP // 2 - 1) + 1, neg + 1])
+
+
+def test_a_chain_under_the_range_budget_is_never_scanned(monkeypatch):
+    # factors whose spans add up to less than 2**28 cannot leave the range,
+    # whatever the order or the layouts they come on
+    import treefactor.polyring as polyring
+
+    def forbidden(*args):
+        raise AssertionError("a chain under the range budget was scanned")
+
+    chain = [P("x1 + y2"), P("x1^-1 - 2*y2 + 3"), P("q1*x2 + x1"), 5, P(f"x1^{_TOP // 4}*y2^-1 - 1")]
+    want = poly_product(chain)
+    monkeypatch.setattr(polyring._Layout, "check_range", forbidden)
+    assert poly_product(chain) == want
+    assert P(f"x1^{_TOP // 8} + x2^-1 + 1") ** 7 == poly_product([P(f"x1^{_TOP // 8} + x2^-1 + 1")] * 7)
+    assert (P("x1*x2 - y2") ** 3).render() == "x1^3*x2^3 - 3*x1^2*x2^2*y2 + 3*x1*x2*y2^2 - y2^3"
+
+
 def test_sums_take_only_ints_and_polynomials():
     p = P("x1 + 1")
     for bad in (lambda: p + "x", lambda: "x" + p, lambda: p - object(), lambda: object() - p,
