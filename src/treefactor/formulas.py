@@ -10,7 +10,9 @@ One factor list per family: `_threshold_factors`, `_cube_factors` and
 layout of the family's Laplacian key table; the factored closed forms are
 their products.  `verify` takes its nullvector divisors from them and its
 variables from the cached ones they are built on (`_in_out_variables`,
-`_cube_variables`, `_decoupled_variables`).
+`_cube_variables`, `_decoupled_variables`).  Those, the Cayley variables
+and the direction variables are the units of `laplacian._indexed_layout`,
+the one per-size source of the key tables' layouts.
 """
 
 from __future__ import annotations
@@ -33,18 +35,25 @@ from .graphs import (
     is_connected,
     threshold_graph,
 )
+from .laplacian import _indexed_layout
 from .polyring import (
     Polynomial,
+    _Layout,
     _coerce_poly,
+    _new,
     _variable_polys,
     div_exact,
     poly_product,
     poly_sum,
     q,
     x,
-    xd,
     y,
 )
+
+
+def _unit_polys(lay: _Layout) -> list[Polynomial]:
+    """Each variable of the layout as a polynomial over it, in the layout's order."""
+    return [_new(lay, {u: 1}) for u in lay.unit]
 
 
 class FormMismatch(ArithmeticError):
@@ -55,7 +64,7 @@ def cayley_prufer_rhs(n: int) -> Polynomial:
     """x1...xn times (x1+...+xn)^(n-2): the degree-weighted tree sum of K_n."""
     if n < 2:
         raise InvalidSize("need at least two vertices")
-    xs = _variable_polys([x(i) for i in range(1, n + 1)])
+    xs = _unit_polys(_indexed_layout(xs=range(1, n + 1)))
     return poly_product(xs) * poly_sum(xs) ** (n - 2)
 
 
@@ -84,7 +93,7 @@ def directions_rhs(dims: Sequence[int]) -> Polynomial:
     if not kept:
         return Polynomial.one()
     total = prod(d for _, d in kept)
-    qs = dict(zip((i for i, _ in kept), _variable_polys([q(i) for i, _ in kept])))
+    qs = dict(zip((i for i, _ in kept), _unit_polys(_indexed_layout(qs=tuple(i for i, _ in kept)))))
 
     # the kept factors' spectrum on their own direction variables: each
     # stripped unit factor would double the subsets and add nothing
@@ -159,9 +168,9 @@ def _decoupled_variables(dims: tuple[int, ...]) -> tuple[tuple[Polynomial, ...],
     """q_i for each direction i with n_i >= 2, and x(i,1)..x(i,n_i) for every
     direction i, keyed over their one layout, the layout of the decoupled
     weights; coords[i - 1][j - 1] is x(i,j)."""
-    kept = [i for i, d in enumerate(dims, start=1) if d >= 2]
-    polys = iter(_variable_polys([*map(q, kept), *(xd(i, j) for i, d in enumerate(dims, start=1)
-                                                   for j in range(1, d + 1))]))
+    kept = tuple(i for i, d in enumerate(dims, start=1) if d >= 2)
+    polys = iter(_unit_polys(_indexed_layout(qs=kept, xds=tuple((i, j) for i, d in enumerate(dims, start=1)
+                                                                for j in range(1, d + 1)))))
     qs = tuple(next(polys) for _ in kept)
     return qs, tuple(tuple(next(polys) for _ in range(d)) for d in dims)
 
@@ -205,7 +214,7 @@ def coordinate_sum(i: int, size: int) -> Polynomial:
 def _cube_variables(members: tuple[int, ...]) -> tuple[tuple[Polynomial, ...], ...]:
     """q_i, x_i and q_i (x_i^-1 + x_i) for each direction i of `members`, over
     their q_i and x_i; the subset factor f_A sums the last over A."""
-    polys = _variable_polys([*map(q, members), *map(x, members)])
+    polys = _unit_polys(_indexed_layout(qs=members, xs=members))
     qs, xs = tuple(polys[:len(members)]), tuple(polys[len(members):])
     return qs, xs, tuple(qi * (xi ** -1 + xi) for qi, xi in zip(qs, xs))
 
@@ -255,7 +264,7 @@ def merris_count(lam: PartitionLike) -> int:
 def _in_out_variables(n: int) -> tuple[tuple, tuple]:
     """x1..x(n-1) and y2..yn keyed over their one layout, the layout of the
     in/out weights on n vertices; xs[i] is x_i and ys[i] is y_i."""
-    polys = _variable_polys([*(x(i) for i in range(1, n)), *(y(i) for i in range(2, n + 1))])
+    polys = _unit_polys(_indexed_layout(xs=range(1, n), ys=range(2, n + 1)))
     return (None, *polys[:n - 1]), (None, None, *polys[n - 1:])
 
 

@@ -114,7 +114,12 @@ def check_scheme(g: Graph, scheme: WeightScheme) -> None:
 @lru_cache(maxsize=256)
 def _indexed_layout(qs: Sequence[int] = (), xs: Sequence[int] = (), ys: Sequence[int] = (),
                     xds: Sequence[tuple[int, int]] = ()) -> _Layout:
-    """The layout of q_i, x_i, y_i and x(i,m) over the given ascending indices, built once per index set."""
+    """The layout of q_i, x_i, y_i and x(i,m) over the given ascending indices, built once per index set.
+
+    The one source of the layouts that follow from a graph's size: the
+    key tables here and the variables of `formulas` both take theirs from
+    it, so a closed form is keyed over its Laplacian's layout.
+    """
     return _layout((*map(q, qs), *map(x, xs), *map(y, ys), *(xd(i, m) for i, m in xds)))
 
 
@@ -341,7 +346,7 @@ def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             for j, bit, plus, minus in row:
                 if not t & bit:
                     pairs.setdefault(t | bit, []).append((minus if (t >> j).bit_count() & 1 else plus, minor))
-        level = {s: d for s, terms in pairs.items() if (d := _dot(lay, terms))}
+        level = {s: d for s, terms in pairs.items() if (d := _dot(terms))}
         if scan:
             lay.check_range(chain.from_iterable(level.values()))
     return _new(lay, level.popitem()[1] if level else {})

@@ -29,8 +29,8 @@ on different layouts are re-keyed onto the union first; share_layout puts
 many polynomials on one layout up front.  `poly_sum` is the one sum loop
 (`+` and `-` call it); `_dot` is the product kernel: the sum of a*b over
 pairs of term dicts its caller has put on one layout (`_aligned` or
-`share_layout`), for `*` and `poly_product` (through `_times`, which
-shifts the keys itself when an operand has one term),
+`share_layout`), for `*`, `**` and `poly_product` (through `_times`,
+which shifts the keys itself when an operand has one term),
 `laplacian._minors_det` and the nullvector checks of `verify`.
 
 `_dot` only computes: it scans no key, and it rebuilds its result to drop
@@ -38,15 +38,17 @@ zeros only when a coefficient cancelled.  Each caller proves its result in
 range or scans it with `_Layout.check_range`.  A polynomial's span is its
 largest |exponent|, and an exponent of a product is a sum of one exponent
 per factor, so a product of factors whose spans add up to less than 2**28
-cannot leave the range: `poly_product` then folds with no scan (and by `*`
-otherwise), and `_minors_det` scans no minor when its rows' spans do.  `*`
+cannot leave the range: `poly_product` then folds with no scan (and
+scans each partial product otherwise), and `_minors_det` scans no minor
+when its rows' spans do.  `*`
 scans its output, and so do the nullvector residues: reading a span costs
 about seven scans per key, so it pays only where the factors hold far
 fewer keys than their product.
 `**` raises a linear form (every key a unit key) to k >= 2 by
 `_linear_power`, one term per composition of k; any other base is
 multiplied in k times, since where products collide the compositions far
-outnumber them.
+outnumber them.  Both check k times the base's extreme exponents up
+front, which bounds every partial power, and scan nothing after.
 
 A stack holds many polynomials of one layout in one term dict: row r's keys
 are offset by r * step, step = 2**(32*(n+2)) being a digit above the degree
@@ -62,8 +64,9 @@ wrong.
 Variable and Monomial objects are built only at the edge: Polynomial(dict),
 terms(), coefficient(), a witness, parse and JSON; `substitute` strips the
 bound digits off each key.
-The weight key tables of `laplacian` and every closed form and factor list
-of `formulas` build each Variable once per layout (`_variable_polys`); the
+The weight key tables of `laplacian` and the closed forms and factor lists
+of `formulas` build each Variable once per index set
+(`laplacian._indexed_layout`); the
 nullvector operands and divisors of `verify` build none, taking the cached
 variables and factor lists of `formulas`, on the Laplacian's layout.
 `treebrute` sums the weight tables' keys along its tree walk, the part of
@@ -335,7 +338,13 @@ class _Layout:
             raise ExponentOverflow(f"a computed exponent is outside {_RANGE}")
 
     def span(self, keys: Iterable[int]) -> int:
-        """The largest |exponent| over the keys, 0 for none; a stacked key reads as the key in its band."""
+        """The largest |exponent| over the keys, 0 for none; a stacked key reads as the key in its band.
+
+        Each key is unpacked.  Reading the least and the largest exponents
+        off `content` of the keys and of their negations unpacks only two,
+        but re-encodes and decodes both for every call: on the factors of
+        the closed forms, half of them one key, that took twice as long.
+        """
         return max(map(abs, chain.from_iterable(map(self.exponents, keys))), default=0)
 
 
@@ -659,7 +668,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         lay, a, b = _aligned(self, other)
-        out = _times(lay, a, b)
+        out = _times(a, b)
         lay.check_range(out)
         return _new(lay, out)
 
@@ -689,10 +698,16 @@ class Polynomial:
                 raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
             if set(lay.unit).issuperset(terms):  # a linear form: one term per composition of k
                 return _new(lay, _linear_power(terms, k))
-        # any other base: where its products collide, the compositions far
-        # outnumber the products of multiplying by it k times, and those are
-        # fewer than squaring's
-        return poly_product([self] * k)
+            # any other base: where its products collide, the compositions far
+            # outnumber the products of multiplying by it k times, and those are
+            # fewer than squaring's.  An exponent of p**j, j <= k, lies
+            # between j times p's least and largest exponents, so between
+            # those of p and of p**k, which are in range: nothing is scanned.
+            out = terms
+            for _ in range(k - 1):
+                out = _times(out, terms)
+            return _new(lay, out)
+        return self if k else Polynomial.one()
 
     # -- substitution ------------------------------------------------------
 
@@ -839,8 +854,8 @@ def _parse_term(chunk: str) -> tuple[Monomial, int]:
 # ---------------------------------------------------------------------------
 
 
-def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
-    """The sum of a*b over pairs of term dicts keyed over `lay`, as one key-sum.
+def _dot(pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -> dict[int, int]:
+    """The sum of a*b over pairs of term dicts keyed over one layout, as one key-sum.
 
     Nothing is range-checked: the caller proves the range or scans the
     result.  Zeros are dropped only when a coefficient cancelled.
@@ -858,12 +873,12 @@ def _dot(lay: _Layout, pairs: Iterable[tuple[dict[int, int], dict[int, int]]]) -
     return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 
 
-def _times(lay: _Layout, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a*b over `lay`, unchecked: a one-term operand shifts the other's keys, any other pair runs `_dot`."""
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a*b over one layout, unchecked: a one-term operand shifts the other's keys, any other pair runs `_dot`."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) != 1:
-        return _dot(lay, ((a, b),))
+        return _dot(((a, b),))
     (ka, ca), = a.items()
     return {ka + kb: ca * cb for kb, cb in b.items()}
 
@@ -990,9 +1005,10 @@ def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
     if not items:
         return Polynomial.one()
     lay = items[0]._lay
-    if sum(lay.span(p._terms) for p in items) >= _EXP_LIMIT:
-        return reduce(mul, items, Polynomial.one())
+    scan = sum(lay.span(p._terms) for p in items) >= _EXP_LIMIT
     out = {0: 1}
     for p in items:
-        out = _times(lay, out, p._terms)
+        out = _times(out, p._terms)
+        if scan:
+            lay.check_range(out)
     return _new(lay, out)

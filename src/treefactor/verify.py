@@ -278,7 +278,7 @@ def _residues(columns: _Columns, vectors: Sequence[dict[int, Polynomial]],
     if len(lay.vars) != len(src.vars):
         cols = [lay.stack(_rekey(row, src, lay) for row in src.unstack(col, len(cols))) for col in cols]
     entries = iter(shared[len(divisors):])
-    stacks = [_dot(lay, [(cols[col], val._terms) for col, val in zip(v, entries) if val._terms]) for v in vectors]
+    stacks = [_dot([(cols[col], val._terms) for col, val in zip(v, entries) if val._terms]) for v in vectors]
     for stacked in stacks:
         lay.check_range(stacked)
     return shared[:len(divisors)], stacks
@@ -365,7 +365,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     # x_(A u R)^2 / x_[n], signed by the parity of |A n R|
     a_square -= sum(keys)
     units = lay.stack({a_square + 2 * sum(keys[t] for t in r - aset): 1 if len(aset & r) % 2 else -1} for r in labels)
-    closed = _dot(lay, [(units, f_a._terms)])
+    closed = _dot([(units, f_a._terms)])
     lay.check_range(closed)
     if residues != closed:
         size = len(labels)

@@ -761,7 +761,7 @@ def row_by_row(matrix, vectors, divisor):
     residues = []
     for v in vectors:
         walk = [(col, val._terms) for col, val in zip(v, shared) if val]
-        residues.append([_dot(lay, pairs) if (pairs := [(row[col], val) for col, val in walk if row[col]]) else {}
+        residues.append([_dot(pairs) if (pairs := [(row[col], val) for col, val in walk if row[col]]) else {}
                          for row in rows])
     for k, entries in enumerate(residues):
         for r, terms in enumerate(entries):

@@ -488,7 +488,7 @@ def test_minors_det_keeps_the_column_sets_minor_states_counts(monkeypatch):
     expected = tree_enumerator_det(g, WeightScheme.GENERIC)
     calls = []
     dot = laplacian._dot
-    monkeypatch.setattr(laplacian, "_dot", lambda lay, pairs: calls.append(lay) or dot(lay, pairs))
+    monkeypatch.setattr(laplacian, "_dot", lambda pairs: calls.append(pairs) or dot(pairs))
     assert laplacian._minors_det(rows) == expected
     assert len(calls) == laplacian._minor_states(rows) - sum(1 for p in rows[0] if p)
     # rows 0 and 1 equal: their three minors cancel and are dropped, so row 2 expands nothing

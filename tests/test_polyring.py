@@ -356,15 +356,14 @@ def test_product_kernel_against_monomial_reference():
         # a sum of products: consecutive items paired, on one layout
         zero, *shared = share_layout([0, *items])
         pairs = list(zip(shared[::2], shared[1::2]))
-        got = _new(zero._lay, _dot(zero._lay, ((a._terms, b._terms) for a, b in pairs)))
+        got = _new(zero._lay, _dot(((a._terms, b._terms) for a, b in pairs)))
         want = _reference_sum(_reference_product(_reference_terms(a), _reference_terms(b)) for a, b in pairs)
         assert _reference_terms(got) == want
     assert poly_sum([]) == 0 and poly_product([]) == 1
-    lay = P("x1")._lay
-    assert _dot(lay, []) == {}
+    assert _dot([]) == {}
     # pairs that cancel to 0 leave no zero coefficient behind
     a, b = share_layout([P("x1 - x1^-1"), P("2*x1 + 3")])
-    assert _dot(a._lay, [(a._terms, b._terms), ((-a)._terms, b._terms)]) == {}
+    assert _dot([(a._terms, b._terms), ((-a)._terms, b._terms)]) == {}
 
 
 def test_share_layout_passes_polynomials_on_one_layout_through(monkeypatch):
@@ -478,8 +477,13 @@ def test_a_chain_under_the_range_budget_is_never_scanned(monkeypatch):
 
     chain = [P("x1 + y2"), P("x1^-1 - 2*y2 + 3"), P("q1*x2 + x1"), 5, P(f"x1^{_TOP // 4}*y2^-1 - 1")]
     want = poly_product(chain)
+    # a power is bounded by k times its base's extreme exponents, checked
+    # up front, even where the k copies' spans add up past the budget
+    wide = P(f"x1^{_TOP // 4 - 1} + x1^-{_TOP // 4}")
+    wide_power = poly_product([wide] * 4)
     monkeypatch.setattr(polyring._Layout, "check_range", forbidden)
     assert poly_product(chain) == want
+    assert wide ** 4 == wide_power
     assert P(f"x1^{_TOP // 8} + x2^-1 + 1") ** 7 == poly_product([P(f"x1^{_TOP // 8} + x2^-1 + 1")] * 7)
     assert (P("x1*x2 - y2") ** 3).render() == "x1^3*x2^3 - 3*x1^2*x2^2*y2 + 3*x1*x2*y2^2 - y2^3"
 
