@@ -13,6 +13,12 @@ variables from the cached ones they are built on (`_in_out_variables`,
 `_cube_variables`, `_decoupled_variables`).  Those, the Cayley variables
 and the direction variables are the units of `laplacian._indexed_layout`,
 the one per-size source of the key tables' layouts.
+
+`threshold_rhs` stays the literal direct product, independent of
+`_threshold_factors`, which `threshold_rewrite_rhs` checks it against.  It
+writes each row's monomials x_min(i,r) y_max(i,r), all distinct, as their
+keys: K is linear, so a monomial's key is the sum of its variables' unit
+keys on the in/out layout, and no row runs a product.
 """
 
 from __future__ import annotations
@@ -41,12 +47,9 @@ from .polyring import (
     _Layout,
     _coerce_poly,
     _new,
-    _variable_polys,
     div_exact,
     poly_product,
     poly_sum,
-    q,
-    x,
     y,
 )
 
@@ -139,7 +142,7 @@ def product_spectrum(dims: Sequence[int], qs: Optional[Sequence[Union[int, Polyn
         raise InvalidSize("factor sizes are positive")
     r = len(dims)
     if qs is None:
-        qs = _variable_polys([q(i) for i in range(1, r + 1)])
+        qs = _unit_polys(_indexed_layout(qs=range(1, r + 1)))
     elif len(qs) != r:
         raise ValueError(f"qs has {len(qs)} values for {r} factors")
     values = [_coerce_poly(base) * d for base, d in zip(qs, dims)]
@@ -280,17 +283,17 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
         return Polynomial.one()
     conj = conjugate(lam)
     xs, ys = _in_out_variables(n)
-    factors = [xs[1], ys[n]]
-    for r in range(2, n):
-        factors.append(poly_sum(xs[min(i, r)] * ys[max(i, r)] for i in range(1, conj[r - 1] + 1)))
-    return poly_product(factors)
+    lay = xs[1]._lay
+    ux, uy = (0, *lay.unit[:n - 1]), (0, 0, *lay.unit[n - 1:])  # ux[i] is x_i's key, uy[i] y_i's
+    rows = [_new(lay, {ux[min(i, r)] + uy[max(i, r)]: 1 for i in range(1, conj[r - 1] + 1)}) for r in range(2, n)]
+    return poly_product([xs[1], ys[n], *rows])
 
 
 def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:
     """The y=x specialization of each listed factor: x1...xn * prod_{r=2}^{n-1} (x1+...+x_conj_r)."""
     lam, _ = _validated_connected(lam)
     n = len(lam)
-    to_x = dict(zip(map(y, range(2, n + 1)), _variable_polys([x(i) for i in range(2, n + 1)])))
+    to_x = dict(zip(map(y, range(2, n + 1)), _unit_polys(_indexed_layout(xs=range(2, n + 1)))))
     factors = _threshold_factors(lam, _threshold_blocks(lam, conjugate(lam)))
     return poly_product(base.substitute(to_x) ** m for base, m in factors)
 

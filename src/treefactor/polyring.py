@@ -25,12 +25,13 @@ borrows from the one above).  K is linear, so multiplying monomials is
 adding keys, and exponent zero has key 0 in every layout.  With every
 exponent in [-2**28, 2**28) K is one-to-one and integer order is
 graded-lex order; an exponent outside raises ExponentOverflow.  Operands
-on different layouts are re-keyed onto the union first; share_layout puts
-many polynomials on one layout up front.  `poly_sum` is the one sum loop
-(`+` and `-` call it); `_dot` is the product kernel: the sum of a*b over
-pairs of term dicts its caller has put on one layout (`_aligned` or
-`share_layout`), for `*`, `**` and `poly_product` (through `_times`,
-which shifts the keys itself when an operand has one term),
+on different layouts are re-keyed onto the union first, and `share_layout`
+is the one way there: `==`, `*` and `div_exact` align their two operands
+with it, and callers put many polynomials on one layout up front.
+`poly_sum` is the one sum loop (`+` and `-` call it); `_dot` is the
+product kernel: the sum of a*b over pairs of term dicts its caller has put
+on one layout, for `*`, `**` and `poly_product` (through `_times`, which
+shifts the keys itself when an operand has one term),
 `laplacian._minors_det` and the nullvector checks of `verify`.
 
 `_dot` only computes: it scans no key, and it rebuilds its result to drop
@@ -93,7 +94,7 @@ from enum import IntEnum
 from functools import cache, lru_cache, reduce
 from itertools import chain, compress, count
 from math import comb, isqrt
-from operator import add, attrgetter, mul, neg, or_
+from operator import add, mul, neg, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -384,15 +385,6 @@ def _new(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
     return p
 
 
-def _aligned(a: "Polynomial", b: "Polynomial") -> tuple[_Layout, dict[int, int], dict[int, int]]:
-    """A common layout and both operands' terms keyed over it."""
-    la, lb = a._lay, b._lay
-    if la is lb:
-        return la, a._terms, b._terms
-    lay = _union(la, lb)
-    return lay, _rekey(a._terms, la, lay), _rekey(b._terms, lb, lay)
-
-
 def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
     """The polynomials, unchanged in value, all keyed over one layout.
 
@@ -405,12 +397,6 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
         return polys
     lay = reduce(_union, layouts, _EMPTY)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
-
-
-def _variable_polys(variables: Sequence[Variable]) -> list["Polynomial"]:
-    """Each variable as a polynomial, all keyed over the layout of the variables."""
-    lay = _layout(tuple(sorted(variables, key=attrgetter("_key"))))
-    return [_new(lay, {lay.unit[lay.pos[v]]: 1}) for v in variables]
 
 
 class _KroneckerImage:
@@ -643,8 +629,8 @@ class Polynomial:
             return self._terms == ({0: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        _, a, b = _aligned(self, other)
-        return a == b
+        a, b = share_layout((self, other))
+        return a._terms == b._terms
 
     __hash__ = None  # mutable-dict backed; equality is structural
 
@@ -663,14 +649,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.integer(other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Polynomial)):
             return NotImplemented
-        lay, a, b = _aligned(self, other)
-        out = _times(a, b)
-        lay.check_range(out)
-        return _new(lay, out)
+        a, b = share_layout((self, other))
+        out = _times(a._terms, b._terms)
+        a._lay.check_range(out)
+        return _new(a._lay, out)
 
     __rmul__ = __mul__
 
@@ -972,11 +956,10 @@ def div_exact(n: Union[Polynomial, int], d: Union[Polynomial, int]) -> Polynomia
     per-variable minimum exponent, whatever the sign) is the difference of
     the operand contents, so no quotient term may fall below it.
     """
-    n = _coerce_poly(n)
-    d = _coerce_poly(d)
+    n, d = share_layout((n, d))
     if d.is_zero:
         raise DivisionByZero("division by zero polynomial")
-    lay, f, g = _aligned(n, d)
+    lay, f, g = n._lay, n._terms, d._terms
     if not f:
         return _new(lay, {})
     return _new(lay, _pdiv(f, g, lay.content(f) - lay.content(g), lay))

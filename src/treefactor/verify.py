@@ -344,23 +344,18 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
         raise ValueError("need a direction subset of size at least 2")
 
     labels, columns = _cube_operands(n, hypercube, _laplacian_cells)
-    xs = _cube_variables(tuple(range(1, n + 1)))[1]
     f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
-
-    def key_table(lay: _Layout) -> tuple[list[int], int]:
-        """x_t's key over lay at t = 1..n (0 at 0), and x_A^2's: K is linear, so a product is a key-sum."""
-        keys = [0, *(next(iter(x._terms)) for x in share_layout([_new(lay, {}), *xs])[1:])]
-        return keys, 2 * sum(keys[t] for t in aset)
+    # f_A and the x_t on the Laplacian's layout, so v is keyed once
+    base, f_a, *xs = share_layout([_new(columns[0], {}), f_a, *_cube_variables(tuple(range(1, n + 1)))[1]])
+    lay = base._lay
+    # x_t's key at t = 1..n (0 at 0), and x_A^2's: K is linear, so a product is a key-sum
+    keys = [0, *(next(iter(x._terms)) for x in xs)]
+    a_square = 2 * sum(keys[t] for t in aset)
 
     # v_S is 0 where S misses A, and otherwise x_A^2 -+ x_(A\S)^2
-    lay = f_a._lay
-    keys, a_square = key_table(lay)
     vec = {col: _new(lay, {a_square: 1, a_square - 2 * sum(keys[t] for t in aset & s): 1 if len(aset & s) % 2 else -1})
            for col, s in enumerate(labels) if aset & s}
-    (f_a,), (residues,) = _residues(columns, [vec], [f_a])
-    if f_a._lay is not lay:
-        lay = f_a._lay
-        keys, a_square = key_table(lay)
+    _, (residues,) = _residues(columns, [vec], [f_a])
     # the closed residues, one per row R, are f_A times the stack of
     # x_(A u R)^2 / x_[n], signed by the parity of |A n R|
     a_square -= sum(keys)

@@ -358,7 +358,7 @@ def test_threshold_rewrite_agrees_everywhere():
     # the rewrite internally cross-checks against the direct product
     from treefactor import connected_threshold_sequences
 
-    for n in range(2, 6):
+    for n in range(2, 9):
         for lam in connected_threshold_sequences(n):
             assert threshold_rewrite_rhs(lam) == threshold_rhs(lam)
 
@@ -419,3 +419,24 @@ def test_closed_forms_build_on_their_own_layouts(monkeypatch):
     assert warm_rekeys(lambda: [threshold_rhs(lam) for lam in sevens]) == 0
     assert warm_rekeys(lambda: cayley_prufer_rhs(9)) == 0
     assert warm_rekeys(lambda: directions_rhs((2, 3, 3))) == 0
+
+
+def test_threshold_rhs_builds_its_rows_with_no_product(monkeypatch):
+    # each row's monomials are key sums, so a warm direct product runs no `*`
+    from treefactor import connected_threshold_sequences
+
+    sevens = connected_threshold_sequences(7)
+    assert len(sevens) == 32
+    for lam in sevens:
+        threshold_rhs(lam)
+    mul = Polynomial.__mul__
+    count = [0]
+
+    def counted_mul(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    for lam in sevens:
+        threshold_rhs(lam)
+    assert count[0] == 0

@@ -18,6 +18,7 @@ from treefactor import (
 )
 
 sympy = pytest.importorskip("sympy")
+pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 def _to_sympy(p, symbols):
