@@ -45,11 +45,12 @@ when its rows' spans do.  `*`
 scans its output, and so do the nullvector residues: reading a span costs
 about seven scans per key, so it pays only where the factors hold far
 fewer keys than their product.
-`**` raises a linear form (every key a unit key) to k >= 2 by
-`_linear_power`, one term per composition of k; any other base is
-multiplied in k times, since where products collide the compositions far
-outnumber them.  Both check k times the base's extreme exponents up
-front, which bounds every partial power, and scan nothing after.
+`**` checks k times the base's least and largest exponents once, before
+it builds anything, which bounds every partial power, and scans nothing
+after.  A one-term base's key is multiplied by k; a linear form (every key
+a unit key) is raised to k >= 2 by `_linear_power`, one term per
+composition of k; any other base is multiplied in k times, since where
+products collide the compositions far outnumber them.
 
 A stack holds many polynomials of one layout in one term dict: row r's keys
 are offset by r * step, step = 2**(32*(n+2)) being a digit above the degree
@@ -225,14 +226,7 @@ class Monomial:
         return dict(self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        acc = dict(self.exps)
-        for v, e in other.exps:
-            ne = acc.get(v, 0) + e
-            if ne:
-                acc[v] = ne
-            else:
-                del acc[v]
-        return Monomial(tuple(sorted(acc.items(), key=lambda p: p[0]._key)))
+        return Monomial.of((*self.exps, *other.exps))
 
 
 def _mono(exps: tuple) -> Monomial:
@@ -554,10 +548,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: Variable, exp: int = 1) -> "Polynomial":
-        if not exp:
-            return cls.one()
-        lay = _layout((v,))
-        return _new(lay, {lay.key(((v, exp),)): 1})
+        return cls({Monomial.of(((v, exp),)): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
@@ -660,38 +651,33 @@ class Polynomial:
 
     def __pow__(self, k: int) -> "Polynomial":
         terms, lay = self._terms, self._lay
-        if len(terms) == 1:
-            (key, c), = terms.items()
-            if k < 0 and c not in (1, -1):
-                raise ValueError("negative power of a non-unit polynomial")
-            # scale the exponents, not the key: a scaled key can wrap whole
-            # digits past the range check
-            exps = [e * k for e in lay.exponents(key)]
-            if exps and not -_EXP_LIMIT <= min(exps) <= max(exps) < _EXP_LIMIT:
-                raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
-            return _new(lay, {sum(map(mul, exps, lay.unit)): c ** k if k >= 0 else (c if k % 2 else 1)})
-        if k < 0:
+        if k == 1:  # p itself, already in range
+            return self
+        if k < 0 and (len(terms) != 1 or abs(next(iter(terms.values()))) != 1):
             raise ValueError("negative power of a non-unit polynomial")
         if not terms:
             return Polynomial.integer(0 ** k)
-        if k > 1:
-            # p**k reaches k times the least and the largest exponent in p,
-            # so those are checked before anything is built
-            exps = list(chain.from_iterable(map(lay.exponents, terms)))
-            if not -_EXP_LIMIT <= k * min(exps) <= k * max(exps) < _EXP_LIMIT:
-                raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
-            if set(lay.unit).issuperset(terms):  # a linear form: one term per composition of k
-                return _new(lay, _linear_power(terms, k))
-            # any other base: where its products collide, the compositions far
-            # outnumber the products of multiplying by it k times, and those are
-            # fewer than squaring's.  An exponent of p**j, j <= k, lies
-            # between j times p's least and largest exponents, so between
-            # those of p and of p**k, which are in range: nothing is scanned.
-            out = terms
-            for _ in range(k - 1):
-                out = _times(out, terms)
-            return _new(lay, out)
-        return self if k else Polynomial.one()
+        # p**k reaches k times the least and the largest exponent in p, and
+        # an exponent of p**j, 0 <= j <= k, lies between j times those: this
+        # one check bounds every partial power, and nothing is scanned after
+        exps = list(chain.from_iterable(map(lay.exponents, terms))) or [0]
+        low, high = sorted((k * min(exps), k * max(exps)))
+        if low < -_EXP_LIMIT or high >= _EXP_LIMIT:
+            raise ExponentOverflow(f"an exponent of a power to the {k} is outside {_RANGE}")
+        if len(terms) == 1:  # K is linear: the key times k, and c**k = c**|k| for a unit c
+            (key, c), = terms.items()
+            return _new(lay, {key * k: c ** abs(k)})
+        if not k:
+            return Polynomial.one()
+        if set(lay.unit).issuperset(terms):  # a linear form: one term per composition of k
+            return _new(lay, _linear_power(terms, k))
+        # any other base: where its products collide, the compositions far
+        # outnumber the products of multiplying by it k times, and those are
+        # fewer than squaring's
+        out = terms
+        for _ in range(k - 1):
+            out = _times(out, terms)
+        return _new(lay, out)
 
     # -- substitution ------------------------------------------------------
 

@@ -25,6 +25,9 @@ stacks its own Laplacian's columns, less row and column 0, once per call.
 name, `formulas.threshold_f_factor` on the layout size, r and lam_r, and
 `_decoupled_enumerator` on the dims.  No cache is keyed by a threshold
 sequence or holds a residue or a verdict.
+
+`_divide` alone decides divisibility in the polynomial ring, and the
+decoupled rank check's Gram determinant is integer Bareiss on its entries.
 """
 
 from __future__ import annotations
@@ -66,13 +69,7 @@ from .graphs import (
     hypercube,
     threshold_graph,
 )
-from .laplacian import (
-    PolyMatrix,
-    WeightScheme,
-    _laplacian_cells,
-    determinant,
-    tree_enumerator_det,
-)
+from .laplacian import WeightScheme, _eliminate, _laplacian_cells, tree_enumerator_det
 from .polyring import (
     ExponentOverflow,
     Monomial,
@@ -232,10 +229,10 @@ def _divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
 
 
 def _divides(divisor: Polynomial, p: Polynomial) -> bool:
-    """`_divide`'s verdict alone: its first division, at a floor of 0, decides it."""
+    """`_divide`'s verdict alone: does divisor divide p in the polynomial ring?"""
     divisor, p = share_layout([divisor, p])
     try:
-        _pdiv(p._terms, divisor._terms, 0, p._lay)
+        _divide(p, divisor)
     except NotDivisible:
         return False
     return True
@@ -381,7 +378,8 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     full Laplacian into multiples of the coordinate sum for that direction.
     Independence modulo c_i is checked at a seeded random integer point on
     c_i = 0 (x(i,1) is minus the drawn others): real vectors are
-    independent exactly when their Gram matrix has a nonzero determinant.
+    independent exactly when their Gram matrix has a nonzero determinant,
+    which integer Bareiss (`laplacian._eliminate`) takes.
     """
     t0 = time.perf_counter()
     dims = [int(d) for d in dims]
@@ -414,8 +412,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if bad is not None:
         k, r, row = bad
         return _verdict(claim, False, f"k={k + 1}, row {labels[r]}: {row.render()}", t0)
-    gram = PolyMatrix([[Polynomial.integer(sum(map(mul, a, b))) for b in numeric] for a in numeric])
-    if determinant(gram).is_zero:
+    if not _eliminate([[sum(map(mul, a, b)) for b in numeric] for a in numeric]):
         return _verdict(claim, False, "nullvectors are linearly dependent at a random point", t0)
     return _verdict(claim, True, None, t0)
 

@@ -54,6 +54,9 @@ from treefactor import (
 )
 
 P = Polynomial.parse
+# every criterion but the stretch one (about 10 s) runs well under the
+# bound of tests/conftest.py, so a hang fails it
+bounded = pytest.mark.usefixtures("time_bound")
 
 
 @contextmanager
@@ -70,6 +73,7 @@ def _ones(poly):
     return poly.substitute({v: Polynomial.one() for v in poly.variables()}).as_int()
 
 
+@bounded
 def test_criterion_01_oracle_equivalence():
     cases = []
     for n in (3, 4, 5):
@@ -91,6 +95,7 @@ def test_criterion_01_oracle_equivalence():
             assert det == brute, (g.kind, g.n, stat.value)
 
 
+@bounded
 def test_criterion_02_complete_graph_product_form():
     with criterion(2, "degree enumerator of K_n factors and counts n^(n-2), n<=6"):
         for n in range(2, 7):
@@ -99,6 +104,7 @@ def test_criterion_02_complete_graph_product_form():
             assert _ones(det) == n ** (n - 2), n
 
 
+@bounded
 def test_criterion_03_direction_product_forms():
     dims_list = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]
     with criterion(3, "both direction forms, determinant, spectrum count agree"):
@@ -125,6 +131,7 @@ def test_criterion_03_direction_product_forms():
         assert len(all_spanning_trees(hypercube(3))) == 384
 
 
+@bounded
 def test_criterion_04_decoupled_factor_divisibility():
     dims_list = [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]
     with criterion(4, "every claimed factor divides the decoupled enumerator"):
@@ -138,6 +145,7 @@ def test_criterion_04_decoupled_factor_divisibility():
             assert prod * quotient == decoupled_enumerator(dims), dims
 
 
+@bounded
 def test_criterion_05_quotient_coefficient_scan():
     scan_dims = [(3,), (2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]
     findings = {}
@@ -183,6 +191,7 @@ def test_criterion_05_quotient_coefficient_scan():
         print(f"criterion 5 finding: dims={dims} {status}: {witness}")
 
 
+@bounded
 def test_criterion_06_cube_identity_small():
     with criterion(6, "cube enumerator equals subset product for n=1,2,3"):
         for n in (1, 2, 3):
@@ -200,6 +209,7 @@ def test_criterion_06_stretch_cube_n4():
         assert det == cube_rhs(4)
 
 
+@bounded
 def test_criterion_07_threshold_identities():
     with criterion(7, "threshold row product, y=x form, all-ones count, rewrite"):
         for n in range(2, 7):
@@ -216,6 +226,7 @@ def test_criterion_07_threshold_identities():
                 assert threshold_rewrite_rhs(lam) == rhs, tuple(lam)
 
 
+@bounded
 def test_criterion_08_nullvector_residues():
     with criterion(8, "cube, decoupled, and threshold nullvector residues"):
         assert verify_cube_nullvector(2, (1, 2)).ok
@@ -238,6 +249,7 @@ def test_criterion_08_nullvector_residues():
           "replaced by nearest valid (4,3,2,2,1)")
 
 
+@bounded
 def test_criterion_09_substrate_properties():
     with criterion(9, "1000-case ring axioms, division roundtrip, byte-exact serialization"):
         test_polyring.test_ring_axioms_random()
@@ -246,6 +258,7 @@ def test_criterion_09_substrate_properties():
         test_polyring.test_parse_render_roundtrip_exact_text()
 
 
+@bounded
 def test_criterion_10_negative_controls():
     cases = [
         (complete_graph(4), WeightScheme.CAYLEY_PRUFER, cayley_prufer_rhs(4)),

@@ -284,6 +284,10 @@ def test_decoupled_null_names_the_fault(capsys):
     rc, out, err = run(capsys, "verify", "decoupled-null", "--dims", "2,3", "--dir", "3")
     assert rc == 2 and out == ""
     assert err == "error: direction 3 is outside 1..2\n"
+    # a size-1 direction has no nullvector to check
+    rc, out, err = run(capsys, "verify", "decoupled-null", "--dims", "1,3", "--dir", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: direction needs at least two coordinate values\n"
 
 
 def test_verify_divisibility_refuted_exits_one(capsys, monkeypatch):

@@ -354,6 +354,14 @@ def test_threshold_rewrite_star():
     assert threshold_rewrite_rhs((3, 1, 1, 1)) == P("x1^3*y2*y3*y4")
 
 
+def test_threshold_rewrite_names_a_direct_product_it_disagrees_with(monkeypatch):
+    import treefactor.formulas as formulas
+
+    monkeypatch.setattr(formulas, "threshold_rhs", lambda lam: Polynomial.one())
+    with pytest.raises(FormMismatch, match="staircase rewrite disagrees with the direct product"):
+        threshold_rewrite_rhs((3, 1, 1, 1))
+
+
 def test_threshold_rewrite_agrees_everywhere():
     # the rewrite internally cross-checks against the direct product
     from treefactor import connected_threshold_sequences

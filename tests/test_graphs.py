@@ -8,6 +8,7 @@ import pytest
 from treefactor import (
     Edge,
     EmptyFactor,
+    Graph,
     InvalidSize,
     NotThresholdSequence,
     Partition,
@@ -84,6 +85,21 @@ def test_product_rejects_bad_factors():
     q = hypercube(2)
     with pytest.raises(EmptyFactor):
         cartesian_product([q, complete_graph(2)])
+
+
+def test_bad_graph_inputs_fail_with_named_errors():
+    with pytest.raises(ValueError, match=r"bad edge Edge\(u=1, v=1.* on 2 vertices"):
+        Graph("plain", (0, 1), (Edge(1, 1),))
+    with pytest.raises(ValueError, match=r"bad edge Edge\(u=0, v=2.* on 2 vertices"):
+        Graph("plain", (0, 1), (Edge(0, 2),))
+    with pytest.raises(ValueError, match="bad multiplicity on edge"):
+        Graph("plain", (0, 1), (Edge(0, 1, multiplicity=0),))
+    empty = Graph("plain", (), ())
+    assert not is_connected(empty)
+    with pytest.raises(EmptyFactor, match="empty product factor"):
+        cartesian_product([complete_graph(2), empty])
+    with pytest.raises(InvalidSize, match="need at least one vertex"):
+        connected_threshold_sequences(0)
 
 
 def test_hypercube_basic():

@@ -467,6 +467,16 @@ def test_determinant_of_empty_matrix_is_one():
     assert laplacian._minors_det(()) == 1
 
 
+def test_poly_matrix_is_square_and_equals_only_matrices():
+    one = Polynomial.one()
+    with pytest.raises(ValueError, match="matrix must be square"):
+        PolyMatrix([[one, one]])
+    m = PolyMatrix([[one]])
+    assert m.__eq__([[one]]) is NotImplemented
+    assert m != [[one]] and not m == 1
+    assert m == PolyMatrix([[1]])
+
+
 def test_one_vertex_and_disconnected_graphs_check_their_indices():
     # no shortcut answers before the struck row and column are checked
     k1, split = complete_graph(1), threshold_graph((1, 1, 0))

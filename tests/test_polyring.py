@@ -301,6 +301,13 @@ def test_negative_power_only_for_unit_monomials():
         P("x1 + x2") ** -1
 
 
+def test_a_one_term_non_unit_or_zero_has_no_negative_power():
+    for base in (P("2*x1"), P("-3"), Polynomial.zero()):
+        with pytest.raises(ValueError, match="negative power of a non-unit polynomial"):
+            base ** -1
+    assert P("-x1^2") ** -3 == P("-x1^-6") and P("-1") ** -2 == 1
+
+
 def test_poly_sum_and_product_helpers():
     assert poly_sum([]) == Polynomial.zero()
     assert poly_product([]) == Polynomial.one()
@@ -514,6 +521,39 @@ def test_equality_with_an_int():
 
 def test_variable_to_the_zero_is_one():
     assert Polynomial.variable(x(1), 0) == Polynomial.one()
+
+
+def test_bad_variables_and_texts_fail_with_named_errors():
+    from treefactor.polyring import Family
+
+    with pytest.raises(ValueError, match="X variables take 1 indices"):
+        Variable(Family.X, (1, 2))
+    with pytest.raises(ValueError, match="E variables take 2 indices"):
+        Variable(Family.E, (1,))
+    with pytest.raises(ValueError, match="variable indices are positive integers"):
+        Variable(Family.Q, (0,))
+    with pytest.raises(ValueError, match="not a variable: 'z1'"):
+        Variable.parse("z1")
+    with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+        Polynomial.zero().leading_term()
+    with pytest.raises(ValueError, match="empty polynomial text"):
+        Polynomial.parse("   ")
+    with pytest.raises(ValueError, match="bad term: '-'"):
+        Polynomial.parse("x1 + -")
+    with pytest.raises(ValueError, match=r"bad factor 'z2' in term 'x1\*z2'"):
+        Polynomial.parse("x1*z2")
+    with pytest.raises(TypeError, match="cannot coerce 1.5 to Polynomial"):
+        P("x1").substitute({x(1): 1.5})
+
+
+def test_equality_and_product_with_a_non_number_are_not_implemented():
+    p = P("x1 + 1")
+    assert p.__eq__("x1 + 1") is NotImplemented and p != "x1 + 1"
+    assert p.__mul__(1.5) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p * 1.5
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 * p
 
 
 def test_as_int_only_for_constants():

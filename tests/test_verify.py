@@ -351,6 +351,11 @@ def test_decoupled_nullvectors():
     assert verify_decoupled_nullvectors((3,), 1).ok
 
 
+def test_decoupled_nullvectors_need_a_direction_of_size_two():
+    with pytest.raises(ValueError, match="direction needs at least two coordinate values"):
+        verify_decoupled_nullvectors((1, 3), 1)
+
+
 def test_decoupled_rank_check_refutes_dependent_vectors(monkeypatch):
     # every coordinate of the random point 0: the numeric vectors vanish
     import treefactor.verify as verify
@@ -372,6 +377,7 @@ def test_decoupled_rank_check_takes_its_point_on_the_coordinate_sums_zero_set(mo
     # draws 5 and 7 become x(2,2) and x(2,3), and x(2,1) = -(5 + 7), so the
     # point lies on c_2 = x(2,1) + x(2,2) + x(2,3) = 0
     import treefactor.verify as verify
+    from treefactor.laplacian import _eliminate
 
     class Draws:
         def __init__(self, seed):
@@ -382,12 +388,12 @@ def test_decoupled_rank_check_takes_its_point_on_the_coordinate_sums_zero_set(mo
 
     grams = []
 
-    def capture(m):
-        grams.append([[p.as_int() for p in row] for row in m.rows])
-        return determinant(m)
+    def capture(a):
+        grams.append([list(row) for row in a])  # before the elimination overwrites it
+        return _eliminate(a)
 
     monkeypatch.setattr(verify.random, "Random", Draws)
-    monkeypatch.setattr(verify, "determinant", capture)
+    monkeypatch.setattr(verify, "_eliminate", capture)
     assert verify_decoupled_nullvectors((2, 3), 2).ok
     # u_2 = (5, 12, 0) and u_3 = (7, 0, 12) on each of the two copies of K3
     x1 = -(5 + 7)
