@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class InvalidSize(ValueError):
@@ -113,24 +113,27 @@ def _coerce_partition(lam: PartitionLike) -> Partition:
     return Partition(tuple(int(p) for p in lam))
 
 
+def _joins(n: int, pairs: Iterable[tuple[int, int]]) -> list[bool]:
+    """Whether each pair (u, v), in order, joins two components of the forest
+    the pairs before it built on vertices 0..n-1: a union-find with path
+    halving, the library's one but for the undoable one of `treebrute`'s walk."""
+    parent, joins = list(range(n)), []
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+        joins.append(u != v)
+    return joins
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = g.n
-    for e in g.edges:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
+    """Whether g has one component: its edges join n - 1 pairs of components (no vertex, no component)."""
+    return g.n > 0 and sum(_joins(g.n, ((e.u, e.v) for e in g.edges))) == g.n - 1
 
 
 def complete_graph(n: int) -> Graph:

@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _joins
 from .polyring import (
     _EXP_LIMIT,
     Polynomial,
@@ -421,10 +421,11 @@ def _tree_box(g: Graph, lap: PolyMatrix) -> tuple[int, list[int]]:
     """Kirchhoff's count of g's spanning trees, and each layout variable's largest exponent over them.
 
     Above the diagonal of g's Laplacian `lap`, cell (u, v) holds the keys of
-    the edges joining u and v.  A variable's largest exponent is the weight
-    of a maximum spanning tree under the edges' digits of it (Kruskal, Proc.
-    AMS 7, 1956); digits may be negative.  The edges of the least digit join
-    whatever components the others leave, so only the others are sorted.
+    the edges joining u and v.  A variable's largest exponent is the weight of
+    a maximum spanning tree under the edges' digits of it (Kruskal, Proc. AMS
+    7, 1956, by `graphs._joins`); digits may be negative.  The edges of the
+    least digit join whatever components the others leave, so only the others
+    are sorted.
     """
     count = spanning_tree_count(g)
     if not count:
@@ -433,15 +434,10 @@ def _tree_box(g: Graph, lap: PolyMatrix) -> tuple[int, list[int]]:
     edges = [(u, v, k) for u, row in enumerate(lap.rows) for v in range(u + 1, g.n) for k in row[v]._terms]
     tops = []
     for digits in zip(*(exponents(k) for _, _, k in edges)):
-        least, parent, top, components = min(digits), list(range(g.n)), 0, g.n
-        for d, u, v in sorted(((d, u, v) for d, (u, v, _) in zip(digits, edges) if d > least), reverse=True):
-            while parent[u] != u:
-                u = parent[u] = parent[parent[u]]
-            while parent[v] != v:
-                v = parent[v] = parent[parent[v]]
-            if u != v:
-                parent[u], top, components = v, top + d, components - 1
-        tops.append(top + least * (components - 1))
+        least = min(digits)
+        kept = sorted(((d, u, v) for d, (u, v, _) in zip(digits, edges) if d > least), reverse=True)
+        joins = _joins(g.n, [(u, v) for _, u, v in kept])
+        tops.append(sum(d for (d, _, _), j in zip(kept, joins) if j) + least * (g.n - 1 - sum(joins)))
     return count, tops
 
 

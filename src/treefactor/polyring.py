@@ -25,9 +25,10 @@ borrows from the one above).  K is linear, so multiplying monomials is
 adding keys, and exponent zero has key 0 in every layout.  With every
 exponent in [-2**28, 2**28) K is one-to-one and integer order is
 graded-lex order; an exponent outside raises ExponentOverflow.  Operands
-on different layouts are re-keyed onto the union first, and `share_layout`
-is the one way there: `==`, `*` and `div_exact` align their two operands
-with it, and callers put many polynomials on one layout up front.
+on different layouts are re-keyed onto the layout of all their variables
+first (a constant's key 0 needs none), and `share_layout` is the one way
+there: `==`, `*` and `div_exact` align their two operands with it, and
+callers put many polynomials on one layout up front.
 `poly_sum` is the one sum loop (`+` and `-` call it); `_dot` is the
 product kernel: the sum of a*b over pairs of term dicts its caller has put
 on one layout, for `*`, `**` and `poly_product` (through `_times`, which
@@ -353,14 +354,9 @@ def _layout(variables: tuple[Variable, ...]) -> _Layout:
 _EMPTY = _layout(())
 
 
-def _layout_of(monomials: Iterable[Monomial]) -> _Layout:
-    """The layout of every variable the monomials hold."""
-    return _layout(tuple(sorted({v for m in monomials for v, _ in m.exps}, key=lambda v: v._key)))
-
-
-@lru_cache(maxsize=1024)
-def _union(a: _Layout, b: _Layout) -> _Layout:
-    return _layout(tuple(sorted(a.pos.keys() | b.pos.keys(), key=lambda v: v._key)))
+def _layout_of(variables: Iterable[Variable]) -> _Layout:
+    """The layout of the variables, each taken once."""
+    return _layout(tuple(sorted(set(variables), key=lambda v: v._key)))
 
 
 def _rekey(terms: dict[int, int], src: _Layout, dst: _Layout) -> dict[int, int]:
@@ -384,12 +380,14 @@ def share_layout(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
 
     Arithmetic among them then does no layout work at all.  Polynomials that
     already share one layout come back as they are, with no call per item.
+    A constant's one key, 0, is 0 on every layout, so it joins no union.
     """
     polys = [p if isinstance(p, Polynomial) else _coerce_poly(p) for p in polys]
     layouts = {p._lay for p in polys}
     if len(layouts) <= 1:
         return polys
-    lay = reduce(_union, layouts, _EMPTY)
+    varied = [lay for lay in layouts if lay.vars]
+    lay = varied[0] if len(varied) == 1 else _layout_of(v for lay in varied for v in lay.vars)
     return [p if p._lay is lay else _new(lay, _rekey(p._terms, p._lay, lay)) for p in polys]
 
 
@@ -523,7 +521,7 @@ class Polynomial:
 
     def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
         terms = terms or {}
-        lay = _layout_of(terms)
+        lay = _layout_of(v for m in terms for v, _ in m.exps)
         acc: dict[int, int] = {}
         for m, c in terms.items():
             if c:

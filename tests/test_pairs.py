@@ -3,12 +3,9 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import pairs  # noqa: E402
 
-pytestmark = pytest.mark.usefixtures("time_bound")
 
 METRICS = [{"name": "pass_s", "unit": "s", "better": "lower"},
            {"name": "claims_ok_frac", "unit": "ratio", "better": "higher"}]

@@ -28,10 +28,6 @@ from treefactor.polyring import (
 )
 
 
-# every test here takes well under a second: a hang fails (tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("time_bound")
-
-
 def P(text):
     return Polynomial.parse(text)
 

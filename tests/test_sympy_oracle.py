@@ -18,7 +18,6 @@ from treefactor import (
 )
 
 sympy = pytest.importorskip("sympy")
-pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 def _to_sympy(p, symbols):

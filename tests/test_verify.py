@@ -39,7 +39,6 @@ from treefactor import (
 )
 
 P = Polynomial.parse
-pytestmark = pytest.mark.usefixtures("time_bound")
 
 
 def _cells_of(matrix_of):
