@@ -30,6 +30,7 @@ from treefactor import (
     cayley_prufer_rhs,
     complete_graph,
     connected_threshold_sequences,
+    count_from_spectrum,
     cube_rhs,
     decoupled_enumerator_factors,
     directions_rhs,
@@ -39,6 +40,7 @@ from treefactor import (
     hypercube,
     is_connected,
     multigraph_kn,
+    product_spectrum,
     q,
     reduce_matrix,
     spanning_tree_count,
@@ -329,6 +331,12 @@ def test_integer_bareiss_refuses_a_remainder():
         51 * b ** 3 + 51 * b ** 2 + 13 * b + 1
     with pytest.raises(AssertionError, match="left a remainder"):
         laplacian._eliminate([[5 * b + 1, b, 0], [b, OffByOne(3 * b + 2), b + 1], [0, b - 1, 4 * b]])
+    # the same on a symmetric matrix, which eliminates only its upper
+    # triangle: the broken diagonal is still swapped in first
+    assert laplacian._eliminate([[5 * b + 1, b, 0], [b, 3 * b + 2, b + 1], [0, b + 1, 4 * b]]) == \
+        51 * b ** 3 + 41 * b ** 2 + b - 1
+    with pytest.raises(AssertionError, match="left a remainder"):
+        laplacian._eliminate([[5 * b + 1, b, 0], [b, OffByOne(3 * b + 2), b + 1], [0, b + 1, 4 * b]])
 
 
 def random_int_matrix(rng: random.Random, n: int, kind: str) -> list[list[int]]:
@@ -389,6 +397,86 @@ def test_symmetric_permutations_keep_the_directions_233_determinant():
     for _ in range(4):
         order = rng.sample(range(len(m)), len(m))
         assert laplacian._eliminate([[m[i][j] for j in order] for i in order]) == det
+
+
+def random_symmetric_matrix(rng: random.Random, n: int, kind: str) -> list[list[int]]:
+    """An n x n symmetric integer matrix of one kind: a reduced multigraph Laplacian,
+    past 2**62, with zero or negative diagonals, or singular."""
+    if kind == "laplacian":  # a path through every vertex keeps the multigraph connected
+        pairs = [(u, u + 1) for u in range(n)] + [tuple(rng.sample(range(n + 1), 2)) for _ in range(2 * n)]
+        lap = [[0] * (n + 1) for _ in range(n + 1)]
+        for u, v in pairs:
+            m = rng.randint(1, 3)
+            lap[u][u] += m
+            lap[v][v] += m
+            lap[u][v] -= m
+            lap[v][u] -= m
+        return [row[:n] for row in lap[:n]]
+    if kind == "singular":  # the Gram matrix of n vectors in n - 1 dimensions
+        vectors = [[rng.randrange(-9, 10) for _ in range(n - 1)] for _ in range(n)]
+        return [[sum(map(int.__mul__, u, v)) for v in vectors] for u in vectors]
+    bits = 2 if kind == "zero-diagonal" else 80
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = rng.randrange(-2 ** bits, 2 ** bits)
+        # diagonals of many sizes, so the least one is rarely first
+        a[i][i] = (rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2 ** bits)) >> rng.randrange(bits // 2 + 1)
+        if kind != "negative":
+            a[i][i] = abs(a[i][i])
+    if kind == "zero-diagonal":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            a[i][i] = 0
+    return a
+
+
+def test_symmetric_bareiss_matches_minors_and_divides_only_the_upper_triangle(monkeypatch):
+    # a symmetric matrix stays symmetric under the Bareiss update, so order
+    # n takes sum m(m+1)/2 interior divisions over m = 1..n-1 where any
+    # other matrix takes sum m**2; a zero pivot swaps rows and leaves the
+    # triangle, so its count lies between the two
+    divisions = []
+
+    def counted(u, v):
+        divisions.append(v)
+        return divmod(u, v)
+
+    monkeypatch.setattr(laplacian, "divmod", counted, raising=False)
+    rng = random.Random(7013)
+    kinds = ("laplacian", "big", "zero-diagonal", "negative", "singular")
+    orders, zero, left, swapped = set(), set(), set(), False
+    for trial in range(250):
+        n, kind = 2 + trial % 8, kinds[trial % 5]
+        a = random_symmetric_matrix(rng, n, kind)
+        divisions.clear()
+        det = laplacian._eliminate([row[:] for row in a])
+        assert Polynomial.integer(det) == laplacian._minors_det([[Polynomial.integer(v) for v in row] for row in a]), (n, kind)
+        triangle, square = sum(m * (m + 1) // 2 for m in range(1, n)), sum(m * m for m in range(1, n))
+        if kind in ("laplacian", "big", "negative"):  # no leading minor is 0
+            assert det and len(divisions) == triangle, (n, kind)
+        if a[0][0].bit_length() > 62:  # the least diagonal is swapped in first
+            swapped |= min(range(n), key=lambda i: abs(a[i][i])) != 0
+        if det and triangle < len(divisions):  # a zero pivot left the triangle, at step 0 or later
+            left.add(len(divisions) < square)
+        orders.add(n)
+        zero.add(det == 0)
+    assert orders == set(range(2, 10)) and zero == left == {False, True} and swapped
+    # a matrix that is not symmetric divides the whole square
+    a = random_int_matrix(rng, 6, "big")
+    divisions.clear()
+    assert laplacian._eliminate(a) and len(divisions) == sum(m * m for m in range(1, 6))
+
+
+def test_kirchhoff_counts_past_62_bits_match_their_closed_forms():
+    # tau(Q_n) = 2**(2**n - n - 1) * prod_k k**C(n, k), 151 bits for Q6, and
+    # K3^4's count from its Laplacian spectrum
+    n = 6
+    tau = 2 ** (2 ** n - n - 1) * math.prod(k ** math.comb(n, k) for k in range(1, n + 1))
+    assert tau.bit_length() == 151
+    assert spanning_tree_count(hypercube(n)) == tau
+    k3 = cartesian_product([complete_graph(3)] * 4)
+    count = count_from_spectrum(product_spectrum((3, 3, 3, 3), qs=[1] * 4), 81).as_int()
+    assert count.bit_length() > 62 and spanning_tree_count(k3) == count
 
 
 def test_kronecker_box_is_read_off_the_keys():
