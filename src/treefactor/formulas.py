@@ -46,7 +46,9 @@ from .polyring import (
     Polynomial,
     _Layout,
     _coerce_poly,
+    _linear_power,
     _new,
+    _times,
     div_exact,
     poly_product,
     poly_sum,
@@ -64,11 +66,15 @@ class FormMismatch(ArithmeticError):
 
 
 def cayley_prufer_rhs(n: int) -> Polynomial:
-    """x1...xn times (x1+...+xn)^(n-2): the degree-weighted tree sum of K_n."""
+    """x1...xn times (x1+...+xn)^(n-2): the degree-weighted tree sum of K_n.
+
+    One multinomial expansion of the power that starts at x1...xn's key; no
+    exponent passes n - 1, so nothing is range-checked.
+    """
     if n < 2:
         raise InvalidSize("need at least two vertices")
-    xs = _unit_polys(_indexed_layout(xs=range(1, n + 1)))
-    return poly_product(xs) * poly_sum(xs) ** (n - 2)
+    lay = _indexed_layout(xs=range(1, n + 1))
+    return _new(lay, _linear_power(dict.fromkeys(lay.unit, 1), n - 2, sum(lay.unit)))
 
 
 def _clean_dims(dims: Sequence[int], fate: str) -> list[tuple[int, int]]:
@@ -282,11 +288,13 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
     if n == 1:
         return Polynomial.one()
     conj = conjugate(lam)
-    xs, ys = _in_out_variables(n)
+    xs, _ = _in_out_variables(n)
     lay = xs[1]._lay
     ux, uy = (0, *lay.unit[:n - 1]), (0, 0, *lay.unit[n - 1:])  # ux[i] is x_i's key, uy[i] y_i's
-    rows = [_new(lay, {ux[min(i, r)] + uy[max(i, r)]: 1 for i in range(1, conj[r - 1] + 1)}) for r in range(2, n)]
-    return poly_product([xs[1], ys[n], *rows])
+    out = {ux[1] + uy[n]: 1}
+    for r in range(2, n):  # a row adds at most 1 to any exponent, so none passes n
+        out = _times(out, {ux[min(i, r)] + uy[max(i, r)]: 1 for i in range(1, conj[r - 1] + 1)})
+    return _new(lay, out)
 
 
 def threshold_degree_rhs(lam: PartitionLike) -> Polynomial:

@@ -51,7 +51,13 @@ it builds anything, which bounds every partial power, and scans nothing
 after.  A one-term base's key is multiplied by k; a linear form (every key
 a unit key) is raised to k >= 2 by `_linear_power`, one term per
 composition of k; any other base is multiplied in k times, since where
-products collide the compositions far outnumber them.
+products collide the compositions far outnumber them.  `_linear_power`
+also takes a start key, a monomial its terms are built on, so a monomial
+times a power is one pass with no shifted copy.  Two closed forms of
+`formulas` prove their range by construction and read none:
+`cayley_prufer_rhs` is one such pass from x1...xn's key, and
+`threshold_rhs` folds its rows by `_times` onto x1 yn's key, each row
+adding at most 1 to any exponent; in both no exponent passes n.
 
 A stack holds many polynomials of one layout in one term dict: row r's keys
 are offset by r * step, step = 2**(32*(n+2)) being a digit above the degree
@@ -851,8 +857,9 @@ def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {ka + kb: ca * cb for kb, cb in b.items()}
 
 
-def _linear_power(terms: dict[int, int], k: int) -> dict[int, int]:
-    """(c_1*v_1 + ... + c_m*v_m)**k, m >= 2, from its terms, keyed by each v_i's unit key.
+def _linear_power(terms: dict[int, int], k: int, start: int = 0) -> dict[int, int]:
+    """start times (c_1*v_1 + ... + c_m*v_m)**k, m >= 2, from its terms, keyed
+    by each v_i's unit key; `start` is a monomial's key, 1's by default.
 
     By the multinomial theorem the composition (e_1..e_m) of k gives one
     term, key sum e_i*key_i and coefficient k!/prod e_i! * prod c_i**e_i.
@@ -861,10 +868,12 @@ def _linear_power(terms: dict[int, int], k: int) -> dict[int, int]:
     C(r, e).  A partial term that places none of a variable stays in its
     group, so the groups are updated in place, smallest first: each is read
     before the larger ones add to it, and each partial term is built once.
-    The last two variables split what is left between them.
+    The last two variables split what is left between them.  The partial
+    terms start at `start`'s key, so every term comes out shifted by it,
+    with no second pass; nothing is range-checked, as in `_dot`.
     """
     *head, (key2, c2), (key1, c1) = terms.items()
-    left = [{} for _ in range(k)] + [{0: 1}]
+    left = [{} for _ in range(k)] + [{start: 1}]
     for key, c in head:
         for r, part in enumerate(left):
             if part:

@@ -67,9 +67,9 @@ def test_cayley_prufer_matches_other_routes():
 
 def test_formula_stretch_sizes_count_their_trees():
     # the largest closed forms the benchmark leaves out: K10's 24,310-term
-    # Cayley form, its one power raised by composition, against the same
-    # power multiplied in sequentially, and Q5's direction form, whose
-    # coefficients add up to its tree count
+    # Cayley form, one expansion by composition from x1...x10's key, against
+    # x1...x10 times the same power multiplied in sequentially, and Q5's
+    # direction form, whose coefficients add up to its tree count
     xs = [Polynomial.variable(x(i)) for i in range(1, 11)]
     rhs = cayley_prufer_rhs(10)
     assert rhs.n_terms == 24310 and sum(c for _, c in rhs.terms()) == 10 ** 8
@@ -428,13 +428,19 @@ def test_closed_forms_build_on_their_own_layouts(monkeypatch):
 
 
 def test_threshold_rhs_builds_its_rows_with_no_product(monkeypatch):
-    # each row's monomials are key sums, so a warm direct product runs no `*`
+    # each row's monomials are key sums, folded onto x1*yn's key, and the
+    # Cayley form is one expansion from x1...xn's key: warm, neither runs a
+    # `*`, and both bound their exponents by n, so neither reads a range
     from treefactor import connected_threshold_sequences
+    from treefactor.polyring import _Layout
 
     sevens = connected_threshold_sequences(7)
     assert len(sevens) == 32
-    for lam in sevens:
-        threshold_rhs(lam)
+
+    def build():
+        return [threshold_rhs(lam) for lam in sevens] + [cayley_prufer_rhs(9)]
+
+    cold = build()
     mul = Polynomial.__mul__
     count = [0]
 
@@ -442,7 +448,23 @@ def test_threshold_rhs_builds_its_rows_with_no_product(monkeypatch):
         count[0] += 1
         return mul(self, other)
 
+    def forbidden(*args):
+        raise AssertionError("a closed form read an exponent range")
+
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
-    for lam in sevens:
-        threshold_rhs(lam)
+    monkeypatch.setattr(_Layout, "check_range", forbidden)
+    monkeypatch.setattr(_Layout, "span", forbidden)
+    assert build() == cold
     assert count[0] == 0
+    assert cold[-1].n_terms == 6435
+
+
+def test_the_cayley_form_is_the_threshold_form_of_k_n_at_y_to_x():
+    # the threshold graph of (n - 1, ..., n - 1) is K_n, and an edge's in/out
+    # weight x_min y_max becomes its degree weight at every y_i -> x_i;
+    # sending y_2 to x_3 instead breaks it
+    for n in range(2, 8):
+        direct = threshold_rhs((n - 1,) * n)
+        to_x = {y(i): x(i) for i in range(2, n + 1)}
+        assert direct.substitute(to_x) == cayley_prufer_rhs(n), n
+        assert direct.substitute({**to_x, y(2): x(3)}) != cayley_prufer_rhs(n), n

@@ -290,6 +290,26 @@ def test_power_matches_repeated_multiplication():
             acc = acc * p
 
 
+def test_a_linear_power_from_a_start_key_is_the_power_shifted_by_it():
+    # `_linear_power(terms, k, start)` is start times the power: term for
+    # term and in order, the power's keys each shifted by start, also for a
+    # start with negative (Laurent) exponents
+    from treefactor.polyring import _layout_of, _linear_power
+
+    rng = random.Random(35012)
+    lay = _layout_of([q(1), q(2), x(1), x(2), x(3), y(2), y(4), xd(1, 2), evar(1, 3)])
+    laurent = 0
+    for _ in range(40):
+        terms = {u: rng.choice((-3, -2, -1, 1, 2, 3)) for u in rng.sample(lay.unit, rng.randint(2, 6))}
+        exps = [rng.randint(-3, 3) for _ in lay.vars]
+        laurent += min(exps) < 0
+        start = lay.key(zip(lay.vars, exps))
+        for k in range(7):
+            power = _linear_power(terms, k)
+            assert list(_linear_power(terms, k, start).items()) == [(key + start, c) for key, c in power.items()]
+    assert laurent >= 30
+
+
 def test_negative_power_only_for_unit_monomials():
     m = Polynomial.monomial(Monomial.of({x(1): 2}), -1)
     assert m ** -2 == Polynomial.monomial(Monomial.of({x(1): -4}))
