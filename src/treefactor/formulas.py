@@ -292,7 +292,10 @@ def threshold_rhs(lam: PartitionLike) -> Polynomial:
     lay = xs[1]._lay
     ux, uy = (0, *lay.unit[:n - 1]), (0, 0, *lay.unit[n - 1:])  # ux[i] is x_i's key, uy[i] y_i's
     out = {ux[1] + uy[n]: 1}
-    for r in range(2, n):  # a row adds at most 1 to any exponent, so none passes n
+    # conj is non-increasing, so the last rows are the shortest: folding from
+    # them keeps the partial product small longest; a row adds at most 1 to
+    # any exponent, so none passes n
+    for r in range(n - 1, 1, -1):
         out = _times(out, {ux[min(i, r)] + uy[max(i, r)]: 1 for i in range(1, conj[r - 1] + 1)})
     return _new(lay, out)
 

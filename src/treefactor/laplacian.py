@@ -3,7 +3,12 @@
 The Laplacian of an edge-weighted graph has the negated edge weight off
 the diagonal and the sum of incident weights on it, so every row and
 column sums to zero.  Striking row r and column s leaves a matrix whose
-determinant, times (-1)^(r+s), is the weighted spanning tree sum.
+determinant, times (-1)^(r+s), is the weighted spanning tree sum.  Any
+principal cofactor will do, so by default `tree_enumerator_det` strikes a
+vertex with the most edges and lists the rows left by ascending degree:
+the dense row and column stay out of the matrix, and minors expand the
+sparsest rows first.  On a threshold graph that strikes a dominating
+vertex, not the last and sparsest one.
 
 Each weight scheme has one key table: a layout of variables that the
 scheme fixes from the graph's shape, built once, and the packed key of
@@ -44,9 +49,10 @@ count tau and a sign bit.  With tau = 0 the determinant is 0.
 Bareiss pivots on the least leading minor: while the next pivot is wider
 than 62 bits, the remaining diagonal entry of least magnitude is swapped
 in, rows and columns alike.  On an image a minor's width follows its
-degree under phi, so the narrow minors are eliminated first.  Vertex
-order puts the two K2 copies of K2xK3xK3 far apart, and there each leading
-minor would reach nearly every matching edge of q1.
+degree under phi, so the narrow minors are eliminated first.  Every
+degree of a product of complete graphs ties, so its rows keep the vertex
+order, which puts the two K2 copies of K2xK3xK3 far apart, and there each
+leading minor would reach nearly every matching edge of q1.
 A symmetric matrix (a Kirchhoff count, a direction image, the decoupled
 Gram matrix) stays symmetric under the Bareiss update, so only its upper
 triangle is eliminated, at half the big-int products and divisions.
@@ -468,12 +474,17 @@ def tree_enumerator_det(
 ) -> Polynomial:
     """Signed reduced-Laplacian determinant: the weighted spanning tree sum.
 
-    Defaults to striking the last row and column.  Disconnected graphs
-    enumerate no trees and return 0.
+    `remove=(r, s)` strikes row r and column s.  By default rows and columns
+    alike are sorted by degree, stably, and the last, a vertex with the most
+    edges, is struck, with sign +1.  When every degree ties (K_n, products
+    of complete graphs, cubes) that is the last row and column.
+    Disconnected graphs enumerate no trees and return 0.
     """
+    lap = matrix = weighted_laplacian(g, scheme)
     if remove is None:
+        order = sorted(range(g.n), key=g.degrees().__getitem__)
+        matrix = PolyMatrix([[lap.rows[i][j] for j in order] for i in order])
         remove = (g.n - 1, g.n - 1)
-    lap = weighted_laplacian(g, scheme)
-    reduced, sign = reduce_matrix(lap, remove[0], remove[1])
+    reduced, sign = reduce_matrix(matrix, remove[0], remove[1])
     det = determinant(reduced, lambda: _tree_box(g, lap))
     return det if sign > 0 else -det

@@ -459,6 +459,35 @@ def test_threshold_rhs_builds_its_rows_with_no_product(monkeypatch):
     assert cold[-1].n_terms == 6435
 
 
+def test_threshold_rhs_folds_from_the_last_row(monkeypatch):
+    # the rows shorten as r grows, so folding them from the last row takes
+    # 32,620 term products over the n = 7 sequences, and from row 2 43,909;
+    # both folds give the same terms
+    from treefactor import connected_threshold_sequences, conjugate, formulas
+    from treefactor.polyring import _new, _times, share_layout
+
+    sevens = connected_threshold_sequences(7)
+    products = [0]
+
+    def counted(a, b):
+        products[0] += len(a) * len(b)
+        return _times(a, b)
+
+    monkeypatch.setattr(formulas, "_times", counted)
+    forms = [threshold_rhs(lam) for lam in sevens]
+    assert products[0] == 32620
+    products[0] = 0
+    for lam, form in zip(sevens, forms):
+        conj = conjugate(lam)
+        rows = share_layout([P("x1*y7")] + [P(" + ".join(f"x{min(i, r)}*y{max(i, r)}"
+                                                         for i in range(1, conj[r - 1] + 1))) for r in range(2, 7)])
+        out = rows[0]._terms
+        for row in rows[1:]:
+            out = counted(out, row._terms)
+        assert _new(rows[0]._lay, out) == form, lam
+    assert products[0] == 43909
+
+
 def test_the_cayley_form_is_the_threshold_form_of_k_n_at_y_to_x():
     # the threshold graph of (n - 1, ..., n - 1) is K_n, and an edge's in/out
     # weight x_min y_max becomes its degree weight at every y_i -> x_i;

@@ -10,6 +10,7 @@ from treefactor import (
     CapExceeded,
     Edge,
     ExponentOverflow,
+    Graph,
     IndexOutOfRange,
     Monomial,
     PolyMatrix,
@@ -23,6 +24,7 @@ from treefactor import (
     edge_weight,
     evar,
     hypercube,
+    is_connected,
     multigraph_kn,
     q,
     reduce_matrix,
@@ -323,6 +325,58 @@ def test_enumerator_independent_of_removal_choice():
         assert tree_enumerator_det(cube, WeightScheme.CUBE_LAURENT, remove=(r, s)) == base
 
 
+def test_default_strike_is_a_vertex_of_most_edges_and_rows_ascend_by_degree(monkeypatch):
+    # every principal cofactor is the tree sum: by default a vertex of most
+    # edges is struck and the rows left ascend by degree, ties in vertex
+    # order; a connected threshold graph's struck vertex is its last
+    # dominating one, vertex 0 when no other vertex dominates
+    seen = []
+    determinant = laplacian.determinant
+    monkeypatch.setattr(laplacian, "determinant", lambda m, tree_box=None: seen.append(m) or determinant(m, tree_box))
+    sixes = connected_threshold_sequences(6)
+    assert len(sixes) == 16
+    for lam in sixes:
+        g = threshold_graph(lam)
+        lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
+        seen.clear()
+        det = tree_enumerator_det(g, WeightScheme.THRESHOLD_IN_OUT)
+        (m,) = seen
+        vertex_of = {lap.at(v, v).render(): v for v in range(g.n)}  # each vertex's diagonal is its own
+        order = [vertex_of[m.at(i, i).render()] for i in range(m.size)]
+        (struck,) = set(range(g.n)) - set(order)
+        assert struck == max(v for v in range(g.n) if lam[v] == g.n - 1), lam
+        assert m == PolyMatrix([[lap.at(i, j) for j in order] for i in order]), lam
+        assert order == sorted(order, key=lambda v: (lam[v], v)), lam
+        # every vertex left neighbours the struck one, so a row's nonzero cells number its degree
+        assert [sum(1 for p in row if p) for row in m.rows] == [lam[v] for v in order], lam
+        assert det == tree_enumerator_det(g, WeightScheme.THRESHOLD_IN_OUT, remove=(0, 0)), lam
+    # when every degree ties, the last row and column are struck, as before
+    for g, scheme in [(complete_graph(6), WeightScheme.CAYLEY_PRUFER),
+                      (cartesian_product([complete_graph(2), complete_graph(3)]), WeightScheme.DIRECTION),
+                      (hypercube(3), WeightScheme.CUBE_LAURENT)]:
+        seen.clear()
+        tree_enumerator_det(g, scheme)
+        assert seen == [reduce_matrix(weighted_laplacian(g, scheme), g.n - 1, g.n - 1)[0]], g.kind
+
+
+def test_default_strike_equals_every_diagonal_strike_on_random_multigraphs():
+    rng = random.Random(36017)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(4, 7)
+        edges = tuple(Edge(u, v, 1, rng.choice((1, 1, 2, 3)))
+                      for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6)
+        g = Graph(kind="plain", labels=tuple(range(1, n + 1)), edges=edges)
+        if not is_connected(g) or len(set(g.degrees())) == 1:
+            continue
+        checked += 1
+        for scheme in (WeightScheme.GENERIC, WeightScheme.CAYLEY_PRUFER):
+            default = tree_enumerator_det(g, scheme)
+            assert not default.is_zero
+            for v in range(n):
+                assert tree_enumerator_det(g, scheme, remove=(v, v)) == default, (edges, scheme, v)
+
+
 def test_enumerator_edge_cases():
     assert tree_enumerator_det(complete_graph(1), WeightScheme.GENERIC) == Polynomial.one()
     assert tree_enumerator_det(threshold_graph((1, 1, 0)), WeightScheme.THRESHOLD_IN_OUT).is_zero
@@ -373,6 +427,31 @@ def test_direction_weights_are_decoupled_weights_at_one():
         decoupled = decoupled_enumerator(dims)
         assert decoupled.substitute(ones) == direction, dims
         assert decoupled.substitute({**ones, xd(1, 1): 2}) != direction, dims
+
+
+def test_every_scheme_is_the_generic_enumerator_at_its_edge_weights():
+    # e(u,v) -> the scheme's weight of the edge joining u and v sends the
+    # generic enumerator to the scheme's, parallel copies included; binding
+    # the first edge to another edge's weight instead breaks it
+    def product(*factors):
+        return cartesian_product([complete_graph(f) if isinstance(f, int) else f for f in factors])
+
+    S = WeightScheme
+    cases = [(complete_graph(4), S.CAYLEY_PRUFER), (multigraph_kn(5, 2), S.CAYLEY_PRUFER),
+             (product(2, 2), S.DIRECTION), (product(multigraph_kn(2, 2), 3), S.DIRECTION),
+             (product(2, 2), S.DECOUPLED), (product(2, 3), S.DECOUPLED),
+             (hypercube(2), S.CUBE_LAURENT), (hypercube(3), S.CUBE_LAURENT),
+             (threshold_graph((3, 3, 2, 2)), S.THRESHOLD_IN_OUT),
+             (threshold_graph((4, 3, 2, 2, 1)), S.THRESHOLD_IN_OUT)]
+    assert {scheme for _, scheme in cases} == set(S) - {S.GENERIC}
+    for g, scheme in cases:
+        weights = {evar(e.u + 1, e.v + 1): edge_weight(g, e, scheme) for e in g.edges}
+        generic = tree_enumerator_det(g, S.GENERIC)
+        target = tree_enumerator_det(g, scheme)
+        assert generic.substitute(weights) == target, (g.kind, scheme)
+        (first, w), *_ = weights.items()
+        other = next(v for v in weights.values() if v != w)
+        assert generic.substitute({**weights, first: other}) != target, (g.kind, scheme)
 
 
 def test_bareiss_divides_exactly_over_laurent_entries():
