@@ -482,6 +482,8 @@ def tree_enumerator_det(
     """
     lap = matrix = weighted_laplacian(g, scheme)
     if remove is None:
+        if not g.n:  # no vertex to strike: the empty graph has no spanning tree
+            return Polynomial.zero()
         order = sorted(range(g.n), key=g.degrees().__getitem__)
         matrix = PolyMatrix([[lap.rows[i][j] for j in order] for i in order])
         remove = (g.n - 1, g.n - 1)

@@ -37,15 +37,13 @@ shifts the keys itself when an operand has one term),
 
 `_dot` only computes: it scans no key, and it rebuilds its result to drop
 zeros only when a coefficient cancelled.  Each caller proves its result in
-range or scans it with `_Layout.check_range`.  A polynomial's span is its
-largest |exponent|, and an exponent of a product is a sum of one exponent
-per factor, so a product of factors whose spans add up to less than 2**28
-cannot leave the range: `poly_product` then folds with no scan (and
-scans each partial product otherwise), and `_minors_det` scans no minor
-when its rows' spans do.  `*`
-scans its output, and so do the nullvector residues: reading a span costs
-about seven scans per key, so it pays only where the factors hold far
-fewer keys than their product.
+range or scans it with `_Layout.check_range`.  `*` and the nullvector
+residues scan their outputs, and `poly_product` each partial product.  A
+polynomial's span is its largest |exponent|, and an exponent of a product
+is a sum of one exponent per factor, so `_minors_det` scans no minor when
+its rows' spans add up to less than 2**28, and every minor otherwise.
+Reading a span costs about seven scans per key, so it pays only there,
+where the rows hold far fewer keys than the minors built from them.
 `**` checks k times the base's least and largest exponents once, before
 it builds anything, which bounds every partial power, and scans nothing
 after.  A one-term base's key is multiplied by k; a linear form (every key
@@ -342,10 +340,11 @@ class _Layout:
     def span(self, keys: Iterable[int]) -> int:
         """The largest |exponent| over the keys, 0 for none; a stacked key reads as the key in its band.
 
-        Each key is unpacked.  Reading the least and the largest exponents
-        off `content` of the keys and of their negations unpacks only two,
-        but re-encodes and decodes both for every call: on the factors of
-        the closed forms, half of them one key, that took twice as long.
+        `laplacian._minors_det` reads it on each row.  Each key is unpacked.
+        Reading the least and the largest exponents off `content` of the
+        keys and of their negations unpacks only two, but re-encodes and
+        decodes both for every call: on the closed forms' factors, half of
+        them one key, that took twice as long.
         """
         return max(map(abs, chain.from_iterable(map(self.exponents, keys))), default=0)
 
@@ -970,21 +969,13 @@ def poly_sum(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
 
 
 def poly_product(items: Iterable[Union[Polynomial, int]]) -> Polynomial:
-    """The items multiplied in order on one layout.
-
-    An exponent of a partial product is a sum of one exponent per factor,
-    so when the factors' spans (largest |exponent|) add up to less than
-    2**28 no partial product leaves the range and the fold scans nothing.
-    Otherwise each partial product is scanned, as `*` scans.
-    """
+    """The items multiplied in order on one layout, each partial product scanned as `*` scans."""
     items = share_layout(items)
     if not items:
         return Polynomial.one()
     lay = items[0]._lay
-    scan = sum(lay.span(p._terms) for p in items) >= _EXP_LIMIT
     out = {0: 1}
     for p in items:
         out = _times(out, p._terms)
-        if scan:
-            lay.check_range(out)
+        lay.check_range(out)
     return _new(lay, out)

@@ -4,17 +4,22 @@ This is the independent oracle against which the determinant route is
 checked.  One walk lists the spanning trees include-first (Read and Tarjan,
 "Bounds on backtrack algorithms for listing cycles, paths, and spanning
 trees", Networks 5, 1975), so in the lexicographic order of their copy
-positions.  The forest so far is an undoable union-find whose every root
-holds a bit mask of the copies with exactly one end in its component (a
-merge XORs the two masks), and each level carries `crossing`, the mask of
-copies that join two components, so it loops over those copies only, never
-over a cycle copy.  With two components left, the crossing copies past the
-one included are the trees, tallied inline; when the crossing copies left
-are exactly as many as the joins still needed, they are one tree.  Excluding
-a copy keeps the trees below reachable exactly when its two ends can still
-be joined by later copies: the rejoin test grows one end's component through
-its lowest later crossing copy, one component at a time, and stops as soon
-as it reaches the other end, so a dead branch ends the loop at once.
+positions.  The forest so far is parent pointers whose every root holds a
+bit mask of the copies with exactly one end in its component; including a
+copy points one root at the other and XORs their masks, and the undo
+points it back.  There is neither path compression, which cannot be
+undone, nor union by rank: ranks bound a find by log n steps (Tarjan and
+van Leeuwen, J. ACM 31, 1984), but near a dozen vertices, as the CLI's
+graphs are, they cost more than the shorter chains save.  Each level
+carries `crossing`, the mask of copies that join two components, so it
+loops over those copies only, never over a cycle copy.  With two
+components left, the crossing copies past the one included are the trees,
+tallied inline; when the crossing copies left are exactly as many as the
+joins still needed, they are one tree.  Excluding a copy keeps the trees
+below reachable exactly when its two ends can still be joined by later
+copies: the rejoin test grows one end's component through its lowest
+later crossing copy, one component at a time, and stops as soon as it
+reaches the other end, so a dead branch ends the loop at once.
 
 Every tree statistic is a product of edge weights over the tree's edges,
 the weights of its scheme in `SCHEME_FOR_STATISTIC`, so each edge copy's
@@ -81,13 +86,14 @@ def _edge_copies(g: Graph) -> list[int]:
 def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
     """{sum of the keys of a tree's edge copies: trees with that sum}, in walk order.
 
-    `keys` has one entry per edge copy, as listed by `_edge_copies`.
+    `keys` has one entry per edge copy, as listed by `_edge_copies`.  A union
+    may point either root at the other: the masks, the trees and their order
+    come out the same.
     """
     n = g.n
     ends = [(g.edges[idx].u, g.edges[idx].v) for idx in _edge_copies(g)]
 
     parent = list(range(n))
-    rank = [0] * n
     # at each root, the copies with exactly one end in its component
     cut = [0] * n
     for p, (u, v) in enumerate(ends):
@@ -148,14 +154,11 @@ def _walk(g: Graph, keys: list[int], predicted: int) -> dict[int, int]:
                     q = base + keys[p + leaf.bit_length()]
                     tally[q] = tally.get(q, 0) + 1
             else:
-                if rank[ru] < rank[rv]:
-                    ru, rv = rv, ru
-                parent[rv], saved = ru, rank[ru]
-                rank[ru] += saved == rank[rv]
+                parent[rv] = ru
                 cut[ru] ^= cut[rv]
                 rec(p + 1, components - 1, key + keys[p], joined)
                 cut[ru] ^= cut[rv]
-                parent[rv], rank[ru] = rv, saved
+                parent[rv] = rv
             # excluding p: rest holds the crossing copies past p
             if not cut[ru] & cut[rv] & rest and not rejoins(ru, rv, rest):
                 return

@@ -28,6 +28,7 @@ from treefactor import (
     multigraph_kn,
     q,
     reduce_matrix,
+    spanning_tree_count,
     threshold_graph,
     tree_enumerator_det,
     weighted_laplacian,
@@ -380,6 +381,17 @@ def test_default_strike_equals_every_diagonal_strike_on_random_multigraphs():
 def test_enumerator_edge_cases():
     assert tree_enumerator_det(complete_graph(1), WeightScheme.GENERIC) == Polynomial.one()
     assert tree_enumerator_det(threshold_graph((1, 1, 0)), WeightScheme.THRESHOLD_IN_OUT).is_zero
+
+
+def test_the_empty_graph_enumerates_no_trees():
+    # no vertex to strike by default, and no spanning tree, as Kirchhoff's count says;
+    # a strike the caller names is still checked
+    empty = Graph(kind="plain", labels=(), edges=())
+    assert spanning_tree_count(empty) == 0
+    for scheme in (WeightScheme.GENERIC, WeightScheme.CAYLEY_PRUFER, WeightScheme.THRESHOLD_IN_OUT):
+        assert tree_enumerator_det(empty, scheme).is_zero
+    with pytest.raises(IndexOutOfRange):
+        tree_enumerator_det(empty, WeightScheme.GENERIC, remove=(0, 0))
 
 
 def test_enumerator_counts_at_unit_weights():

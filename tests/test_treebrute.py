@@ -16,6 +16,7 @@ from treefactor import (
     SchemeMismatch,
     SpanningTree,
     TreeStatistic,
+    WeightScheme,
     all_spanning_trees,
     cartesian_product,
     complete_graph,
@@ -275,6 +276,42 @@ def test_bridges_listed_last_list_the_same_trees():
     moved = [*range(30, 45), *range(30)]
     assert {tuple(sorted(moved[idx] for idx in t.edge_indices)) for t in last} == {
         t.edge_indices for t in first}
+
+
+def _cycle_with_chords(n):
+    """The n-cycle, its path listed from the top down, then chords (0, n/2) and (n/3, 2n/3)."""
+    cycle = [*(Edge(i, i + 1) for i in reversed(range(n - 1))), Edge(0, n - 1)]
+    return Graph(kind="plain", labels=tuple(range(n)),
+                 edges=(*cycle, Edge(0, n // 2), Edge(n // 3, 2 * n // 3)))
+
+
+def test_deep_forests_on_a_cycle_with_chords():
+    # the walk keeps no ranks, so including the path's edges from the top
+    # down chains each root below the next: a find climbs nearly n pointers
+    g = _cycle_with_chords(20)
+    assert spanning_tree_count(g) == 661
+    assert enumerate_sum(g, TreeStatistic.DEGREE) == tree_enumerator_det(g, WeightScheme.CAYLEY_PRUFER)
+    # the determinant refuses n = 30 already, so at n = 60 the trees are checked one by one
+    with pytest.raises(CapExceeded):
+        tree_enumerator_det(_cycle_with_chords(30), WeightScheme.CAYLEY_PRUFER)
+    g = _cycle_with_chords(60)
+    trees = all_spanning_trees(g)
+    assert len(trees) == spanning_tree_count(g) == 13_760
+    assert len({t.edge_indices for t in trees}) == len(trees)
+    for t in trees:
+        parent = list(range(g.n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            return a
+
+        joins = 0
+        for idx in t.edge_indices:
+            ru, rv = find(g.edges[idx].u), find(g.edges[idx].v)
+            joins += ru != rv
+            parent[ru] = rv
+        assert len(t.edge_indices) == joins == g.n - 1  # acyclic, so spanning
 
 
 def test_all_spanning_trees_order_is_pinned():
