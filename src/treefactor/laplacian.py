@@ -20,14 +20,16 @@ is built per edge.  `weighted_laplacian` wraps the cells as a `PolyMatrix`;
 the nullvector checks of `verify` stack them as they are.
 
 Determinants are computed exactly over one integral domain, by one of two
-paths:
-  - expansion by minors, for orders up to 4, and above that for matrices
-    whose Kronecker image is too wide but whose zero pattern leaves at most
-    `_MINOR_STATES` (2**15) column sets to expand over;
+routes, which one plan (`_plan`) prices from the matrix before either runs:
+  - expansion by minors, priced by its entry-times-minor products, which a
+    walk over the zero pattern counts and stops as soon as they pass the
+    image's price;
   - fraction-free Bareiss elimination over the integers, after one
-    Kronecker substitution phi, for every other matrix.  Past `_CAP_BITS`
-    (2**20) bits of image the determinant is refused with `CapExceeded`
-    before the image is unpacked.
+    Kronecker substitution phi, priced from the image's order and bits.
+    Past `_CAP_BITS` (2**20) bits of image the determinant is refused with
+    `CapExceeded` before the image is unpacked, unless minors end first.
+Minors win outright, with no image built, under the price of an image with
+no bits; every matrix of order 5 or less goes by minors.
 The expansion (`_minors_det`) only multiplies an entry by a minor and
 never divides, which suits a Laplacian's sparse monomial entries.
 phi divides each row by its monomial content, then evaluates each variable
@@ -41,11 +43,12 @@ Inside the box phi(det M) decodes back to det M (see
 `polyring._KroneckerImage`).  Every interior Bareiss division is exact
 over the integers, and a decoded image always fits its box, so a failure
 there is an implementation bug, not an input condition.
-Those bounds pick the path.  A reduced Laplacian's determinant is +-a
-spanning tree sum with positive coefficients, so on the image path
-`tree_enumerator_det` then narrows the box to the trees' (`_tree_box`):
-each variable's largest exponent over them, and slots holding Kirchhoff's
-count tau and a sign bit.  With tau = 0 the determinant is 0.
+A reduced Laplacian's determinant is +-a spanning tree sum with positive
+coefficients, so `tree_enumerator_det` hands the plan the trees' box
+(`_tree_box`), taken once the image is in contention: each variable's
+largest exponent over them, and slots holding Kirchhoff's count tau and a
+sign bit.  The plan narrows the image to it and prices the narrowed box.
+With tau = 0 the determinant is 0.
 Bareiss pivots on the least leading minor: while the next pivot is wider
 than 62 bits, the remaining diagonal entry of least magnitude is swapped
 in, rows and columns alike.  On an image a minor's width follows its
@@ -61,9 +64,9 @@ triangle is eliminated, at half the big-int products and divisions.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Edge, Graph, _joins
 from .polyring import (
@@ -280,52 +283,92 @@ def reduce_matrix(m: PolyMatrix, row: int, col: int) -> tuple[PolyMatrix, int]:
     return PolyMatrix(rows), sign
 
 
-# Images above this many bits go by minors where the column sets allow:
-# CPython's long division is quadratic, and past it the integer
-# elimination loses.
-_KRONECKER_BITS = 1 << 15
-# Wide images with at most this many column sets are expanded by minors.
-# Measured, the inputs split here: Q4 and directions (2,2,2,2) (24,006
-# sets) and the 17-vertex threshold graphs near 4,100 sets finish by
-# minors several times faster than on their images, while directions
-# (3,3,3) and (2,2,2,3), far past the bound, finish only by integer
-# Bareiss on the image.  Decoupled K4xK4 (29,887) finishes on neither.
-_MINOR_STATES = 1 << 15
 # Wider images are refused: Q9's and K40's run past 10**51 bits, more than
 # an int can hold, while directions (2,2,2,3)'s 801,792 bits, narrowed to
-# its tree box, eliminate in about 5 s.
+# its tree box, eliminate in about 5 s.  The same bound caps the minors of
+# an order-n matrix at _CAP_BITS / n products: past them the walk stops.
 _CAP_BITS = 1 << 20
+# An image of order n and b bits is priced in minor products: about
+# _CELL_PRODUCTS per cell to pack, box, eliminate and decode word-sized
+# entries, times 1 + n * (b / _LONG_BITS)**2 once Bareiss runs on long
+# integers, whose products and quotients take quadratic time in CPython.
+# Fitted to the families' reduced Laplacians of orders 5 to 26; with 3 per
+# cell, every matrix of order 5 or less goes by minors.
+_CELL_PRODUCTS = 3
+_LONG_BITS = 24000
 
 
 def determinant(m: PolyMatrix, tree_box: Optional[Callable[[], tuple[int, Sequence[int]]]] = None) -> Polynomial:
-    """Exact determinant of a square polynomial matrix.
+    """Exact determinant of a square polynomial matrix, by the route `_plan` prices cheaper.
 
-    Expansion by minors up to 4x4.  Above that, the bounds are taken before
-    anything is packed: an image phi(M) of at most 2**15 bits (slots times
-    b, b - 1 the bits of Hadamard's bound on a coefficient) is eliminated
-    over the integers and decoded once.  A wider one is expanded by minors
-    when the zero pattern leaves at most 2**15 column sets, and is
-    eliminated as an image otherwise, unless it passes 2**20 bits, when
-    `CapExceeded` is raised before the image is unpacked.  The path follows
-    from the matrix alone.  Once the image is chosen, `tree_box` (for a
-    determinant that is +-a tree sum) gives the tree count, and the tops the
-    image is narrowed to when the count is not 0 (`_tree_box`).
+    Minors are priced by their entry-times-minor products, counted off the
+    zero pattern, and an image of order n and b bits at `_image_price`(n, b).
+    Minors win outright while their count stays under the price of an image
+    with no bits, and no image is built.  Past it the image's box is read off
+    the keys: past 2**20 bits it is refused with `CapExceeded` before anything
+    is unpacked, unless minors end within 2**20 / n products.  Otherwise
+    `tree_box` (for a determinant that is +-a tree sum) gives the tree count
+    and the tops the image is narrowed to (`_tree_box`), and the narrowed
+    image is priced; a count of 0 is determinant 0.  The walk stops as soon
+    as its count passes the price, and the image is eliminated; if the walk
+    ends first, minors win.
     """
-    rows = m.rows
-    if m.size <= 4:
-        return _minors_det(rows)
-    image = _KroneckerImage(rows)
-    if image.bits > _KRONECKER_BITS and _minor_states(rows) <= _MINOR_STATES:
-        return _minors_det(rows)
+    return _plan(m.rows, tree_box)()
+
+
+def _plan(rows: Sequence[Sequence[Polynomial]],
+          tree_box: Optional[Callable[[], tuple[int, Sequence[int]]]] = None) -> Callable[[], Polynomial]:
+    """The route `determinant` takes, as a call with no arguments, from one walk (`_minor_products`).
+
+    The densest pattern of order n has n (2**(n - 1) - 1) products, so an
+    order that puts even those under the first budget is not walked.
+    """
+    n = len(rows)
+    most = _CAP_BITS // max(n, 1)
+    image, budget = None, min(_image_price(n, 0), most)
+    if n * (2 ** (n - 1) - 1) <= budget:
+        return partial(_minors_det, rows)
+    for products in _minor_products(rows):
+        if products > budget and image is None:
+            image, budget = _KroneckerImage(rows), most
+            if image.bits <= _CAP_BITS:
+                if tree_box is not None:
+                    count, tops = tree_box()
+                    if not count:
+                        return partial(image.polynomial, 0)
+                    image.narrow(tops, count)
+                budget = min(_image_price(n, image.bits), most)
+        if products > budget:
+            break
+    else:
+        return partial(_minors_det, rows)
     if image.bits > _CAP_BITS:
-        raise CapExceeded(f"the {m.size}x{m.size} determinant's Kronecker image needs {image.bits} bits,"
+        raise CapExceeded(f"the {n}x{n} determinant's Kronecker image needs {image.bits} bits,"
                           f" past the bound of {_CAP_BITS}")
-    if tree_box is not None:
-        count, tops = tree_box()
-        if not count:
-            return image.polynomial(0)
-        image.narrow(tops, count)
-    return _kronecker_det(image)
+    return partial(_kronecker_det, image)
+
+
+def _image_price(n: int, bits: int) -> float:
+    """The price of eliminating an n x n image of `bits` bits, in minor products."""
+    return _CELL_PRODUCTS * n * n * (1 + n * (bits / _LONG_BITS) ** 2)
+
+
+def _minor_products(rows: Sequence[Sequence[Polynomial]]) -> Iterator[int]:
+    """Running count of the entry-times-minor products `_minors_det` makes, read off the zero pattern.
+
+    One count per row after the first, taken before the next level of column
+    sets is built, so a walk stopped on it builds no more.  Only which
+    entries are zero is read: a minor that cancels is still counted.
+    """
+    rows = iter(rows)
+    above = [1 << j for j, p in enumerate(next(rows, ())) if p]
+    level, count = {0}, 0
+    for row in rows:
+        level = {t | bit for t in level for bit in above if not t & bit}
+        above = [1 << j for j, p in enumerate(row) if p]
+        mask = sum(above)
+        count += sum((mask & ~t).bit_count() for t in level)
+        yield count
 
 
 def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -359,24 +402,6 @@ def _minors_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         if scan:
             lay.check_range(chain.from_iterable(level.values()))
     return _new(lay, level.popitem()[1] if level else {})
-
-
-def _minor_states(rows: Sequence[Sequence[Polynomial]]) -> int:
-    """How many column sets `_minors_det` would keep, from the zero pattern alone.
-
-    Counts every level's sets; stops as soon as the count passes
-    `_MINOR_STATES`, so a large dense matrix costs only a few levels.
-    """
-    count, level = 0, {0}
-    for row in rows:
-        bits = [1 << j for j, p in enumerate(row) if p]
-        nxt = set()
-        for t in level:
-            nxt.update(t | bit for bit in bits if not t & bit)
-            if count + len(nxt) > _MINOR_STATES:
-                return count + len(nxt)
-        count, level = count + len(nxt), nxt
-    return count
 
 
 def _eliminate(a: list[list[int]]) -> int:

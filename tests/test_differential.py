@@ -579,18 +579,67 @@ def test_narrowed_kronecker_determinant_matches_minors():
 
 
 def test_a_disconnected_graph_has_determinant_zero_before_narrowing(monkeypatch):
-    # two triangles: the route takes the image, and the zero tree count ends
-    # it before the image is narrowed or eliminated
+    # two copies of K3xK3 under direction weights: 1,632 minor products put
+    # the image in contention, and the zero tree count ends the plan before
+    # the image is narrowed or either route runs
     def fail(*args):
         raise AssertionError("reached after a zero tree count")
 
-    g = cartesian_product([complete_graph(2), complete_graph(3)])
-    split = dataclasses.replace(g, edges=tuple(e for e in g.edges if e.direction == 2))
+    g = cartesian_product([complete_graph(2), complete_graph(3), complete_graph(3)])
+    split = dataclasses.replace(g, edges=tuple(e for e in g.edges if e.direction != 1))
     for name in ("_minors_det", "_kronecker_det"):
         monkeypatch.setattr(laplacian, name, fail)
     monkeypatch.setattr(_KroneckerImage, "narrow", fail)
-    for scheme in (WeightScheme.DIRECTION, WeightScheme.DECOUPLED):
-        assert tree_enumerator_det(split, scheme).is_zero
+    boxes = []
+    tree_box = laplacian._tree_box
+    monkeypatch.setattr(laplacian, "_tree_box", lambda *args: boxes.append(tree_box(*args)) or boxes[-1])
+    assert tree_enumerator_det(split, WeightScheme.DIRECTION).is_zero
+    assert boxes == [(0, [])]
+
+
+def test_the_plan_agrees_with_minors_and_the_narrowed_image_across_its_boundary(monkeypatch):
+    # random threshold graphs with n = 5 to 8 and small products of complete
+    # graphs with parallel copies, on both sides of the plan's prices: the
+    # routed determinant equals expansion by minors, whether minors won
+    # outright or after the image was priced, and the image narrowed to the
+    # tree box eliminates to it as well, wherever it is at most 2**16 bits
+    # (a wider one takes a second or more)
+    rng = random.Random(7013)
+    minors, kronecker = laplacian._minors_det, laplacian._kronecker_det
+    taken = []
+    monkeypatch.setattr(laplacian, "_minors_det", lambda rows: taken.append("minors") or minors(rows))
+    monkeypatch.setattr(laplacian, "_kronecker_det", lambda image: taken.append("image") or kronecker(image))
+    priced = []
+    monkeypatch.setattr(laplacian, "_KroneckerImage", lambda rows: priced.append(rows) or _KroneckerImage(rows))
+    S = WeightScheme
+    cases = [(threshold_graph(rng.choice(connected_threshold_sequences(n))), S.THRESHOLD_IN_OUT)
+             for n in (5, 6, 7, 7, 8, 8) for _ in range(2)]
+    for _ in range(14):
+        dims = rng.choice([(2, 3), (3, 3), (2, 2, 2), (2, 4), (2, 2, 3), (2, 5)])
+        g = cartesian_product([multigraph_kn(d, rng.choice((1, 1, 2, 3))) for d in dims])
+        cases.append((g, rng.choice((S.DIRECTION, S.DIRECTION, S.DECOUPLED, S.GENERIC))))
+    seen = set()
+    for g, scheme in cases:
+        lap = weighted_laplacian(g, scheme)
+        order = sorted(range(g.n), key=g.degrees().__getitem__)[:-1]  # the default strike
+        rows = [[lap.rows[i][j] for j in order] for i in order]
+        label = (scheme.value, g.kind, g.edges)
+        taken.clear()
+        priced.clear()
+        det = tree_enumerator_det(g, scheme)
+        assert det == minors(rows), label
+        seen.add((taken[0], "priced" if priced else "outright"))
+        image = _KroneckerImage(rows)
+        if image.bits <= 1 << 20:
+            count, tops = laplacian._tree_box(g, lap)
+            image.narrow(tops, count)
+            if image.bits <= 1 << 16:
+                assert kronecker(image) == det, label
+                seen.add(("narrowed", taken[0]))
+        if max(e.multiplicity for e in g.edges) > 1:
+            seen.add("parallel")
+    assert seen == {("minors", "outright"), ("minors", "priced"), ("image", "priced"),
+                    ("narrowed", "minors"), ("narrowed", "image"), "parallel"}
 
 
 def test_a_tree_box_too_tight_fails_loudly():

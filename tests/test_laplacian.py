@@ -506,38 +506,51 @@ def test_enumerator_outputs_are_pinned():
     assert digest.hexdigest() == "21eb5ccd4209042b1672ad029e89e51fe13682fe0903b8a3f70679ab078ed0b7"
 
 
-def test_determinant_takes_each_path_where_intended(monkeypatch):
-    # both paths must stay in use: the Kronecker image for the small dense
-    # direction products and past the column-set bound, minors for wide
-    # images with few column sets; stubs stand in for the seconds-long cases
-    calls = []
-    monkeypatch.setattr(laplacian, "_minors_det", lambda rows: calls.append(("_minors_det", None)) or Polynomial.zero())
-    monkeypatch.setattr(laplacian, "_kronecker_det",
-                        lambda image: calls.append(("_kronecker_det", image.bits)) or Polynomial.zero())
+def _product(dims):
+    return cartesian_product([complete_graph(d) for d in dims])
 
-    def path(g, scheme):
+
+def test_determinant_takes_each_path_where_intended(monkeypatch):
+    # the plan's choices on the families, from per-matrix times of both
+    # routes: minors wherever the image loses, the image for the direction
+    # products; stubs stand in for the seconds-long cases
+    calls = []
+    monkeypatch.setattr(laplacian, "_minors_det", lambda rows: calls.append("minors") or Polynomial.zero())
+    monkeypatch.setattr(laplacian, "_kronecker_det", lambda image: calls.append("image") or Polynomial.zero())
+
+    def route(g, scheme):
         calls.clear()
         tree_enumerator_det(g, scheme)
-        return calls[0][0]
-
-    def product(dims):
-        return cartesian_product([complete_graph(d) for d in dims])
+        return calls[0]
 
     S = WeightScheme
-    for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 3, 3)]:
-        assert path(product(dims), S.DIRECTION) == "_kronecker_det", dims
-    assert path(complete_graph(7), S.CAYLEY_PRUFER) == "_minors_det"
-    assert path(threshold_graph((5, 5, 5, 5, 5, 5)), S.THRESHOLD_IN_OUT) == "_minors_det"
-    assert path(product((2, 3)), S.DECOUPLED) == "_minors_det"
-    assert path(complete_graph(5), S.CAYLEY_PRUFER) == "_minors_det"
-    # wide images whose zero pattern leaves 24,006 column sets
-    assert path(product((2, 2, 2, 2)), S.DIRECTION) == "_minors_det"
-    assert path(hypercube(4), S.DIRECTION) == "_minors_det"
-    # a wide image past the column-set bound: 55,155,206 sets
-    assert path(product((3, 3, 3)), S.DIRECTION) == "_kronecker_det"
-    # the route reads the unnarrowed box; the tree box is taken after it
-    reduced, _ = reduce_matrix(weighted_laplacian(product((3, 3, 3)), S.DIRECTION), 26, 26)
-    assert _KroneckerImage(reduced.rows).bits > laplacian._KRONECKER_BITS
+    minors = [(complete_graph(7), S.CAYLEY_PRUFER), (hypercube(3), S.CUBE_LAURENT), (_product((2, 3)), S.DECOUPLED)]
+    minors += [(threshold_graph(lam), S.THRESHOLD_IN_OUT) for lam in connected_threshold_sequences(6)]
+    image = [(_product(dims), S.DIRECTION) for dims in [(3, 3), (2, 2, 2), (2, 2, 3), (4, 4), (2, 3, 3), (2, 2, 2, 2),
+                                                       (3, 3, 3)]]
+    image.append((hypercube(4), S.DIRECTION))
+    assert {(5, 5, 2, 2, 2, 2), (5, 1, 1, 1, 1, 1)} <= {lam.parts for lam in connected_threshold_sequences(6)}
+    for expected, cases in (("minors", minors), ("image", image)):
+        for g, scheme in cases:
+            assert route(g, scheme) == expected, (g.kind, g.dims or g.n, scheme.value)
+
+
+def test_minors_that_win_outright_build_no_image_and_take_no_tree_box(monkeypatch):
+    # under the price of an image with no bits the plan builds nothing of the
+    # image route, so neither the image nor the tree box may be touched
+    S = WeightScheme
+    cases = [(threshold_graph(lam), S.THRESHOLD_IN_OUT) for lam in [(5, 5, 5, 5, 5, 5), (5, 5, 3, 3, 2, 2),
+                                                                     (5, 5, 2, 2, 2, 2), (5, 1, 1, 1, 1, 1)]]
+    cases += [(complete_graph(6), S.CAYLEY_PRUFER), (_product((2, 3)), S.DIRECTION), (_product((2, 3)), S.DECOUPLED),
+              (threshold_graph((6, 6, 2, 2, 2, 2, 2)), S.THRESHOLD_IN_OUT)]
+    expected = [tree_enumerator_det(g, scheme) for g, scheme in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the image route was priced")
+
+    monkeypatch.setattr(laplacian, "_KroneckerImage", forbidden)
+    monkeypatch.setattr(laplacian, "_tree_box", forbidden)
+    assert [tree_enumerator_det(g, scheme) for g, scheme in cases] == expected
 
 
 def test_determinant_refuses_an_image_past_the_bit_cap(monkeypatch):
@@ -549,6 +562,15 @@ def test_determinant_refuses_an_image_past_the_bit_cap(monkeypatch):
     monkeypatch.setattr(_KroneckerImage, "matrix", no_matrix)
     with pytest.raises(CapExceeded, match=r"Kronecker image needs \d+ bits, past the bound of 1048576$"):
         tree_enumerator_det(complete_graph(40), WeightScheme.CAYLEY_PRUFER)
+
+
+def test_minors_past_the_cap_are_refused_once_their_products_pass_its_share():
+    # decoupled K4xK4: an image of 2,886,218,022,912 bits, and 97,759 minor
+    # products, past 2**20 / 15; refused at once, where expanding it by
+    # minors ran out of memory
+    g = cartesian_product([complete_graph(4), complete_graph(4)])
+    with pytest.raises(CapExceeded, match=r"needs 2886218022912 bits, past the bound of 1048576$"):
+        tree_enumerator_det(g, WeightScheme.DECOUPLED)
 
 
 def test_direction_kronecker_images_are_sized_by_hadamards_bound():
@@ -564,8 +586,8 @@ def test_direction_kronecker_images_are_sized_by_hadamards_bound():
 def test_tree_enumerator_images_are_narrowed_to_the_tree_box(monkeypatch):
     # the images tree_enumerator_det eliminates, in bits: each exponent top
     # is the variable's largest over the spanning trees, and each slot holds
-    # the tree count and a sign bit; (3,3,3) is routed on its 51,759 bits and
-    # (2,2,2,3) on its 801,792, and both are narrowed after
+    # the tree count and a sign bit; (3,3,3)'s 51,759 bits and (2,2,2,3)'s
+    # 801,792 are narrowed before the plan prices them
     bits = []
     monkeypatch.setattr(laplacian, "_kronecker_det", lambda image: bits.append(image.bits) or Polynomial.zero())
     sizes = {(2, 2, 3): 980, (2, 3, 3): 4680, (3, 3, 3): 22743, (2, 2, 2, 3): 107653}
@@ -573,9 +595,17 @@ def test_tree_enumerator_images_are_narrowed_to_the_tree_box(monkeypatch):
         bits.clear()
         tree_enumerator_det(cartesian_product([complete_graph(d) for d in dims]), WeightScheme.DIRECTION)
         assert bits == [size], dims
-    bits.clear()
-    tree_enumerator_det(threshold_graph((5, 5, 2, 2, 2, 2)), WeightScheme.THRESHOLD_IN_OUT)
-    assert bits == [2800]
+    # T:5,5,2,2,2,2 goes by minors, so its image is narrowed here, on the
+    # matrix tree_enumerator_det strikes: the dominating vertex, rows by degree
+    g = threshold_graph((5, 5, 2, 2, 2, 2))
+    lap = weighted_laplacian(g, WeightScheme.THRESHOLD_IN_OUT)
+    order = sorted(range(g.n), key=g.degrees().__getitem__)
+    rows = [[lap.rows[i][j] for j in order[:-1]] for i in order[:-1]]
+    image = _KroneckerImage(rows)
+    assert image.bits == 3600
+    count, tops = laplacian._tree_box(g, lap)
+    image.narrow(tops, count)
+    assert image.bits == 2800
 
 
 def test_determinant_of_empty_matrix_is_one():
@@ -606,9 +636,10 @@ def test_one_vertex_and_disconnected_graphs_check_their_indices():
                for r in range(3) for s in range(3))
 
 
-def test_minors_det_keeps_the_column_sets_minor_states_counts(monkeypatch):
-    # one key-sum per column set below the first row, exactly as many as
-    # `_minor_states` counts from the zero pattern, which the gate relies on
+def test_minors_det_makes_the_products_the_plan_counts(monkeypatch):
+    # one key-sum per column set below the first row, and in them exactly
+    # the entry-times-minor products the plan's walk counts off the zero
+    # pattern, one running count per row below the first
     g = hypercube(3)
     rows = reduce_matrix(weighted_laplacian(g, WeightScheme.GENERIC), 7, 7)[0].rows
     expected = tree_enumerator_det(g, WeightScheme.GENERIC)
@@ -616,7 +647,9 @@ def test_minors_det_keeps_the_column_sets_minor_states_counts(monkeypatch):
     dot = laplacian._dot
     monkeypatch.setattr(laplacian, "_dot", lambda pairs: calls.append(pairs) or dot(pairs))
     assert laplacian._minors_det(rows) == expected
-    assert len(calls) == laplacian._minor_states(rows) - sum(1 for p in rows[0] if p)
+    counts = list(laplacian._minor_products(rows))
+    assert len(counts) == len(rows) - 1 and counts[-1] == sum(map(len, calls)) == 188
+    assert len(calls) == 108
     # rows 0 and 1 equal: their three minors cancel and are dropped, so row 2 expands nothing
     calls.clear()
     a, b = P("x1 + x2"), P("x2")
@@ -716,20 +749,37 @@ def test_minors_under_the_range_budget_are_never_scanned(monkeypatch):
     assert (laplacian._minors_det(rows), laplacian.determinant(PolyMatrix(small))) == want
 
 
-def test_minor_states_stops_past_the_bound_without_polynomials(monkeypatch):
-    # K40's reduced Laplacian is dense, with 2**39 - 1 column sets; the
-    # count must stop within a row of passing the bound, reading only
-    # which entries are zero
+def test_minor_walk_stops_at_its_budget_without_polynomials(monkeypatch):
+    # the plan's walk reads only which entries are zero and stops on the
+    # first count past its budget: on directions (4,4), 97,759 products in
+    # all, at the narrowed image's price; on K40, whose image is past the
+    # cap, at 2**20 / 39 products, and the determinant is refused
     from treefactor import polyring
-
-    rows = reduce_matrix(weighted_laplacian(complete_graph(40), WeightScheme.CAYLEY_PRUFER), 39, 39)[0].rows
 
     def no_polynomials(*args):
         raise AssertionError("a polynomial was built")
 
+    def reduced(g, scheme):
+        lap = weighted_laplacian(g, scheme)
+        return lap, reduce_matrix(lap, g.n - 1, g.n - 1)[0].rows
+
+    g = _product((4, 4))
+    lap, rows = reduced(g, WeightScheme.DIRECTION)
+    assert list(laplacian._minor_products(rows))[-1] == 97759
+    _, k40 = reduced(complete_graph(40), WeightScheme.CAYLEY_PRUFER)
+    counts = []
+    walk = laplacian._minor_products
+    monkeypatch.setattr(laplacian, "_minor_products", lambda rows: (counts.append(c) or c for c in walk(rows)))
     for module, name in ((polyring, "_new"), (laplacian, "_new"), (laplacian, "_dot")):
         monkeypatch.setattr(module, name, no_polynomials)
-    count = laplacian._minor_states(rows)
-    assert laplacian._MINOR_STATES < count <= laplacian._MINOR_STATES + 39
-    # zero entries add no column sets: a diagonal pattern has one per row
-    assert laplacian._minor_states([[int(i == j) for j in range(39)] for i in range(39)]) == 39
+
+    plan = laplacian._plan(rows, lambda: laplacian._tree_box(g, lap))
+    assert plan.func is laplacian._kronecker_det
+    price = laplacian._image_price(15, plan.args[0].bits)
+    assert counts == [45, 282, 1212] and 282 <= price < 1212
+    counts.clear()
+    with pytest.raises(CapExceeded):
+        laplacian._plan(k40)
+    assert counts[-2] <= (1 << 20) // 39 < counts[-1]
+    # zero entries add no products: a diagonal pattern has one per row
+    assert list(walk([[int(i == j) for j in range(39)] for i in range(39)])) == list(range(1, 39))
